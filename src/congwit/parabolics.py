@@ -8,6 +8,14 @@ s(theta) = {n - i} is realized on matrices by transpose-inverse conjugated
 with the longest Weyl permutation, and non-conjugacy of P_theta and
 P_{s(theta)} is certified by the conjugation-invariant count of projective
 lines fixed by the subgroup.
+
+On matrices the symmetry is computed in one pass as a sign-permuted
+adjugate.  The longest Weyl element is w0 = S * J, with J the reversal and
+S = diag(s) its row signs (s_0 = -1 iff n(n-1)/2 is odd, all others +1), so
+w0^(-1) = J * S.  For det g = 1, (g^T)^(-1) = adj(g)^T, and conjugating by
+J reverses both indices, hence
+
+    (w0 * (g^T)^(-1) * w0^(-1))[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i].
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .matrices import (
     SLMat,
+    _adj_rows,
     act,
     elementary,
     from_rows,
@@ -161,6 +170,11 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
 # the diagram symmetry on matrices
 
 
+def _weyl_signs(n: int) -> tuple[int, ...]:
+    """Row signs of longest_weyl: -1 on row 0 iff the reversal is odd."""
+    return (-1 if (n * (n - 1) // 2) % 2 == 1 else 1,) + (1,) * (n - 1)
+
+
 def longest_weyl(n: int, ring: ResidueRing) -> SLMat:
     """The reversal permutation matrix, sign-fixed to determinant 1.
 
@@ -168,12 +182,8 @@ def longest_weyl(n: int, ring: ResidueRing) -> SLMat:
     entry is negated.  Any determinant-1 representative works, but the
     convention must stay fixed so witnesses are byte-stable.
     """
-    mod = ring.modulus
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = 1
-    if (n * (n - 1) // 2) % 2 == 1:
-        rows[0][n - 1] = mod - 1
+    s = _weyl_signs(n)
+    rows = [[s[i] if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
     return from_rows(rows, ring)
 
 
@@ -187,16 +197,38 @@ def graph_automorphism(g: SLMat) -> SLMat:
     """The outer automorphism of SL_n: g -> w0 * (g^T)^(-1) * w0^(-1).
 
     Swaps P_theta and P_{s(theta)} and preserves the standard Borel; works
-    over Z/p^e for every level e.
+    over Z/p^e for every level e.  Computed as the signed, index-reversed
+    adjugate
+
+        out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i]   (s = longest_weyl's row signs),
+
+    which equals the composite because w0 = diag(s) * reversal and
+    (g^T)^(-1) = adj(g)^T at determinant 1 (see the module docstring).
     """
-    w0 = longest_weyl(g.n, g.ring)
-    return mat_mul(mat_mul(w0, mat_inv(transpose(g))), mat_inv(w0))
+    n = g.n
+    mod = g.ring.modulus
+    s = _weyl_signs(n)
+    a = _adj_rows(g.entries, mod)
+    rows = tuple(
+        tuple(s[i] * s[j] * a[n - 1 - j][n - 1 - i] % mod for j in range(n)) for i in range(n)
+    )
+    return SLMat(g.ring, rows)
 
 
 def graph_automorphism_inverse(g: SLMat) -> SLMat:
-    """Inverse of graph_automorphism: g -> ((w0^(-1) * g * w0)^T)^(-1)."""
-    w0 = longest_weyl(g.n, g.ring)
-    return mat_inv(transpose(mat_mul(mat_mul(mat_inv(w0), g), w0)))
+    """Inverse of graph_automorphism: g -> ((w0^(-1) * g * w0)^T)^(-1).
+
+    With B = w0^(-1) * g * w0, i.e. B[i][j] = s_(n-1-i) * s_(n-1-j) *
+    g[n-1-i][n-1-j], the result is adj(B)^T.
+    """
+    n = g.n
+    h = g.entries
+    s = _weyl_signs(n)
+    b = [
+        [s[n - 1 - i] * s[n - 1 - j] * h[n - 1 - i][n - 1 - j] for j in range(n)]
+        for i in range(n)
+    ]
+    return SLMat(g.ring, tuple(zip(*_adj_rows(b, g.ring.modulus))))
 
 
 def fixed_lines(spec: ParabolicSpec) -> int:

@@ -28,6 +28,7 @@ from .matrices import (
     SLMat,
     _det_int,
     _minor,
+    _mul_rows,
     central_scalar,
     elementary,
     from_rows,
@@ -408,12 +409,9 @@ def _random_elementary_word(rng, n, ring, max_len):
 
 def _random_word(rng, gens, n, ring):
     mod = ring.modulus
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    rows = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
     for _ in range(rng.randint(1, PARABOLIC_WORD_MAX)):
-        cols = list(zip(*gens[rng.randrange(len(gens))].entries))
-        rows = [
-            [sum(a * b for a, b in zip(row, col)) % mod for col in cols] for row in rows
-        ]
+        rows = _mul_rows(rows, gens[rng.randrange(len(gens))].entries, mod)
     return from_rows(rows, ring)
 
 

@@ -14,6 +14,7 @@ module is safe to share across threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -356,6 +357,7 @@ class RingFactor:
     def __post_init__(self):
         if self.exponent < 1:
             raise InputError("exponent must be >= 1")
+        object.__setattr__(self, "_modulus", self.place.p**self.exponent)
         if self.modulus >= MAX_MODULUS:
             raise InputError(f"modulus {self.place.p}^{self.exponent} exceeds the 2^31 guard")
         split = self.place.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND)
@@ -369,7 +371,7 @@ class RingFactor:
 
     @property
     def modulus(self) -> int:
-        return self.place.p**self.exponent
+        return self._modulus
 
 
 @dataclass(frozen=True)
@@ -384,17 +386,19 @@ class ResidueRing:
             raise InputError("ring factors must sit at pairwise distinct places")
         if not self.factors:
             raise InputError("a residue ring needs at least one factor")
+        # Computed once: the modulus is read on every matrix operation.  None
+        # marks a ring with two factors over one prime, whose every access
+        # to .modulus raises.
+        ps = [f.place.p for f in self.factors]
+        m = math.prod(f.modulus for f in self.factors) if len(set(ps)) == len(ps) else None
+        object.__setattr__(self, "_modulus", m)
 
     @property
     def modulus(self) -> int:
         """Product of the factor moduli; defined only for pairwise coprime factors."""
-        ps = [f.place.p for f in self.factors]
-        if len(set(ps)) != len(ps):
+        if self._modulus is None:
             raise InputError("factors over the same rational prime have no joint modulus")
-        m = 1
-        for f in self.factors:
-            m *= f.modulus
-        return m
+        return self._modulus
 
 
 def single_place_ring(place: PrimePlace, e: int, d: int | None = None) -> ResidueRing:

@@ -1,11 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from congwit.errors import InputError
 from congwit.matrices import (
     ProjPoint,
     SLMat,
+    _bareiss,
+    _det_int,
+    _minor,
     act,
     central_scalar,
     elementary,
@@ -23,7 +28,7 @@ from congwit.matrices import (
 )
 from congwit.rings import ResidueRing, RingFactor, crt_split, rational_place, rational_ring
 
-from conftest import random_sl
+from conftest import KERNEL_RINGS, random_sl
 
 R5 = rational_ring(5, 1)
 R25 = rational_ring(5, 2)
@@ -55,6 +60,55 @@ def test_gauss_inverse_path_for_larger_n(rng):
     for _ in range(50):
         x = random_sl(5, ring, rng)
         assert mat_mul(x, mat_inv(x)) == ident
+
+
+def _reference_mul(x, y):
+    mod = x.ring.modulus
+    cols = tuple(zip(*y.entries))
+    return tuple(
+        tuple(sum(a * b for a, b in zip(row, col)) % mod for col in cols) for row in x.entries
+    )
+
+
+def _reference_adjugate(x):
+    mod = x.ring.modulus
+    rows = [list(r) for r in x.entries]
+    return tuple(
+        tuple((-1) ** (i + j) * _bareiss(_minor(rows, j, i)) % mod for j in range(x.n))
+        for i in range(x.n)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: f"mod{r.modulus}")
+def test_mul_and_inv_kernels_match_reference(ring, n, rng):
+    for _ in range(25):
+        x = random_sl(n, ring, rng)
+        y = random_sl(n, ring, rng)
+        assert mat_mul(x, y).entries == _reference_mul(x, y)
+        assert mat_inv(x).entries == _reference_adjugate(x)
+
+
+def _square(n):
+    return st.lists(st.lists(st.integers(-60, 60), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(st.integers(1, 5).flatmap(_square))
+@example([[0, -1], [1, 0]])  # signed reversals, as the selftest feeds them
+@example([[0, 0, -1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
+@example([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [5, -3, 2, 7]])  # singular
+@example([[0, 0, 0, 0], [1, 2, 3, 4], [5, 6, 7, 8], [9, 1, 2, 3]])
+@example([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, -8]])
+def test_det_int_matches_bareiss(rows):
+    assert _det_int(rows) == _bareiss(rows)
+
+
+def test_reduce_mat_into_own_ring_is_identity(rng):
+    x = random_sl(4, R25, rng)
+    assert reduce_mat(x, R25) is x
+    assert reduce_mat(x, R5).entries == tuple(tuple(v % 5 for v in r) for r in x.entries)
 
 
 def test_elementary_row_law_and_rejects():

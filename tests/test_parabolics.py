@@ -13,6 +13,7 @@ from congwit.matrices import (
     mat_mul,
     minus_identity,
     sl_order,
+    transpose,
 )
 from congwit.parabolics import (
     ParabolicSpec,
@@ -31,7 +32,7 @@ from congwit.parabolics import (
 from congwit.quotients import closure
 from congwit.rings import rational_ring
 
-from conftest import random_sl
+from conftest import KERNEL_RINGS, random_sl
 
 R5 = rational_ring(5, 1)
 P1 = ParabolicSpec(4, 5, root_subset(4, {2, 3}))
@@ -141,10 +142,35 @@ def test_graph_automorphism_inverse_roundtrip(rng):
         assert graph_automorphism(graph_automorphism_inverse(x)) == x
 
 
+def _composite_graph_automorphism(g):
+    w0 = longest_weyl(g.n, g.ring)
+    return mat_mul(mat_mul(w0, mat_inv(transpose(g))), mat_inv(w0))
+
+
+def _composite_graph_automorphism_inverse(g):
+    w0 = longest_weyl(g.n, g.ring)
+    return mat_inv(transpose(mat_mul(mat_mul(mat_inv(w0), g), w0)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: f"mod{r.modulus}")
+def test_graph_automorphism_matches_composite_definition(ring, n, rng):
+    for _ in range(25):
+        g = random_sl(n, ring, rng)
+        assert graph_automorphism(g) == _composite_graph_automorphism(g)
+        assert graph_automorphism_inverse(g) == _composite_graph_automorphism_inverse(g)
+
+
 def test_longest_weyl_determinant_convention():
     for n in (2, 3, 4, 5):
         w0 = longest_weyl(n, rational_ring(5, 1))  # construction validates det = 1
         assert w0.n == n
+        # The sign sits at (0, n-1) exactly when the reversal is odd.
+        corner = 4 if (n * (n - 1) // 2) % 2 == 1 else 1
+        assert w0.entries == tuple(
+            tuple((corner if i == 0 else 1) if j == n - 1 - i else 0 for j in range(n))
+            for i in range(n)
+        )
 
 
 def test_graph_automorphism_swaps_parabolics():

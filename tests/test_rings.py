@@ -195,6 +195,7 @@ def test_crt_examples():
     ring = ResidueRing(
         (RingFactor(rational_place(5), 1, None), RingFactor(rational_place(7), 1, None))
     )
+    assert ring.modulus == ring.factors[0].modulus * ring.factors[1].modulus == 35
     assert crt_split(12, ring) == (2, 5)
     assert crt_split(0, ring) == (0, 0)
     assert crt_join((2, 5), ring) == 12
@@ -207,6 +208,11 @@ def test_crt_requires_coprime_factors():
     ring = ResidueRing(
         (RingFactor(p1, 1, p1.root), RingFactor(p2, 1, p2.root))
     )
+    # The modulus is computed once at construction; the rejection must
+    # still fire on every access, not just the first.
+    for _ in range(2):
+        with pytest.raises(InputError):
+            ring.modulus
     with pytest.raises(InputError):
         crt_split(3, ring)
 
