@@ -171,13 +171,15 @@ class SLMat:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
+        entries = self.entries
+        n = len(entries)
         mod = self.ring.modulus
-        if n < 1 or any(len(r) != n for r in self.entries):
+        if n < 1 or any(len(r) != n for r in entries):
             raise InputError("entries must form a square matrix")
-        if any(not 0 <= x < mod for r in self.entries for x in r):
+        flat = sum(entries, ())  # rows are tuples, so this flattens in C
+        if min(flat) < 0 or max(flat) >= mod:
             raise InputError("entries must be canonically reduced")
-        if _det_int(self.entries) % mod != 1:
+        if _det_int(entries) % mod != 1:
             raise InputError("determinant is not 1 in the ring")
 
     @property

@@ -207,6 +207,9 @@ class FiniteQuotientGroup:
         self._par_gens: dict[str, list[SLMat]] = {}
         self._gens: list[tuple[SLMat, ...]] | None = None
         self._order: int | None = None
+        self._identity: tuple[SLMat, ...] | None = None
+        # the identity's entries, row-major, for the principal predicates
+        self._flat_identity = [int(i == j) for i in range(spec.n) for j in range(spec.n)]
 
     # -- basics ---------------------------------------------------------
 
@@ -221,7 +224,9 @@ class FiniteQuotientGroup:
             raise InputError(f"place {place.label} is not in the level") from None
 
     def identity(self) -> tuple[SLMat, ...]:
-        return tuple(identity(self.n, r) for r in self.rings)
+        if self._identity is None:
+            self._identity = tuple(identity(self.n, r) for r in self.rings)
+        return self._identity
 
     # -- membership ------------------------------------------------------
 
@@ -250,22 +255,14 @@ class FiniteQuotientGroup:
             pspec, level1 = self._parabolic[idx]
             return parabolic_membership(reduce_mat(comp, level1), pspec)
         mod = p**cond.depth
-        ents = comp.entries
+        flat = [x % mod for row in comp.entries for x in row]
         if cond.kind == PRINCIPAL:
-            return all(
-                ents[i][j] % mod == (1 if i == j else 0)
-                for i in range(self.n)
-                for j in range(self.n)
-            )
+            return flat == self._flat_identity
         # central_principal: scalar mod p^depth with an m-torsion unit
-        z = ents[0][0] % mod
+        z = flat[0]
         if pow(z, cond.order, mod) != 1:
             return False
-        return all(
-            ents[i][j] % mod == (z if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return flat == [z * v for v in self._flat_identity]
 
     # -- order -----------------------------------------------------------
 
@@ -296,32 +293,38 @@ class FiniteQuotientGroup:
         """A member of the quotient, deterministic in the seed.
 
         The distribution is not uniform; verification only needs members
-        that range over the predicate domain.
+        that range over the predicate domain.  Every draw is a rejection
+        sample on Random(seed).getrandbits(n.bit_length()) (see _below), so
+        the members depend only on getrandbits and not on the private
+        algorithm behind random.randrange.
         """
         rng = random.Random(seed)
         return tuple(
-            self._local_sample(rng, ring, cond, place, e)
-            for ring, cond, (place, e) in zip(self.rings, self.conditions, self.level)
+            self._local_sample(rng, idx, ring, cond, place, e)
+            for idx, (ring, cond, (place, e)) in enumerate(
+                zip(self.rings, self.conditions, self.level)
+            )
         )
 
-    def _local_sample(self, rng, ring, cond, place, e):
+    def _local_sample(self, rng, idx, ring, cond, place, e):
         n = self.n
         if cond.kind == FULL:
             return _random_elementary_word(rng, n, ring, FULL_WORD_MAX)
         if cond.kind == PARABOLIC:
             out = _random_word(rng, self._parabolic_sampler_gens(place, ring, cond), n, ring)
             if e > 1:
-                out = mat_mul(out, _principal_sample(rng, n, ring, 1))
+                out = mat_mul(out, from_rows(_principal_rows(rng, n, ring, 1), ring))
             return out
         if cond.kind == PRINCIPAL:
-            return _principal_sample(rng, n, ring, cond.depth)
-        # central_principal
+            if cond.depth == e:
+                return self.identity()[idx]
+            return from_rows(_principal_rows(rng, n, ring, cond.depth), ring)
+        # central_principal: z^n = 1, so scaling keeps the determinant at 1
         z = unit_of_order(cond.order, place.p, e)
-        k = rng.randrange(cond.order)
-        base = _principal_sample(rng, n, ring, cond.depth)
-        mod = ring.modulus
-        scalar = pow(z, k, mod)
-        return from_rows([[v * scalar for v in row] for row in base.entries], ring)
+        k = _below(rng.getrandbits, cond.order)
+        rows = _principal_rows(rng, n, ring, cond.depth)
+        scalar = pow(z, k, ring.modulus)
+        return from_rows([[v * scalar for v in row] for row in rows], ring)
 
     def _parabolic_sampler_gens(self, place, ring, cond):
         key = place.label
@@ -391,16 +394,40 @@ def _principal_generators(n, ring, p, depth, e):
     return gens
 
 
+def _below(bits, n):
+    """A uniform draw from range(n) by rejection on bits(n.bit_length()).
+
+    `bits` is a bound Random.getrandbits; this is the rule CPython's
+    Random.randrange(n) applies, so the draws and the generator state after
+    them match it exactly.
+    """
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _random_elementary_word(rng, n, ring, max_len):
-    # right-multiplying by 1 + t*E_ij adds t times column i to column j
+    # right-multiplying by 1 + t*E_ij adds t times column i to column j;
+    # the three draws per factor are _below(n), _below(n - 1), _below(mod)
     mod = ring.modulus
+    bits = rng.getrandbits
+    m = n - 1
+    kn, km, kt = n.bit_length(), m.bit_length(), mod.bit_length()
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for _ in range(rng.randint(1, max_len)):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
+    for _ in range(1 + _below(bits, max_len)):
+        i = bits(kn)
+        while i >= n:
+            i = bits(kn)
+        j = bits(km)
+        while j >= m:
+            j = bits(km)
         if j >= i:
             j += 1
-        t = rng.randrange(mod)
+        t = bits(kt)
+        while t >= mod:
+            t = bits(kt)
         if t:
             for row in rows:
                 row[j] = (row[j] + t * row[i]) % mod
@@ -409,14 +436,17 @@ def _random_elementary_word(rng, n, ring, max_len):
 
 def _random_word(rng, gens, n, ring):
     mod = ring.modulus
+    bits = rng.getrandbits
+    count = len(gens)
     rows = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-    for _ in range(rng.randint(1, PARABOLIC_WORD_MAX)):
-        rows = _mul_rows(rows, gens[rng.randrange(len(gens))].entries, mod)
+    for _ in range(1 + _below(bits, PARABOLIC_WORD_MAX)):
+        rows = _mul_rows(rows, gens[_below(bits, count)].entries, mod)
     return from_rows(rows, ring)
 
 
-def _principal_sample(rng, n, ring, depth):
-    """1 + p^depth * X with X random, determinant repaired to exactly 1.
+def _principal_rows(rng, n, ring, depth):
+    """Integer rows of 1 + p^depth * X with X random, determinant repaired
+    to 1 mod the ring's modulus; the identity rows when depth is the level.
 
     det is affine in the (0, 0) entry with unit cofactor, so a single
     correction lands the determinant on 1 without leaving the kernel shape.
@@ -425,18 +455,19 @@ def _principal_sample(rng, n, ring, depth):
     p = ring.factors[0].place.p
     e = ring.factors[0].exponent
     if e == depth:
-        return identity(n, ring)
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     step = p**depth
     span = p ** (e - depth)
+    bits = rng.getrandbits
     rows = [
-        [(1 if i == j else 0) + step * rng.randrange(span) for j in range(n)]
+        [(1 if i == j else 0) + step * _below(bits, span) for j in range(n)]
         for i in range(n)
     ]
     det = _det_int(rows) % mod
     if det != 1:
         cof = _det_int(_minor(rows, 0, 0)) % mod
         rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
-    return from_rows(rows, ring)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,25 @@ from .twists import (
     QuotientIso,
     central_transport,
     graph_aut_at_place,
-    identity_iso,
     place_swap,
 )
 
 SCHEMA_VERSION = "1"
+
+# The twist kind each preset method is witnessed by.
+_ISO_KIND = {"A": CENTRAL_TRANSPORT, "S16": CENTRAL_TRANSPORT, "B": GRAPH_AUT, "C": PLACE_SWAP}
+_BUNDLE_KEYS = (
+    "method",
+    "params",
+    "n",
+    "base_ring",
+    "places",
+    "level",
+    "conditions1",
+    "conditions2",
+    "iso",
+    "separating_element",
+)
 
 
 def dumps_canonical(doc) -> str:
@@ -163,13 +177,26 @@ def bundle_from_json(doc) -> WitnessBundle:
     orders and the obstruction certificate are recomputed rather than read
     back, so a tampered file cannot smuggle in stale claims.
     """
-    if doc.get("kind") == "witness_run":
-        doc = doc["bundle"]
-    if doc.get("kind") != "witness_bundle":
+    if isinstance(doc, dict) and doc.get("kind") == "witness_run":
+        doc = doc.get("bundle")
+    if not isinstance(doc, dict) or doc.get("kind") != "witness_bundle":
         raise InputError("not a witness bundle document")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"unsupported schema version {doc.get('schema_version')!r}")
+    missing = [key for key in _BUNDLE_KEYS if key not in doc]
+    if missing:
+        raise InputError(f"bundle is missing {', '.join(missing)}")
     n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"n must be an integer, not {n!r}")
+    method = doc["method"]
+    expected = _ISO_KIND.get(method) if isinstance(method, str) else None
+    if expected is None:
+        raise InputError(f"unknown method {method!r}")
+    iso_doc = doc["iso"]
+    kind = iso_doc.get("kind") if isinstance(iso_doc, dict) else None
+    if kind != expected:
+        raise InputError(f"method {method} needs a {expected} twist, not {kind!r}")
     d = doc["base_ring"].get("d")
     places = {p["label"]: place_from_json(p) for p in doc["places"]}
     level = {places[label]: e for label, e in doc["level"].items()}
@@ -182,20 +209,14 @@ def bundle_from_json(doc) -> WitnessBundle:
 
     spec1, spec2 = spec_of("conditions1"), spec_of("conditions2")
     q1, q2 = quotient_of(spec1, level), quotient_of(spec2, level)
-    iso_doc = doc["iso"]
-    kind = iso_doc["kind"]
     if kind == CENTRAL_TRANSPORT:
         iso = central_transport(
             q1, q2, places[iso_doc["from_place"]], places[iso_doc["to_place"]], iso_doc["scalar_order"]
         )
     elif kind == PLACE_SWAP:
         iso = place_swap(q1, q2, places[iso_doc["from_place"]], places[iso_doc["to_place"]])
-    elif kind == GRAPH_AUT:
-        iso = graph_aut_at_place(q1, q2, places[iso_doc["place"]])
-    elif kind == IDENTITY:
-        iso = identity_iso(q1)
     else:
-        raise InputError(f"unknown iso kind {kind!r}")
+        iso = graph_aut_at_place(q1, q2, places[iso_doc["place"]])
     sep = []
     for place, ring in zip(q1.places, q1.rings):
         mdoc = doc["separating_element"][place.label]
@@ -203,7 +224,7 @@ def bundle_from_json(doc) -> WitnessBundle:
             raise InputError(f"separating element modulus mismatch at {place.label}")
         sep.append(SLMat(ring, tuple(tuple(x % ring.modulus for x in r) for r in mdoc["rows"])))
     bundle = WitnessBundle(
-        method=doc["method"],
+        method=method,
         params=doc["params"],
         n=n,
         d=d,

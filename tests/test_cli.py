@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -142,3 +143,68 @@ def test_selftest_fault_injection_names_the_check(capsys):
     assert code == 1
     assert "FAIL preset-method-a" in out
     assert "membership failures" in out
+
+
+# sha256 of `witness <preset> --samples 50 --seed 0 --output FILE`; any change
+# to a draw, a check or the encoding moves these.
+WITNESS_SHA256 = {
+    "method-a": "a1463c3a7eb3ec0b64ff3a37087cfcfc28fa97a7a2dfa3758b710fc3dde00187",
+    "method-b": "65ee6f3de06d490baa1540ed0873335aceb81a68dbafab59b506aebcbeb65bc8",
+    "method-c": "ef056c231f577c7823ed443196fa7671bef48de47f330590cc1620771a73e4aa",
+    "s16": "1e787fe256663da0e540e1cef0bccb1e6dccb1c12a27d9ad2c72f5fa632d621f",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(WITNESS_SHA256))
+def test_witness_bytes_are_pinned(preset, tmp_path):
+    path = tmp_path / "witness.json"
+    argv = ["witness", preset, "--samples", "50", "--seed", "0", "--output", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WITNESS_SHA256[preset]
+
+
+@pytest.fixture(scope="module")
+def method_a_doc(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "method-a.json"
+    assert main(["witness", "method-a", "--samples", "5", "--output", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def assert_rejected(capsys, tmp_path, doc, message):
+    """Both commands that read a bundle exit 2 with an error line."""
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["obstruct", str(path)], ["verify-iso", str(path), "--samples", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
+def test_bundle_without_n_is_rejected(method_a_doc, tmp_path, capsys):
+    doc = json.loads(json.dumps(method_a_doc))
+    del doc["bundle"]["n"]
+    assert_rejected(capsys, tmp_path, doc, "missing n")
+
+
+def test_bundle_with_non_integer_n_is_rejected(method_a_doc, tmp_path, capsys):
+    for bad in ("4", True, 4.0):
+        doc = json.loads(json.dumps(method_a_doc))
+        doc["bundle"]["n"] = bad
+        assert_rejected(capsys, tmp_path, doc, "n must be an integer")
+
+
+def test_bundle_with_twist_of_another_method_is_rejected(method_a_doc, tmp_path, capsys):
+    for iso in (
+        {"kind": "graph_automorphism", "place": "p7"},
+        {"kind": "place_swap", "from_place": "p5", "to_place": "p7"},
+        {"kind": "identity"},
+    ):
+        doc = json.loads(json.dumps(method_a_doc))
+        doc["bundle"]["iso"] = iso
+        assert_rejected(capsys, tmp_path, doc, "needs a central_transport twist")
+
+
+def test_bundle_document_that_is_not_an_object_is_rejected(method_a_doc, tmp_path, capsys):
+    assert_rejected(capsys, tmp_path, [method_a_doc], "not a witness bundle document")
+    assert_rejected(capsys, tmp_path, [method_a_doc["bundle"]], "not a witness bundle document")

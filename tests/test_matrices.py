@@ -125,6 +125,20 @@ def test_det_certification():
         from_rows([[2, 0], [0, 1]], R5)
     with pytest.raises(InputError):
         SLMat(R5, ((1, 7), (0, 1)))  # not reduced
+    # each of these has determinant 1, so only the range check can fire
+    with pytest.raises(InputError, match="canonically reduced"):
+        SLMat(R5, ((1, -1), (0, 1)))
+    with pytest.raises(InputError, match="canonically reduced"):
+        SLMat(R5, ((1, 0), (5, 1)))  # an entry equal to the modulus
+    with pytest.raises(InputError, match="square"):
+        SLMat(R5, ((1, 0), (0,)))  # ragged
+    # shape, then reduction, then determinant
+    with pytest.raises(InputError, match="square"):
+        SLMat(R5, ((-1, 9), (0,)))
+    with pytest.raises(InputError, match="canonically reduced"):
+        SLMat(R5, ((2, 5), (0, 1)))
+    with pytest.raises(InputError, match="determinant"):
+        SLMat(R5, ((2, 4), (0, 1)))
     assert from_rows([[6, 0], [0, 6]], R5).entries == ((1, 0), (0, 1))
 
 

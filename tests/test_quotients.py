@@ -1,10 +1,32 @@
+import random
+
 import pytest
 
 from congwit.errors import InputError
-from congwit.matrices import elementary, identity, minus_identity, reduce_mat, sl_order
+from congwit.matrices import (
+    SLMat,
+    _det_int,
+    _minor,
+    _mul_rows,
+    elementary,
+    from_rows,
+    identity,
+    mat_mul,
+    minus_identity,
+    reduce_mat,
+    scalar_mul,
+    sl_order,
+)
 from congwit.parabolics import parabolic_order, ParabolicSpec, root_subset
+from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
+    FULL,
+    FULL_WORD_MAX,
+    PARABOLIC,
+    PARABOLIC_WORD_MAX,
+    PRINCIPAL,
     CentralElementSpec,
+    _below,
     central_presence,
     central_principal,
     closure,
@@ -21,7 +43,7 @@ from congwit.quotients import (
     tuple_inv,
     tuple_mul,
 )
-from congwit.rings import rational_place, split_places
+from congwit.rings import rational_place, split_places, unit_of_order
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -255,3 +277,188 @@ def test_closure_limit_returns_none():
 
 def test_order_one_central_condition_is_principal():
     assert central_principal(1, 2) == principal(2)
+
+
+# ---------------------------------------------------------------------------
+# The samplers draw through _below on getrandbits.  The references below are
+# the randrange-based samplers they replaced, kept verbatim so the draws, and
+# so the witness bytes, are pinned to them.
+
+
+def _ref_elementary_word(rng, n, ring, max_len):
+    mod = ring.modulus
+    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+    for _ in range(rng.randint(1, max_len)):
+        i = rng.randrange(n)
+        j = rng.randrange(n - 1)
+        if j >= i:
+            j += 1
+        t = rng.randrange(mod)
+        if t:
+            for row in rows:
+                row[j] = (row[j] + t * row[i]) % mod
+    return from_rows(rows, ring)
+
+
+def _ref_word(rng, gens, n, ring):
+    mod = ring.modulus
+    rows = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    for _ in range(rng.randint(1, PARABOLIC_WORD_MAX)):
+        rows = _mul_rows(rows, gens[rng.randrange(len(gens))].entries, mod)
+    return from_rows(rows, ring)
+
+
+def _ref_principal_sample(rng, n, ring, depth):
+    mod = ring.modulus
+    p = ring.factors[0].place.p
+    e = ring.factors[0].exponent
+    if e == depth:
+        return identity(n, ring)
+    step = p**depth
+    span = p ** (e - depth)
+    rows = [
+        [(1 if i == j else 0) + step * rng.randrange(span) for j in range(n)]
+        for i in range(n)
+    ]
+    det = _det_int(rows) % mod
+    if det != 1:
+        cof = _det_int(_minor(rows, 0, 0)) % mod
+        rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
+    return from_rows(rows, ring)
+
+
+def _ref_sample(q, seed):
+    rng = random.Random(seed)
+    n = q.n
+    out = []
+    for ring, cond, (place, e) in zip(q.rings, q.conditions, q.level):
+        if cond.kind == FULL:
+            out.append(_ref_elementary_word(rng, n, ring, FULL_WORD_MAX))
+        elif cond.kind == PARABOLIC:
+            g = _ref_word(rng, q._parabolic_sampler_gens(place, ring, cond), n, ring)
+            if e > 1:
+                g = mat_mul(g, _ref_principal_sample(rng, n, ring, 1))
+            out.append(g)
+        elif cond.kind == PRINCIPAL:
+            out.append(_ref_principal_sample(rng, n, ring, cond.depth))
+        else:
+            z = unit_of_order(cond.order, place.p, e)
+            k = rng.randrange(cond.order)
+            base = _ref_principal_sample(rng, n, ring, cond.depth)
+            scalar = pow(z, k, ring.modulus)
+            out.append(from_rows([[v * scalar for v in row] for row in base.entries], ring))
+    return tuple(out)
+
+
+def _preset_quotients():
+    quotients = []
+    for build in (method_a_pair, method_b_pair, method_c_pair, s16_pair):
+        bundle = build()
+        quotients += [bundle.quotient1, bundle.quotient2]
+    return quotients
+
+
+def test_below_matches_randrange_draws_and_state():
+    theta = root_subset(4, {2, 3})
+    q_b = quotient_of(subgroup_spec(4, {V5: parabolic_pullback(theta)}), {V5: 1})
+    gens_len = len(q_b._parabolic_sampler_gens(V5, q_b.rings[0], q_b.conditions[0]))
+    preset_bounds = [32, 12, 5, 7, 17, 25, 49, gens_len]
+    bounds = list(range(1, 71))
+    for k in range(1, 66):
+        bounds += [2**k - 1, 2**k, 2**k + 1]
+    interleaved = [
+        b for i, base in enumerate(bounds) for b in (base, preset_bounds[i % len(preset_bounds)])
+    ]
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        bits = ours.getrandbits
+        assert [_below(bits, n) for n in interleaved] == [theirs.randrange(n) for n in interleaved]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_samples_match_the_randrange_reference():
+    theta = root_subset(4, {2, 3})
+    deep_parabolic = quotient_of(
+        subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)}), {V5: 2, V3: 1}
+    )
+    for q in _preset_quotients() + [deep_parabolic]:
+        for seed in range(200):
+            assert q.sample(seed) == _ref_sample(q, seed)
+
+
+def test_identity_is_built_once():
+    q = quotient_of(subgroup_spec(2, {V5: principal(1)}), {V5: 1, V7: 1})
+    assert q.identity() is q.identity()
+    (g, _) = q.sample(3)
+    assert g is q.identity()[0]
+
+
+# ---------------------------------------------------------------------------
+# member against the per-entry predicate it replaced
+
+
+def _ref_member(q, g):
+    if len(g) != len(q.places):
+        return False
+    for comp, ring, cond, place in zip(g, q.rings, q.conditions, q.places):
+        if not isinstance(comp, SLMat) or comp.ring != ring or comp.n != q.n:
+            return False
+        mod = place.p**cond.depth
+        ents = comp.entries
+        if cond.kind == PRINCIPAL:
+            ok = all(
+                ents[i][j] % mod == (1 if i == j else 0) for i in range(q.n) for j in range(q.n)
+            )
+        else:
+            z = ents[0][0] % mod
+            ok = pow(z, cond.order, mod) == 1 and all(
+                ents[i][j] % mod == (z if i == j else 0) for i in range(q.n) for j in range(q.n)
+            )
+        if not ok:
+            return False
+    return True
+
+
+def _perturbations(n, ring, p, depth):
+    """Scalars c*1 for every c with c^n = 1, and each moved off the
+    principal shape: one off-diagonal entry by 1 or by p^(depth-1), and a
+    non-scalar diagonal c*diag(u, 1/u, 1, ...)."""
+    mod = ring.modulus
+    e = ring.factors[0].exponent
+    scalars = sorted({pow(unit_of_order(n, p, e), k, mod) for k in range(n)})
+    out = []
+    for c in scalars:
+        base = scalar_mul(c, identity(n, ring))
+        out.append(base)
+        for i, j in ((0, 1), (n - 1, 0)):
+            for step in (1, p ** (depth - 1), p**depth):
+                rows = [list(r) for r in base.entries]
+                rows[i][j] += step
+                out.append(from_rows(rows, ring))
+        for u in (2, 1 + p ** (depth - 1), 1 + p**depth):
+            rows = [list(r) for r in base.entries]
+            rows[0][0] = c * u
+            rows[1][1] = c * pow(u, -1, mod)
+            out.append(from_rows(rows, ring))
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("n,p,m", [(4, 5, 2), (4, 5, 4), (2, 3, 2), (2, 5, 2)])
+def test_member_matches_per_entry_predicate(n, p, m, depth, extra):
+    place = rational_place(p)
+    level = {place: depth + extra}
+    results = []
+    for cond in (principal(depth), central_principal(m, depth)):
+        q = quotient_of(subgroup_spec(n, {place: cond}), level)
+        elements = _perturbations(n, q.rings[0], p, depth)
+        elements += [q.sample(seed)[0] for seed in range(20)]
+        # the type, ring and shape guard comes before the predicate
+        elements += [identity(n, quotient_of(subgroup_spec(n, {}), {place: depth + extra + 1}).rings[0])]
+        elements += [identity(3, q.rings[0]), q.identity()[0].entries]
+        for g in elements:
+            ours, theirs = q.member((g,)), _ref_member(q, (g,))
+            assert ours == theirs, (cond, g)
+            results.append(ours)
+    assert True in results and False in results
