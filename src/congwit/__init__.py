@@ -9,106 +9,22 @@ isomorphism of the subgroups themselves.
 """
 
 from .errors import InputError
-from .matrices import SLMat, central_scalar, elementary, minus_identity, sl_order
-from .parabolics import (
-    ParabolicSpec,
-    RootSubset,
-    fixed_lines,
-    graph_automorphism,
-    parabolic_order,
-    root_subset,
-)
-from .presets import (
-    ObstructionReport,
-    WitnessBundle,
-    method_a_pair,
-    method_b_pair,
-    method_c_pair,
-    obstruction_report,
-    s16_pair,
-)
-from .quotients import (
-    CentralElementSpec,
-    FiniteQuotientGroup,
-    LocalCondition,
-    SubgroupSpec,
-    central_presence,
-    central_principal,
-    full_condition,
-    member,
-    order_of,
-    parabolic_pullback,
-    principal,
-    quotient_of,
-    sample,
-    subgroup_spec,
-)
-from .rings import (
-    PrimePlace,
-    QuadInt,
-    ResidueRing,
-    conj_place,
-    crt_join,
-    crt_split,
-    find_split_primes,
-    galois_conj,
-    hensel_lift_sqrt,
-    residue_map,
-    roots_of_unity_order,
-    splitting_type,
-)
-from .twists import IsoReport, QuotientIso, child_seed, verify_iso
+from .presets import WitnessBundle, method_a_pair, method_b_pair, method_c_pair, s16_pair
+from .serialize import bundle_from_json, bundle_to_json
+from .twists import IsoReport, QuotientIso, verify_iso
 
 __version__ = "0.1.0"
 
 __all__ = [
     "InputError",
-    "SLMat",
-    "central_scalar",
-    "elementary",
-    "minus_identity",
-    "sl_order",
-    "ParabolicSpec",
-    "RootSubset",
-    "fixed_lines",
-    "graph_automorphism",
-    "parabolic_order",
-    "root_subset",
-    "ObstructionReport",
     "WitnessBundle",
     "method_a_pair",
     "method_b_pair",
     "method_c_pair",
-    "obstruction_report",
     "s16_pair",
-    "CentralElementSpec",
-    "FiniteQuotientGroup",
-    "LocalCondition",
-    "SubgroupSpec",
-    "central_presence",
-    "central_principal",
-    "full_condition",
-    "member",
-    "order_of",
-    "parabolic_pullback",
-    "principal",
-    "quotient_of",
-    "sample",
-    "subgroup_spec",
-    "PrimePlace",
-    "QuadInt",
-    "ResidueRing",
-    "conj_place",
-    "crt_join",
-    "crt_split",
-    "find_split_primes",
-    "galois_conj",
-    "hensel_lift_sqrt",
-    "residue_map",
-    "roots_of_unity_order",
-    "splitting_type",
+    "bundle_from_json",
+    "bundle_to_json",
     "IsoReport",
     "QuotientIso",
-    "child_seed",
     "verify_iso",
 ]

@@ -10,11 +10,12 @@ witnessed, 1 a check refuted something, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
+from . import presets
 from .errors import InputError
-from .presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from .rings import find_split_primes
 from .selftest import FAULTS, run_selftest
 from .serialize import (
@@ -28,6 +29,24 @@ from .twists import verify_iso
 
 DEFAULT_SAMPLES = 10000
 DEFAULT_SEED = 0
+
+# CLI name -> help text.  A preset's builder is presets.<name>_pair, looked
+# up at call time; its keyword parameters are the preset's flags, defaults,
+# config echo and bundle params.
+PRESETS = {
+    "method-a": "central scalar asymmetry in SL_n",
+    "method-b": "diagram-symmetric parabolic pair in SL_4",
+    "method-c": "split-place swap over Z[sqrt(d)]",
+    "s16": "2x2 central pair at the primes 3 and 5",
+}
+_FLAG_HELP = {
+    "order": "order of the transported central element",
+    "level": "level exponent at both places",
+}
+
+
+def _builder(name: str):
+    return getattr(presets, name.replace("-", "_") + "_pair")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,28 +64,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
-    ma = methods.add_parser("method-a", help="central scalar asymmetry in SL_n")
-    ma.add_argument("--n", type=int, default=4)
-    ma.add_argument("--p", type=int, default=5)
-    ma.add_argument("--q", type=int, default=7)
-    ma.add_argument("--order", type=int, default=2, help="order of the transported central element")
-    ma.add_argument("--level", type=int, default=2, help="level exponent at both places")
-    common(ma)
-
-    mb = methods.add_parser("method-b", help="diagram-symmetric parabolic pair in SL_4")
-    mb.add_argument("--p", type=int, default=5)
-    mb.add_argument("--q", type=int, default=7)
-    common(mb)
-
-    mc = methods.add_parser("method-c", help="split-place swap over Z[sqrt(d)]")
-    mc.add_argument("--d", type=int, default=2)
-    mc.add_argument("--p", type=int, default=7)
-    mc.add_argument("--q", type=int, default=17)
-    common(mc)
-
-    s16 = methods.add_parser("s16", help="2x2 central pair at the primes 3 and 5")
-    s16.add_argument("--p", type=int, default=7)
-    common(s16)
+    for name, help_text in PRESETS.items():
+        sp = methods.add_parser(name, help=help_text)
+        for param in inspect.signature(_builder(name)).parameters.values():
+            sp.add_argument(
+                f"--{param.name}", type=int, default=param.default, help=_FLAG_HELP.get(param.name)
+            )
+        common(sp)
 
     sp = sub.add_parser("search-primes", help="ascending split primes, optionally congruence-filtered")
     sp.add_argument("--d", type=int, default=None, help="quadratic ring parameter (1 = rational)")
@@ -108,26 +112,10 @@ def _emit(doc: dict, output: str | None):
 
 
 def _cmd_witness(args) -> int:
-    if args.method == "method-a":
-        config = {
-            "command": "witness",
-            "method": "method-a",
-            "n": args.n,
-            "p": args.p,
-            "q": args.q,
-            "order": args.order,
-            "level": args.level,
-        }
-        bundle = method_a_pair(args.n, args.p, args.q, args.order, args.level)
-    elif args.method == "method-b":
-        config = {"command": "witness", "method": "method-b", "p": args.p, "q": args.q}
-        bundle = method_b_pair(args.p, args.q)
-    elif args.method == "method-c":
-        config = {"command": "witness", "method": "method-c", "d": args.d, "p": args.p, "q": args.q}
-        bundle = method_c_pair(args.d, args.p, args.q)
-    else:
-        config = {"command": "witness", "method": "s16", "p": args.p}
-        bundle = s16_pair(args.p)
+    builder = _builder(args.method)
+    params = {name: getattr(args, name) for name in inspect.signature(builder).parameters}
+    bundle = builder(**params)
+    config = {"command": "witness", "method": args.method, **params}
     config["samples"] = args.samples
     config["seed"] = args.seed
     report = verify_iso(bundle.iso, args.samples, args.seed)

@@ -212,39 +212,8 @@ def transpose(x: SLMat) -> SLMat:
 
 
 def mat_inv(x: SLMat) -> SLMat:
-    """Inverse matrix: adjugate for n <= 4, unit-pivot elimination above.
-
-    Determinant 1 makes the adjugate the inverse outright; elimination over
-    Z/p^e always finds a unit pivot because a column of non-units would
-    force the determinant into the maximal ideal.
-    """
-    n = x.n
-    if n <= 4:
-        return _adjugate(x)
-    if len(x.ring.factors) == 1:
-        return _gauss_inverse(x)
-    return _adjugate(x)
-
-
-def _adjugate(x: SLMat) -> SLMat:
+    """Inverse matrix: the adjugate, which determinant 1 makes the inverse."""
     return SLMat(x.ring, _adj_rows(x.entries, x.ring.modulus))
-
-
-def _gauss_inverse(x: SLMat) -> SLMat:
-    n = x.n
-    mod = x.ring.modulus
-    p = x.ring.factors[0].place.p
-    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(x.entries)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if a[i][col] % p != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = pow(a[col][col], -1, mod)
-        a[col] = [v * inv % mod for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [(v - f * w) % mod for v, w in zip(a[i], a[col])]
-    return SLMat(x.ring, tuple(tuple(r[n:]) for r in a))
 
 
 def scalar_mul(c: int, x: SLMat) -> SLMat:

@@ -11,8 +11,8 @@ the other:
               symmetry; unequal fixed-line counts certify non-conjugacy
   method C    over a real quadratic ring, the constrained split place over p
               differs; ring conjugation moves the shared place over q
-  s16         the 2x2 instance of method A at the primes 3 and 5, phrased for
-              matrices with entries integral away from a prime p
+  s16         method A at (n, p, q, order, level) = (2, 3, 5, 2, 1), phrased
+              for matrices with entries integral away from a prime p
 
 Non-isomorphism of the underlying subgroups is not machine-verified here:
 the reports label it as certified by superrigidity theory given the emitted
@@ -35,11 +35,10 @@ from .quotients import (
     central_principal,
     parabolic_pullback,
     principal,
-    quotient_of,
     subgroup_spec,
 )
 from .rings import PrimePlace, conj_place, is_prime, rational_place, split_places, splitting_type
-from .twists import QuotientIso, central_transport, graph_aut_at_place, place_swap
+from .twists import CentralTransport, GraphAutomorphism, PlaceSwap, QuotientIso
 
 
 @dataclass
@@ -71,6 +70,14 @@ class WitnessBundle:
     obstruction: ObstructionReport
 
 
+# The twist type each preset method is witnessed by.
+TWIST_OF_METHOD = {
+    "A": CentralTransport,
+    "S16": CentralTransport,
+    "B": GraphAutomorphism,
+    "C": PlaceSwap,
+}
+
 _NARRATIVE_SHARED = (
     "An abstract isomorphism of the two subgroups would extend to an automorphism "
     "of the ambient product composed with a base-ring automorphism (superrigidity "
@@ -85,90 +92,60 @@ _NARRATIVE_SHARED = (
 )
 
 
-def method_a_pair(n: int = 4, p: int = 5, q: int = 7, m: int = 2, e: int = 2) -> WitnessBundle:
+def method_a_pair(
+    n: int = 4, p: int = 5, q: int = 7, order: int = 2, level: int = 2
+) -> WitnessBundle:
     """Central-asymmetry pair in SL_n over Z.
 
     Both specifications contain the principal level-pq subgroup; one adjoins
-    the order-m central scalar at p, the other at q.  The transport twist
-    moves the central factor between the places, and central presence at a
-    fixed place separates the two quotients.
+    the central scalar of the given order at p, the other at q, and `level`
+    is the exponent at both places.  The transport twist moves the central
+    factor between the places, and central presence at a fixed place
+    separates the two quotients.
     """
     _need_prime(p), _need_prime(q)
     if p == q:
         raise InputError("p and q must be distinct")
     if 2 in (p, q):
         raise InputError("p = 2 is out of scope")
-    if m < 2:
+    if order < 2:
         raise InputError("the central order m must be at least 2")
     for r in (p, q):
-        if n % m != 0 or (r - 1) % m != 0:
+        if n % order != 0 or (r - 1) % order != 0:
             raise InputError(
-                f"m={m} does not divide gcd(n, p-1)=gcd({n}, {r - 1}); central elements "
+                f"m={order} does not divide gcd(n, p-1)=gcd({n}, {r - 1}); central elements "
                 f"of the same order must exist at both places"
             )
-    if e < 1:
+    if level < 1:
         raise InputError("level must be >= 1")
-    vp, vq = rational_place(p), rational_place(q)
-    spec1 = subgroup_spec(n, {vp: central_principal(m, 1), vq: principal(1)})
-    spec2 = subgroup_spec(n, {vp: principal(1), vq: central_principal(m, 1)})
-    level = {vp: e, vq: e}
-    q1, q2 = quotient_of(spec1, level), quotient_of(spec2, level)
-    iso = central_transport(q1, q2, vp, vq, m)
-    sep = CentralElementSpec(vp, m).element_of(q1)
-    bundle = WitnessBundle(
-        method="A",
-        params={"n": n, "p": p, "q": q, "order": m, "level": e},
-        n=n,
-        d=None,
-        places=(vp, vq),
-        level=q1.level,
-        spec1=spec1,
-        spec2=spec2,
-        quotient1=q1,
-        quotient2=q2,
-        iso=iso,
-        separating_element=sep,
-        obstruction=None,
-    )
-    bundle.obstruction = obstruction_report(bundle)
-    return bundle
+    params = {"n": n, "p": p, "q": q, "order": order, "level": level}
+    return _central_pair("A", params, n, p, q, order, level)
 
 
 def s16_pair(p: int = 7) -> WitnessBundle:
     """The 2x2 pair at the primes 3 and 5: entries a, d congruent to a common
     sign mod 3 and to 1 mod 5 on one side, mirrored on the other.
 
-    The parameter p only names the ring of matrices with entries integral
-    away from p; every level used here is coprime to p, so p enters the
-    record but not the computation.
+    This is method A at (n, p, q, order, level) = (2, 3, 5, 2, 1).  The
+    parameter p only names the ring of matrices with entries integral away
+    from p; every level used here is coprime to p, so p enters the record
+    but not the computation.
     """
     _need_prime(p)
     if p in (2, 3, 5):
         raise InputError("p must avoid 2, 3 and 5")
-    v3, v5 = rational_place(3), rational_place(5)
-    spec1 = subgroup_spec(2, {v3: central_principal(2, 1), v5: principal(1)})
-    spec2 = subgroup_spec(2, {v3: principal(1), v5: central_principal(2, 1)})
-    level = {v3: 1, v5: 1}
-    q1, q2 = quotient_of(spec1, level), quotient_of(spec2, level)
-    iso = central_transport(q1, q2, v3, v5, 2)
-    sep = CentralElementSpec(v3, 2).element_of(q1)
-    bundle = WitnessBundle(
-        method="S16",
-        params={"p": p},
-        n=2,
-        d=None,
-        places=(v3, v5),
-        level=q1.level,
-        spec1=spec1,
-        spec2=spec2,
-        quotient1=q1,
-        quotient2=q2,
-        iso=iso,
-        separating_element=sep,
-        obstruction=None,
-    )
-    bundle.obstruction = obstruction_report(bundle)
-    return bundle
+    return _central_pair("S16", {"p": p}, 2, 3, 5, 2, 1)
+
+
+def _central_pair(method, params, n, p, q, m, e) -> WitnessBundle:
+    vp, vq = rational_place(p), rational_place(q)
+    spec1 = subgroup_spec(n, {vp: central_principal(m, 1), vq: principal(1)})
+    spec2 = subgroup_spec(n, {vp: principal(1), vq: central_principal(m, 1)})
+    level = {vp: e, vq: e}
+    q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
+    iso = CentralTransport(q1, q2, vp, vq, m)
+    sep = CentralElementSpec(vp, m).element_of(q1)
+    return _bundle(method, params, (vp, vq), spec1, spec2, iso, sep)
 
 
 def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
@@ -197,29 +174,13 @@ def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
         n, {vp: parabolic_pullback(theta), vq: parabolic_pullback(theta_image), v3: principal(1)}
     )
     level = {vp: 1, vq: 1, v3: 1}
-    q1, q2 = quotient_of(spec1, level), quotient_of(spec2, level)
-    iso = graph_aut_at_place(q1, q2, vq)
+    q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
+    iso = GraphAutomorphism(q1, q2, vq)
     sep = list(q1.identity())
     idx_q = q1.place_index(vq)
     # inside the lower 3x3 block of (1,3), below the diagonal of (3,1)
     sep[idx_q] = elementary(n, 3, 1, 1, q1.rings[idx_q])
-    bundle = WitnessBundle(
-        method="B",
-        params={"p": p, "q": q},
-        n=n,
-        d=None,
-        places=(vp, vq, v3),
-        level=q1.level,
-        spec1=spec1,
-        spec2=spec2,
-        quotient1=q1,
-        quotient2=q2,
-        iso=iso,
-        separating_element=tuple(sep),
-        obstruction=None,
-    )
-    bundle.obstruction = obstruction_report(bundle)
-    return bundle
+    return _bundle("B", {"p": p, "q": q}, (vp, vq, v3), spec1, spec2, iso, sep)
 
 
 def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
@@ -250,22 +211,28 @@ def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
     spec1 = subgroup_spec(n, {p1: principal(1), q1_place: principal(1)}, d=d)
     spec2 = subgroup_spec(n, {p2: principal(1), q1_place: principal(1)}, d=d)
     level = {p1: 1, p2: 1, q1_place: 1, q2_place: 1}
-    quo1, quo2 = quotient_of(spec1, level), quotient_of(spec2, level)
-    iso = place_swap(quo1, quo2, p1, p2)
+    quo1, quo2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
+    iso = PlaceSwap(quo1, quo2, p1, p2)
     sep = list(quo1.identity())
     idx_p2 = quo1.place_index(p2)
     sep[idx_p2] = elementary(n, 0, 1, 1, quo1.rings[idx_p2])
+    places = (p1, p2, q1_place, q2_place)
+    return _bundle("C", {"d": d, "p": p, "q": q}, places, spec1, spec2, iso, sep)
+
+
+def _bundle(method, params, places, spec1, spec2, iso, sep) -> WitnessBundle:
+    """Assemble a bundle around its twist and attach the recomputed certificate."""
     bundle = WitnessBundle(
-        method="C",
-        params={"d": d, "p": p, "q": q},
-        n=n,
-        d=d,
-        places=(p1, p2, q1_place, q2_place),
-        level=quo1.level,
+        method=method,
+        params=params,
+        n=spec1.n,
+        d=spec1.d,
+        places=places,
+        level=iso.source.level,
         spec1=spec1,
         spec2=spec2,
-        quotient1=quo1,
-        quotient2=quo2,
+        quotient1=iso.source,
+        quotient2=iso.target,
         iso=iso,
         separating_element=tuple(sep),
         obstruction=None,
@@ -290,13 +257,11 @@ def obstruction_report(bundle: WitnessBundle) -> ObstructionReport:
     conjugation tables are evaluated directly against the bundle's
     specifications.
     """
-    if bundle.method in ("A", "S16"):
+    if isinstance(bundle.iso, CentralTransport):
         return _central_obstruction(bundle)
-    if bundle.method == "B":
+    if isinstance(bundle.iso, GraphAutomorphism):
         return _parabolic_obstruction(bundle)
-    if bundle.method == "C":
-        return _galois_obstruction(bundle)
-    raise InputError(f"unknown method {bundle.method!r}")
+    return _galois_obstruction(bundle)
 
 
 def _separation(bundle) -> dict:
@@ -345,8 +310,10 @@ def _central_obstruction(bundle) -> ObstructionReport:
 
 def _parabolic_obstruction(bundle) -> ObstructionReport:
     vq = bundle.iso.place
-    theta = bundle.spec1.condition_at(vq).theta
-    theta_image = bundle.spec2.condition_at(vq).theta
+    conds = (bundle.spec1.condition_at(vq), bundle.spec2.condition_at(vq))
+    if any(cond.kind != PARABOLIC for cond in conds):
+        raise InputError(f"the graph automorphism at {vq.label} needs parabolic conditions there")
+    theta, theta_image = (cond.theta for cond in conds)
     symmetric = theta.symmetric_image() == theta
     image_matches = theta.symmetric_image() == theta_image
     parabolic_places = [

@@ -470,27 +470,6 @@ def _principal_rows(rng, n, ring, depth):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# module-level operation names
-
-
-def quotient_of(spec: SubgroupSpec, level) -> FiniteQuotientGroup:
-    """The finite-level quotient of a congruence subgroup specification."""
-    return FiniteQuotientGroup(spec, level)
-
-
-def member(q: FiniteQuotientGroup, g) -> bool:
-    return q.member(g)
-
-
-def sample(q: FiniteQuotientGroup, seed: int):
-    return q.sample(seed)
-
-
-def order_of(q: FiniteQuotientGroup) -> int:
-    return q.order
-
-
 def central_presence(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> bool:
     """Whether the order-m central element at one place (identity elsewhere)
     belongs to the quotient; the asymmetry of this predicate between a pair

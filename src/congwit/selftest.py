@@ -34,7 +34,7 @@ from .rings import (
     rational_place,
     rational_ring,
 )
-from .twists import place_swap, verify_iso
+from .twists import PlaceSwap, verify_iso
 
 FAULT_W0_SIGN = "w0-sign"
 FAULT_PLACE_SWAP_A = "place-swap-a"
@@ -159,7 +159,7 @@ def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None =
     def preset_a():
         bundle = method_a_pair()
         if inject_fault == FAULT_PLACE_SWAP_A:
-            broken = place_swap(
+            broken = PlaceSwap(
                 bundle.quotient1, bundle.quotient2, bundle.places[0], bundle.places[1]
             )
             report = verify_iso(broken, samples, seed)

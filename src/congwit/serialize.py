@@ -13,39 +13,27 @@ import json
 
 from .errors import InputError
 from .matrices import SLMat
-from .presets import ObstructionReport, WitnessBundle, obstruction_report
+from .presets import TWIST_OF_METHOD, ObstructionReport, WitnessBundle, _bundle
 from .quotients import (
     CENTRAL_PRINCIPAL,
     FULL,
     PARABOLIC,
     PRINCIPAL,
+    FiniteQuotientGroup,
     LocalCondition,
     SubgroupSpec,
     central_principal,
     full_condition,
     parabolic_pullback,
     principal,
-    quotient_of,
     subgroup_spec,
 )
 from .parabolics import root_subset
 from .rings import PrimePlace
-from .twists import (
-    CENTRAL_TRANSPORT,
-    GRAPH_AUT,
-    IDENTITY,
-    PLACE_SWAP,
-    IsoReport,
-    QuotientIso,
-    central_transport,
-    graph_aut_at_place,
-    place_swap,
-)
+from .twists import IsoReport, _place
 
 SCHEMA_VERSION = "1"
 
-# The twist kind each preset method is witnessed by.
-_ISO_KIND = {"A": CENTRAL_TRANSPORT, "S16": CENTRAL_TRANSPORT, "B": GRAPH_AUT, "C": PLACE_SWAP}
 _BUNDLE_KEYS = (
     "method",
     "params",
@@ -68,12 +56,36 @@ def mat_to_json(m: SLMat) -> dict:
     return {"modulus": m.ring.modulus, "rows": [list(r) for r in m.entries]}
 
 
+def _object(value, what) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what} must be an object, not {value!r}")
+    return value
+
+
+def _int_list(value, what) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise InputError(f"{what} must be a list of integers, not {value!r}")
+    return value
+
+
+def _int(doc, key) -> int:
+    value = doc.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def place_to_json(v: PrimePlace) -> dict:
     return {"label": v.label, "p": v.p, "kind": v.kind, "root": v.root}
 
 
 def place_from_json(doc) -> PrimePlace:
-    return PrimePlace(doc["p"], doc["kind"], doc["root"], doc["label"])
+    doc = _object(doc, "a place")
+    label, kind = doc.get("label"), doc.get("kind")
+    if not isinstance(label, str) or not isinstance(kind, str):
+        raise InputError(f"a place needs a string label and kind, not {doc!r}")
+    root = None if doc.get("root") is None else _int(doc, "root")
+    return PrimePlace(_int(doc, "p"), kind, root, label)
 
 
 def condition_to_json(c: LocalCondition) -> dict:
@@ -87,39 +99,20 @@ def condition_to_json(c: LocalCondition) -> dict:
 
 
 def condition_from_json(doc, n: int) -> LocalCondition:
-    kind = doc["kind"]
+    kind = _object(doc, "a condition").get("kind")
     if kind == FULL:
         return full_condition()
     if kind == PRINCIPAL:
-        return principal(doc["depth"])
+        return principal(_int(doc, "depth"))
     if kind == CENTRAL_PRINCIPAL:
-        return central_principal(doc["order"], doc["depth"])
+        return central_principal(_int(doc, "order"), _int(doc, "depth"))
     if kind == PARABOLIC:
-        return parabolic_pullback(root_subset(n, doc["theta"]))
+        return parabolic_pullback(root_subset(n, _int_list(doc.get("theta"), "theta")))
     raise InputError(f"unknown condition kind {kind!r}")
 
 
 def _conditions_to_json(spec: SubgroupSpec) -> dict:
     return {place.label: condition_to_json(cond) for place, cond in spec.conditions}
-
-
-def iso_to_json(iso: QuotientIso) -> dict:
-    if iso.kind == CENTRAL_TRANSPORT:
-        return {
-            "kind": iso.kind,
-            "from_place": iso.from_place.label,
-            "to_place": iso.to_place.label,
-            "scalar_order": iso.scalar_order,
-        }
-    if iso.kind == PLACE_SWAP:
-        return {
-            "kind": iso.kind,
-            "from_place": iso.from_place.label,
-            "to_place": iso.to_place.label,
-        }
-    if iso.kind == GRAPH_AUT:
-        return {"kind": iso.kind, "place": iso.place.label}
-    return {"kind": IDENTITY}
 
 
 def report_to_json(r: IsoReport) -> dict:
@@ -164,7 +157,7 @@ def bundle_to_json(bundle: WitnessBundle) -> dict:
             "quotient1": bundle.quotient1.order,
             "quotient2": bundle.quotient2.order,
         },
-        "iso": iso_to_json(bundle.iso),
+        "iso": bundle.iso.to_json(),
         "separating_element": sep,
         "obstruction": obstruction_to_json(bundle.obstruction),
     }
@@ -186,57 +179,43 @@ def bundle_from_json(doc) -> WitnessBundle:
     missing = [key for key in _BUNDLE_KEYS if key not in doc]
     if missing:
         raise InputError(f"bundle is missing {', '.join(missing)}")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n must be an integer, not {n!r}")
+    n = _int(doc, "n")
     method = doc["method"]
-    expected = _ISO_KIND.get(method) if isinstance(method, str) else None
-    if expected is None:
+    twist = TWIST_OF_METHOD.get(method) if isinstance(method, str) else None
+    if twist is None:
         raise InputError(f"unknown method {method!r}")
     iso_doc = doc["iso"]
     kind = iso_doc.get("kind") if isinstance(iso_doc, dict) else None
-    if kind != expected:
-        raise InputError(f"method {method} needs a {expected} twist, not {kind!r}")
-    d = doc["base_ring"].get("d")
-    places = {p["label"]: place_from_json(p) for p in doc["places"]}
-    level = {places[label]: e for label, e in doc["level"].items()}
+    if kind != twist.kind:
+        raise InputError(f"method {method} needs a {twist.kind} twist, not {kind!r}")
+    base_ring = _object(doc["base_ring"], "base_ring")
+    d = None if base_ring.get("d") is None else _int(base_ring, "d")
+    if not isinstance(doc["places"], list):
+        raise InputError(f"places must be a list, not {doc['places']!r}")
+    place_list = tuple(place_from_json(p) for p in doc["places"])
+    places = {place.label: place for place in place_list}
+    level_doc = _object(doc["level"], "level")
+    level = {_place(places, label): _int(level_doc, label) for label in level_doc}
 
     def spec_of(key):
         conds = {
-            places[label]: condition_from_json(c, n) for label, c in doc[key].items()
+            _place(places, label): condition_from_json(c, n)
+            for label, c in _object(doc[key], key).items()
         }
         return subgroup_spec(n, conds, d=d)
 
     spec1, spec2 = spec_of("conditions1"), spec_of("conditions2")
-    q1, q2 = quotient_of(spec1, level), quotient_of(spec2, level)
-    if kind == CENTRAL_TRANSPORT:
-        iso = central_transport(
-            q1, q2, places[iso_doc["from_place"]], places[iso_doc["to_place"]], iso_doc["scalar_order"]
-        )
-    elif kind == PLACE_SWAP:
-        iso = place_swap(q1, q2, places[iso_doc["from_place"]], places[iso_doc["to_place"]])
-    else:
-        iso = graph_aut_at_place(q1, q2, places[iso_doc["place"]])
+    q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
+    iso = twist.from_json(iso_doc, q1, q2, places)
+    seps = _object(doc["separating_element"], "separating_element")
     sep = []
     for place, ring in zip(q1.places, q1.rings):
-        mdoc = doc["separating_element"][place.label]
-        if mdoc["modulus"] != ring.modulus:
+        mdoc = _object(seps.get(place.label), f"separating element at {place.label}")
+        if _int(mdoc, "modulus") != ring.modulus:
             raise InputError(f"separating element modulus mismatch at {place.label}")
-        sep.append(SLMat(ring, tuple(tuple(x % ring.modulus for x in r) for r in mdoc["rows"])))
-    bundle = WitnessBundle(
-        method=method,
-        params=doc["params"],
-        n=n,
-        d=d,
-        places=tuple(places[p["label"]] for p in doc["places"]),
-        level=q1.level,
-        spec1=spec1,
-        spec2=spec2,
-        quotient1=q1,
-        quotient2=q2,
-        iso=iso,
-        separating_element=tuple(sep),
-        obstruction=None,
-    )
-    bundle.obstruction = obstruction_report(bundle)
-    return bundle
+        rows = mdoc.get("rows")
+        if not isinstance(rows, list):
+            raise InputError(f"separating element rows at {place.label} must be a list")
+        mod = ring.modulus
+        sep.append(SLMat(ring, tuple(tuple(x % mod for x in _int_list(r, "a row")) for r in rows)))
+    return _bundle(method, doc["params"], place_list, spec1, spec2, iso, sep)

@@ -1,6 +1,7 @@
 """Explicit twist maps between finite-level quotients, with a verifier.
 
-Three twist kinds realize the isomorphisms behind the constructed pairs:
+Three twist kinds, one QuotientIso subclass each, realize the isomorphisms
+behind the constructed pairs:
 
   central transport   move the canonical order-m central factor from one
                       place to another (multiplicative on central parts by
@@ -9,7 +10,7 @@ Three twist kinds realize the isomorphisms behind the constructed pairs:
                       rational prime (a relabeling of the ambient product)
   graph automorphism  apply the diagram symmetry to one component
 
-Each twist has an explicit inverse of the same kind.  verify_iso checks, on
+Each twist has an explicit inverse of the same type.  verify_iso checks, on
 generators exactly and on seeded samples, that a declared twist is a
 well-defined bijective homomorphism between its source and target; small
 quotients are verified exhaustively.  Failures are data in the report, not
@@ -32,11 +33,6 @@ from .quotients import (
 )
 from .rings import PrimePlace, unit_of_order
 
-CENTRAL_TRANSPORT = "central_transport"
-PLACE_SWAP = "place_swap"
-GRAPH_AUT = "graph_automorphism"
-IDENTITY = "identity"
-
 # Quotients at most this large are verified exhaustively: every element,
 # every pair, total surjectivity.
 EXHAUSTIVE_LIMIT = 64
@@ -54,52 +50,48 @@ def child_seed(master_seed: int, index: int) -> int:
 
 @dataclass(eq=False)
 class QuotientIso:
-    """A declared isomorphism between two finite-level quotients."""
+    """A declared isomorphism between two finite-level quotients.
 
-    kind: str
+    One subclass per twist kind supplies the image of a member (`_image`),
+    the inverse twist (`invert`) and the JSON form (`to_json`, `from_json`).
+    """
+
     source: FiniteQuotientGroup
     target: FiniteQuotientGroup
-    from_place: PrimePlace | None = None
-    to_place: PrimePlace | None = None
-    scalar_order: int = 1
-    place: PrimePlace | None = None
-    reversed_graph: bool = False
-
-    # -- construction helpers hang off module functions below ------------
 
     def apply(self, g):
         """Image of a source member; non-members of the source are rejected."""
         if not self.source.member(g):
             raise InputError("apply needs a member of the source quotient")
-        if self.kind == IDENTITY:
-            return g
-        if self.kind == PLACE_SWAP:
-            i = self.source.place_index(self.from_place)
-            j = self.source.place_index(self.to_place)
-            out = list(g)
-            out[i], out[j] = out[j], out[i]
-            # Re-home swapped components into the destination slot's ring
-            # when the moduli agree (the two places over one split prime
-            # carry the same Z/p^e).  A modulus mismatch is left in place
-            # so the verifier refutes it as a membership failure instead of
-            # crashing.
-            for k in (i, j):
-                ring = self.target.rings[k]
-                if out[k].ring != ring and out[k].ring.modulus == ring.modulus:
-                    out[k] = SLMat(ring, out[k].entries)
-            return tuple(out)
-        if self.kind == GRAPH_AUT:
-            i = self.source.place_index(self.place)
-            out = list(g)
-            out[i] = (
-                graph_automorphism_inverse(out[i])
-                if self.reversed_graph
-                else graph_automorphism(out[i])
-            )
-            return tuple(out)
-        return self._apply_transport(g)
+        return self._image(g)
 
-    def _apply_transport(self, g):
+
+def _place(places: dict, label) -> PrimePlace:
+    """The place a serialized label names; unknown labels are input errors."""
+    if isinstance(label, str) and label in places:
+        return places[label]
+    raise InputError(f"unknown place label {label!r}")
+
+
+@dataclass(eq=False)
+class CentralTransport(QuotientIso):
+    """Move the canonical order-m central factor from one place to another."""
+
+    kind = "central_transport"
+    from_place: PrimePlace
+    to_place: PrimePlace
+    scalar_order: int
+
+    def __post_init__(self):
+        m = self.scalar_order
+        for q, place in ((self.source, self.from_place), (self.target, self.to_place)):
+            cond = q.spec.condition_at(place)
+            if cond.kind != CENTRAL_PRINCIPAL or cond.order != m:
+                raise InputError(
+                    f"central transport of order {m} needs the matching central condition at {place.label}"
+                )
+
+    def _image(self, g):
         src = self.source
         i = src.place_index(self.from_place)
         j = src.place_index(self.to_place)
@@ -125,33 +117,28 @@ class QuotientIso:
         out[j] = _scale(g[j], pow(z_j, k, mod_j))
         return tuple(out)
 
-    def invert(self) -> "QuotientIso":
+    def invert(self) -> "CentralTransport":
         """The inverse twist; round-trips are exact identities on members."""
-        if self.kind == IDENTITY:
-            return self
-        if self.kind == PLACE_SWAP:
-            return QuotientIso(
-                PLACE_SWAP,
-                self.target,
-                self.source,
-                from_place=self.from_place,
-                to_place=self.to_place,
-            )
-        if self.kind == GRAPH_AUT:
-            return QuotientIso(
-                GRAPH_AUT,
-                self.target,
-                self.source,
-                place=self.place,
-                reversed_graph=not self.reversed_graph,
-            )
-        return QuotientIso(
-            CENTRAL_TRANSPORT,
-            self.target,
-            self.source,
-            from_place=self.to_place,
-            to_place=self.from_place,
-            scalar_order=self.scalar_order,
+        return CentralTransport(
+            self.target, self.source, self.to_place, self.from_place, self.scalar_order
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "from_place": self.from_place.label,
+            "to_place": self.to_place.label,
+            "scalar_order": self.scalar_order,
+        }
+
+    @classmethod
+    def from_json(cls, doc, source, target, places) -> "CentralTransport":
+        return cls(
+            source,
+            target,
+            _place(places, doc.get("from_place")),
+            _place(places, doc.get("to_place")),
+            doc.get("scalar_order"),
         )
 
 
@@ -159,31 +146,87 @@ def _scale(mat, c):
     return mat if c == 1 else scalar_mul(c, mat)
 
 
-def central_transport(source, target, from_place, to_place, m) -> QuotientIso:
-    for q, place in ((source, from_place), (target, to_place)):
-        cond = q.spec.condition_at(place)
-        if cond.kind != CENTRAL_PRINCIPAL or cond.order != m:
-            raise InputError(
-                f"central transport of order {m} needs the matching central condition at {place.label}"
-            )
-    return QuotientIso(
-        CENTRAL_TRANSPORT, source, target, from_place=from_place, to_place=to_place, scalar_order=m
-    )
+@dataclass(eq=False)
+class PlaceSwap(QuotientIso):
+    """Exchange the components at two places over the same rational prime."""
+
+    kind = "place_swap"
+    from_place: PrimePlace
+    to_place: PrimePlace
+
+    def __post_init__(self):
+        self.source.place_index(self.from_place)
+        self.source.place_index(self.to_place)
+
+    def _image(self, g):
+        i = self.source.place_index(self.from_place)
+        j = self.source.place_index(self.to_place)
+        out = list(g)
+        out[i], out[j] = out[j], out[i]
+        # Re-home swapped components into the destination slot's ring when
+        # the moduli agree (the two places over one split prime carry the
+        # same Z/p^e).  A modulus mismatch is left in place so the verifier
+        # refutes it as a membership failure instead of crashing.
+        for k in (i, j):
+            ring = self.target.rings[k]
+            if out[k].ring != ring and out[k].ring.modulus == ring.modulus:
+                out[k] = SLMat(ring, out[k].entries)
+        return tuple(out)
+
+    def invert(self) -> "PlaceSwap":
+        """The inverse twist: the same swap from the target back."""
+        return PlaceSwap(self.target, self.source, self.from_place, self.to_place)
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "from_place": self.from_place.label,
+            "to_place": self.to_place.label,
+        }
+
+    @classmethod
+    def from_json(cls, doc, source, target, places) -> "PlaceSwap":
+        return cls(
+            source,
+            target,
+            _place(places, doc.get("from_place")),
+            _place(places, doc.get("to_place")),
+        )
 
 
-def place_swap(source, target, place_a, place_b) -> QuotientIso:
-    source.place_index(place_a)
-    source.place_index(place_b)
-    return QuotientIso(PLACE_SWAP, source, target, from_place=place_a, to_place=place_b)
+@dataclass(eq=False)
+class GraphAutomorphism(QuotientIso):
+    """Apply the diagram symmetry (or its inverse) to the component at one place."""
 
+    kind = "graph_automorphism"
+    place: PrimePlace
+    reversed_graph: bool = False
 
-def graph_aut_at_place(source, target, place) -> QuotientIso:
-    source.place_index(place)
-    return QuotientIso(GRAPH_AUT, source, target, place=place)
+    def __post_init__(self):
+        self.source.place_index(self.place)
 
+    def _image(self, g):
+        i = self.source.place_index(self.place)
+        out = list(g)
+        out[i] = (
+            graph_automorphism_inverse(out[i])
+            if self.reversed_graph
+            else graph_automorphism(out[i])
+        )
+        return tuple(out)
 
-def identity_iso(q) -> QuotientIso:
-    return QuotientIso(IDENTITY, q, q)
+    def invert(self) -> "GraphAutomorphism":
+        """The inverse twist: the reversed symmetry from the target back."""
+        return GraphAutomorphism(
+            self.target, self.source, self.place, not self.reversed_graph
+        )
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "place": self.place.label}
+
+    @classmethod
+    def from_json(cls, doc, source, target, places) -> "GraphAutomorphism":
+        return cls(source, target, _place(places, doc.get("place")))
 
 
 # ---------------------------------------------------------------------------

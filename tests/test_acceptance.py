@@ -34,7 +34,7 @@ from congwit.rings import (
     splitting_type,
 )
 from congwit.selftest import run_selftest
-from congwit.twists import place_swap, verify_iso
+from congwit.twists import PlaceSwap, verify_iso
 
 WITNESS_COMMANDS = {
     "method-a": [
@@ -200,7 +200,7 @@ def test_criterion_6_negative_controls(tmp_path, capsys):
     with criterion(6, "negative controls"):
         start = time.monotonic()
         bundle = method_a_pair()
-        broken = place_swap(
+        broken = PlaceSwap(
             bundle.quotient1, bundle.quotient2, bundle.places[0], bundle.places[1]
         )
         report = verify_iso(broken, 500, 0)

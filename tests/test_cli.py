@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import json
 
 import pytest
 
-from congwit.cli import main
+from congwit import cli, presets
+from congwit.cli import build_parser, main
+from congwit.twists import QuotientIso
 
 
 def run_cli(capsys, *argv):
@@ -208,3 +211,74 @@ def test_bundle_with_twist_of_another_method_is_rejected(method_a_doc, tmp_path,
 def test_bundle_document_that_is_not_an_object_is_rejected(method_a_doc, tmp_path, capsys):
     assert_rejected(capsys, tmp_path, [method_a_doc], "not a witness bundle document")
     assert_rejected(capsys, tmp_path, [method_a_doc["bundle"]], "not a witness bundle document")
+
+
+# One malformed nested field per case, applied to a method-a bundle.
+MALFORMED = {
+    "base-ring-null": (lambda b: b.update(base_ring=None), "base_ring must be an object"),
+    "place-without-p": (lambda b: b["places"][0].pop("p"), "p must be an integer"),
+    "level-label-unknown": (lambda b: b["level"].update(p9=1), "unknown place label 'p9'"),
+    "principal-without-depth": (
+        lambda b: b["conditions1"]["p7"].pop("depth"),
+        "depth must be an integer",
+    ),
+    "places-as-string": (lambda b: b.update(places="p5 p7"), "places must be a list"),
+    "twist-label-unknown": (
+        lambda b: b["iso"].update(from_place="p11"),
+        "unknown place label 'p11'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_nested_bundle_field_is_rejected(case, method_a_doc, tmp_path, capsys):
+    mutate, message = MALFORMED[case]
+    doc = json.loads(json.dumps(method_a_doc))
+    mutate(doc["bundle"])
+    assert_rejected(capsys, tmp_path, doc, message)
+
+
+@pytest.mark.parametrize(
+    "preset,flags",
+    [
+        ("method-a", {"n": 4, "p": 5, "q": 7, "order": 2, "level": 2}),
+        ("method-b", {"p": 5, "q": 7}),
+        ("method-c", {"d": 2, "p": 7, "q": 17}),
+        ("s16", {"p": 7}),
+    ],
+)
+def test_witness_flags_and_defaults(preset, flags):
+    fixed = {"command": "witness", "method": preset, "samples": 10000, "seed": 0, "output": None}
+    assert vars(build_parser().parse_args(["witness", preset])) == {**fixed, **flags}
+    given = [f"--{name}=3" for name in flags]
+    args = build_parser().parse_args(["witness", preset, *given])
+    assert vars(args) == {**fixed, **dict.fromkeys(flags, 3)}
+
+
+def test_witness_binds_builders_and_verifier_at_call_time(monkeypatch, tmp_path):
+    # Per-layer tracing swaps these module attributes while a command runs,
+    # so witness must look them up on each call.
+    calls = []
+
+    def spy(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "verify_iso", spy(cli.verify_iso))
+    for name in cli.PRESETS:
+        attr = name.replace("-", "_") + "_pair"
+        monkeypatch.setattr(presets, attr, spy(getattr(presets, attr)))
+        argv = ["witness", name, "--samples", "1", "--output", str(tmp_path / "w.json")]
+        assert main(argv) == 0
+        assert calls[-2:] == [attr, "verify_iso"]
+
+
+def test_twist_types_share_one_apply():
+    kinds = QuotientIso.__subclasses__()
+    assert {k.kind for k in kinds} == {"central_transport", "place_swap", "graph_automorphism"}
+    assert "apply" in QuotientIso.__dict__
+    assert not [k for k in kinds if "apply" in k.__dict__]

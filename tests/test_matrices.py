@@ -54,7 +54,7 @@ def test_inverse_roundtrip_random(ring, n, rng):
         assert mat_mul(mat_inv(x), x) == ident
 
 
-def test_gauss_inverse_path_for_larger_n(rng):
+def test_inverse_for_larger_n(rng):
     ring = rational_ring(3, 2)
     ident = identity(5, ring)
     for _ in range(50):

@@ -8,7 +8,6 @@ from congwit.presets import (
     obstruction_report,
     s16_pair,
 )
-from congwit.quotients import member
 
 
 def test_method_a_defaults():
@@ -25,8 +24,8 @@ def test_method_a_defaults():
 def test_method_a_separating_element():
     bundle = method_a_pair()
     sep = bundle.separating_element
-    assert member(bundle.quotient1, sep)
-    assert not member(bundle.quotient2, sep)
+    assert bundle.quotient1.member(sep)
+    assert not bundle.quotient2.member(sep)
     assert sep[0].entries[0][0] == 24  # -1 mod 25 at the place 5
 
 
@@ -64,8 +63,8 @@ def test_method_b_defaults():
 
 def test_method_b_separating_element():
     bundle = method_b_pair()
-    assert member(bundle.quotient1, bundle.separating_element)
-    assert not member(bundle.quotient2, bundle.separating_element)
+    assert bundle.quotient1.member(bundle.separating_element)
+    assert not bundle.quotient2.member(bundle.separating_element)
 
 
 def test_method_b_rejections():
@@ -93,8 +92,8 @@ def test_method_c_defaults():
 
 def test_method_c_separating_element():
     bundle = method_c_pair()
-    assert member(bundle.quotient1, bundle.separating_element)
-    assert not member(bundle.quotient2, bundle.separating_element)
+    assert bundle.quotient1.member(bundle.separating_element)
+    assert not bundle.quotient2.member(bundle.separating_element)
 
 
 def test_method_c_rejections():

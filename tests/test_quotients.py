@@ -26,18 +26,15 @@ from congwit.quotients import (
     PARABOLIC_WORD_MAX,
     PRINCIPAL,
     CentralElementSpec,
+    FiniteQuotientGroup,
     _below,
     central_presence,
     central_principal,
     closure,
     enumerate_quotient,
     full_condition,
-    member,
-    order_of,
     parabolic_pullback,
     principal,
-    quotient_of,
-    sample,
     sl2_word_image_order,
     subgroup_spec,
     tuple_inv,
@@ -58,8 +55,8 @@ def method_a_specs(n=4, m=2):
 
 def test_method_a_level_one_quotient_is_order_two():
     spec1, _ = method_a_specs()
-    q = quotient_of(spec1, {V5: 1, V7: 1})
-    assert order_of(q) == 2
+    q = FiniteQuotientGroup(spec1, {V5: 1, V7: 1})
+    assert q.order == 2
     elements = enumerate_quotient(q)
     assert len(elements) == 2
     ident = q.identity()
@@ -69,10 +66,10 @@ def test_method_a_level_one_quotient_is_order_two():
 
 def test_method_a_level_two_order():
     spec1, spec2 = method_a_specs()
-    q1 = quotient_of(spec1, {V5: 2, V7: 1})
-    assert order_of(q1) == 2 * 5**15
-    q2 = quotient_of(spec2, {V5: 2, V7: 2})
-    assert order_of(q2) == 5**15 * 2 * 7**15
+    q1 = FiniteQuotientGroup(spec1, {V5: 2, V7: 1})
+    assert q1.order == 2 * 5**15
+    q2 = FiniteQuotientGroup(spec2, {V5: 2, V7: 2})
+    assert q2.order == 5**15 * 2 * 7**15
 
 
 def test_method_b_order_is_parabolic_product():
@@ -80,36 +77,36 @@ def test_method_b_order_is_parabolic_product():
     spec = subgroup_spec(
         4, {V5: parabolic_pullback(theta), V7: parabolic_pullback(theta), V3: principal(1)}
     )
-    q = quotient_of(spec, {V5: 1, V7: 1, V3: 1})
+    q = FiniteQuotientGroup(spec, {V5: 1, V7: 1, V3: 1})
     expected = parabolic_order(ParabolicSpec(4, 5, theta)) * parabolic_order(
         ParabolicSpec(4, 7, theta)
     )
-    assert order_of(q) == expected
+    assert q.order == expected
 
 
 def test_level_validation():
     spec1, _ = method_a_specs()
     with pytest.raises(InputError):
-        quotient_of(spec1, {V5: 1})  # missing the place at 7
+        FiniteQuotientGroup(spec1, {V5: 1})  # missing the place at 7
     spec_deep = subgroup_spec(4, {V5: principal(2)})
     with pytest.raises(InputError):
-        quotient_of(spec_deep, {V5: 1})  # level below condition depth
+        FiniteQuotientGroup(spec_deep, {V5: 1})  # level below condition depth
 
 
 def test_central_divisibility_validation():
     spec = subgroup_spec(4, {V7: central_principal(4, 1)})
     with pytest.raises(InputError):
-        quotient_of(spec, {V7: 1})  # 4 does not divide gcd(4, 6)
+        FiniteQuotientGroup(spec, {V7: 1})  # 4 does not divide gcd(4, 6)
 
 
 def test_member_examples():
     spec1, spec2 = method_a_specs()
-    q1 = quotient_of(spec1, {V5: 1, V7: 1})
-    q2 = quotient_of(spec2, {V5: 1, V7: 1})
-    assert member(q1, q1.identity())
+    q1 = FiniteQuotientGroup(spec1, {V5: 1, V7: 1})
+    q2 = FiniteQuotientGroup(spec2, {V5: 1, V7: 1})
+    assert q1.member(q1.identity())
     g = (minus_identity(4, q1.rings[0]), identity(4, q1.rings[1]))
-    assert member(q1, g)
-    assert not member(q2, g)
+    assert q1.member(g)
+    assert not q2.member(g)
 
 
 def test_member_method_b_example():
@@ -117,18 +114,18 @@ def test_member_method_b_example():
     spec = subgroup_spec(
         4, {V5: parabolic_pullback(theta), V7: parabolic_pullback(theta), V3: principal(1)}
     )
-    q = quotient_of(spec, {V5: 1, V7: 1, V3: 1})
+    q = FiniteQuotientGroup(spec, {V5: 1, V7: 1, V3: 1})
     g = list(q.identity())
     g[q.place_index(V5)] = elementary(4, 1, 0, 1, q.rings[q.place_index(V5)])
-    assert not member(q, tuple(g))
+    assert not q.member(tuple(g))
 
 
 def test_member_rejects_mismatched_shapes_gracefully():
     spec1, _ = method_a_specs()
-    q = quotient_of(spec1, {V5: 1, V7: 1})
-    assert not member(q, (q.identity()[0],))
-    wrong_ring = identity(4, quotient_of(spec1, {V5: 2, V7: 1}).rings[0])
-    assert not member(q, (wrong_ring, q.identity()[1]))
+    q = FiniteQuotientGroup(spec1, {V5: 1, V7: 1})
+    assert not q.member((q.identity()[0],))
+    wrong_ring = identity(4, FiniteQuotientGroup(spec1, {V5: 2, V7: 1}).rings[0])
+    assert not q.member((wrong_ring, q.identity()[1]))
 
 
 @pytest.mark.parametrize(
@@ -143,36 +140,36 @@ def test_member_rejects_mismatched_shapes_gracefully():
     ],
 )
 def test_sl2_quotient_orders_against_closure(conditions, level, expected):
-    q = quotient_of(subgroup_spec(2, conditions), level)
-    assert order_of(q) == expected
+    q = FiniteQuotientGroup(subgroup_spec(2, conditions), level)
+    assert q.order == expected
     assert len(enumerate_quotient(q, 50_000)) == expected
 
 
 def test_sl3_kernel_closure():
-    q = quotient_of(subgroup_spec(3, {V3: principal(1)}), {V3: 2})
-    assert order_of(q) == 3**8
+    q = FiniteQuotientGroup(subgroup_spec(3, {V3: principal(1)}), {V3: 2})
+    assert q.order == 3**8
     assert len(enumerate_quotient(q, 10_000)) == 3**8
 
 
 def test_full_sl2_closure_mod_seven():
-    q = quotient_of(subgroup_spec(2, {V7: full_condition()}), {V7: 1})
-    assert order_of(q) == sl_order(2, 7, 1) == 336
+    q = FiniteQuotientGroup(subgroup_spec(2, {V7: full_condition()}), {V7: 1})
+    assert q.order == sl_order(2, 7, 1) == 336
     assert len(enumerate_quotient(q)) == 336
 
 
 def test_order_monotonicity_in_level():
     spec1, _ = method_a_specs()
     for e in (1, 2, 3):
-        q = quotient_of(spec1, {V5: e, V7: 1})
-        assert order_of(q) == 2 * 5 ** (15 * (e - 1))
+        q = FiniteQuotientGroup(spec1, {V5: e, V7: 1})
+        assert q.order == 2 * 5 ** (15 * (e - 1))
     spec_full = subgroup_spec(2, {})
     for e in (1, 2, 3):
-        q = quotient_of(spec_full, {V5: e})
-        assert order_of(q) == 120 * 5 ** (3 * (e - 1))
+        q = FiniteQuotientGroup(spec_full, {V5: e})
+        assert q.order == 120 * 5 ** (3 * (e - 1))
 
 
 def sampled_members(q, count, base_seed=0):
-    return [sample(q, 1000 + base_seed + k) for k in range(count)]
+    return [q.sample(1000 + base_seed + k) for k in range(count)]
 
 
 def test_samples_are_members_and_deterministic():
@@ -185,16 +182,16 @@ def test_samples_are_members_and_deterministic():
     q1_pl, q2_pl = split_places(17, 2)
     spec_c = subgroup_spec(2, {p1: principal(1), q1_pl: principal(1)}, d=2)
     quotients = [
-        quotient_of(spec1, {V5: 2, V7: 2}),
-        quotient_of(spec2, {V5: 2, V7: 2}),
-        quotient_of(spec_b, {V5: 1, V7: 1, V3: 1}),
-        quotient_of(spec_c, {p1: 1, p2: 1, q1_pl: 1, q2_pl: 1}),
+        FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
+        FiniteQuotientGroup(spec2, {V5: 2, V7: 2}),
+        FiniteQuotientGroup(spec_b, {V5: 1, V7: 1, V3: 1}),
+        FiniteQuotientGroup(spec_c, {p1: 1, p2: 1, q1_pl: 1, q2_pl: 1}),
     ]
     for q in quotients:
         draws = sampled_members(q, 200)
         for g in draws:
-            assert member(q, g)
-        assert draws[0] == sample(q, 1000)
+            assert q.member(g)
+        assert draws[0] == q.sample(1000)
         assert any(d != draws[0] for d in draws[1:])
 
 
@@ -203,19 +200,19 @@ def test_membership_closed_under_group_operations():
     theta = root_subset(4, {2, 3})
     spec_b = subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)})
     for q in (
-        quotient_of(spec1, {V5: 2, V7: 2}),
-        quotient_of(spec_b, {V5: 1, V3: 1}),
+        FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
+        FiniteQuotientGroup(spec_b, {V5: 1, V3: 1}),
     ):
         draws = sampled_members(q, 1001)
         for x, y in zip(draws, draws[1:]):
-            assert member(q, tuple_mul(x, y))
-            assert member(q, tuple_inv(x))
+            assert q.member(tuple_mul(x, y))
+            assert q.member(tuple_inv(x))
 
 
 def test_principal_sample_is_congruent_to_identity():
-    q = quotient_of(subgroup_spec(4, {V5: principal(1)}), {V5: 2})
+    q = FiniteQuotientGroup(subgroup_spec(4, {V5: principal(1)}), {V5: 2})
     for k in range(50):
-        (g,) = sample(q, k)
+        (g,) = q.sample(k)
         for i in range(4):
             for j in range(4):
                 assert g.entries[i][j] % 5 == (1 if i == j else 0)
@@ -223,18 +220,18 @@ def test_principal_sample_is_congruent_to_identity():
 
 def test_reduction_compatibility_of_sampling():
     spec1, _ = method_a_specs()
-    q_high = quotient_of(spec1, {V5: 3, V7: 2})
-    q_low = quotient_of(spec1, {V5: 2, V7: 1})
+    q_high = FiniteQuotientGroup(spec1, {V5: 3, V7: 2})
+    q_low = FiniteQuotientGroup(spec1, {V5: 2, V7: 1})
     for k in range(100):
-        g = sample(q_high, k)
+        g = q_high.sample(k)
         reduced = tuple(reduce_mat(c, r) for c, r in zip(g, q_low.rings))
-        assert member(q_low, reduced)
+        assert q_low.member(reduced)
 
 
 def test_central_presence():
     spec1, spec2 = method_a_specs()
-    q1 = quotient_of(spec1, {V5: 2, V7: 2})
-    q2 = quotient_of(spec2, {V5: 2, V7: 2})
+    q1 = FiniteQuotientGroup(spec1, {V5: 2, V7: 2})
+    q2 = FiniteQuotientGroup(spec2, {V5: 2, V7: 2})
     assert central_presence(q1, V5, 2)
     assert not central_presence(q2, V5, 2)
     assert not central_presence(q1, V7, 2)
@@ -245,7 +242,7 @@ def test_central_presence():
 
 def test_central_element_spec_materialization():
     spec1, _ = method_a_specs()
-    q = quotient_of(spec1, {V5: 2, V7: 2})
+    q = FiniteQuotientGroup(spec1, {V5: 2, V7: 2})
     element = CentralElementSpec(V5, 2).element_of(q)
     assert element[0] == minus_identity(4, q.rings[0])
     assert element[1] == identity(4, q.rings[1])
@@ -263,15 +260,15 @@ def test_generators_are_members():
     theta = root_subset(4, {2, 3})
     spec_b = subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)})
     for q in (
-        quotient_of(spec1, {V5: 2, V7: 2}),
-        quotient_of(spec_b, {V5: 1, V3: 2}),
+        FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
+        FiniteQuotientGroup(spec_b, {V5: 1, V3: 2}),
     ):
         for g in q.generators():
-            assert member(q, g)
+            assert q.member(g)
 
 
 def test_closure_limit_returns_none():
-    q = quotient_of(subgroup_spec(2, {V7: full_condition()}), {V7: 1})
+    q = FiniteQuotientGroup(subgroup_spec(2, {V7: full_condition()}), {V7: 1})
     assert closure(q.generators(), q.identity(), 10) is None
 
 
@@ -360,7 +357,7 @@ def _preset_quotients():
 
 def test_below_matches_randrange_draws_and_state():
     theta = root_subset(4, {2, 3})
-    q_b = quotient_of(subgroup_spec(4, {V5: parabolic_pullback(theta)}), {V5: 1})
+    q_b = FiniteQuotientGroup(subgroup_spec(4, {V5: parabolic_pullback(theta)}), {V5: 1})
     gens_len = len(q_b._parabolic_sampler_gens(V5, q_b.rings[0], q_b.conditions[0]))
     preset_bounds = [32, 12, 5, 7, 17, 25, 49, gens_len]
     bounds = list(range(1, 71))
@@ -378,7 +375,7 @@ def test_below_matches_randrange_draws_and_state():
 
 def test_samples_match_the_randrange_reference():
     theta = root_subset(4, {2, 3})
-    deep_parabolic = quotient_of(
+    deep_parabolic = FiniteQuotientGroup(
         subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)}), {V5: 2, V3: 1}
     )
     for q in _preset_quotients() + [deep_parabolic]:
@@ -387,7 +384,7 @@ def test_samples_match_the_randrange_reference():
 
 
 def test_identity_is_built_once():
-    q = quotient_of(subgroup_spec(2, {V5: principal(1)}), {V5: 1, V7: 1})
+    q = FiniteQuotientGroup(subgroup_spec(2, {V5: principal(1)}), {V5: 1, V7: 1})
     assert q.identity() is q.identity()
     (g, _) = q.sample(3)
     assert g is q.identity()[0]
@@ -451,11 +448,11 @@ def test_member_matches_per_entry_predicate(n, p, m, depth, extra):
     level = {place: depth + extra}
     results = []
     for cond in (principal(depth), central_principal(m, depth)):
-        q = quotient_of(subgroup_spec(n, {place: cond}), level)
+        q = FiniteQuotientGroup(subgroup_spec(n, {place: cond}), level)
         elements = _perturbations(n, q.rings[0], p, depth)
         elements += [q.sample(seed)[0] for seed in range(20)]
         # the type, ring and shape guard comes before the predicate
-        elements += [identity(n, quotient_of(subgroup_spec(n, {}), {place: depth + extra + 1}).rings[0])]
+        elements += [identity(n, FiniteQuotientGroup(subgroup_spec(n, {}), {place: depth + extra + 1}).rings[0])]
         elements += [identity(3, q.rings[0]), q.identity()[0].entries]
         for g in elements:
             ours, theirs = q.member((g,)), _ref_member(q, (g,))

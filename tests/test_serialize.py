@@ -79,3 +79,19 @@ def test_obstruction_is_recomputed_not_trusted():
 def test_schema_version_constant():
     assert SCHEMA_VERSION == "1"
     assert bundle_to_json(s16_pair())["schema_version"] == SCHEMA_VERSION
+
+
+def test_s16_is_method_a_at_three_and_five():
+    s16 = bundle_to_json(s16_pair(7))
+    a = bundle_to_json(method_a_pair(2, 3, 5, 2, 1))
+    assert (s16.pop("method"), a.pop("method")) == ("S16", "A")
+    assert s16.pop("params") == {"p": 7}
+    assert a.pop("params") == {"n": 2, "p": 3, "q": 5, "order": 2, "level": 1}
+    assert s16 == a
+
+
+def test_rejects_graph_twist_without_parabolic_conditions():
+    doc = json.loads(dumps_canonical(bundle_to_json(method_b_pair())))
+    doc["conditions2"]["p7"] = {"kind": "full"}
+    with pytest.raises(InputError, match="needs parabolic conditions"):
+        bundle_from_json(doc)

@@ -4,19 +4,17 @@ from congwit.errors import InputError
 from congwit.matrices import elementary, identity, minus_identity, scalar_mul
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
+    FiniteQuotientGroup,
     central_principal,
     principal,
-    quotient_of,
-    sample,
     subgroup_spec,
     tuple_mul,
 )
 from congwit.rings import rational_place, unit_of_order
 from congwit.twists import (
-    central_transport,
+    CentralTransport,
+    PlaceSwap,
     child_seed,
-    identity_iso,
-    place_swap,
     verify_iso,
 )
 
@@ -28,9 +26,9 @@ V13 = rational_place(13)
 def small_method_a(level=1):
     spec1 = subgroup_spec(4, {V5: central_principal(2, 1), V7: principal(1)})
     spec2 = subgroup_spec(4, {V5: principal(1), V7: central_principal(2, 1)})
-    q1 = quotient_of(spec1, {V5: level, V7: level})
-    q2 = quotient_of(spec2, {V5: level, V7: level})
-    return q1, q2, central_transport(q1, q2, V5, V7, 2)
+    q1 = FiniteQuotientGroup(spec1, {V5: level, V7: level})
+    q2 = FiniteQuotientGroup(spec2, {V5: level, V7: level})
+    return q1, q2, CentralTransport(q1, q2, V5, V7, 2)
 
 
 def test_central_transport_level_one_example():
@@ -55,9 +53,9 @@ def test_central_transport_level_two_example():
 def test_central_transport_order_four():
     spec1 = subgroup_spec(4, {V5: central_principal(4, 1), V13: principal(1)})
     spec2 = subgroup_spec(4, {V5: principal(1), V13: central_principal(4, 1)})
-    q1 = quotient_of(spec1, {V5: 1, V13: 1})
-    q2 = quotient_of(spec2, {V5: 1, V13: 1})
-    iso = central_transport(q1, q2, V5, V13, 4)
+    q1 = FiniteQuotientGroup(spec1, {V5: 1, V13: 1})
+    q2 = FiniteQuotientGroup(spec2, {V5: 1, V13: 1})
+    iso = CentralTransport(q1, q2, V5, V13, 4)
     z5 = unit_of_order(4, 5, 1)
     z13 = unit_of_order(4, 13, 1)
     assert (z5, z13) == (2, 8)
@@ -78,9 +76,9 @@ def test_central_transport_order_four_at_level_two():
     # residue of the canonical level-2 unit, the rescaling its exact lift
     spec1 = subgroup_spec(4, {V5: central_principal(4, 1), V13: principal(1)})
     spec2 = subgroup_spec(4, {V5: principal(1), V13: central_principal(4, 1)})
-    q1 = quotient_of(spec1, {V5: 2, V13: 2})
-    q2 = quotient_of(spec2, {V5: 2, V13: 2})
-    iso = central_transport(q1, q2, V5, V13, 4)
+    q1 = FiniteQuotientGroup(spec1, {V5: 2, V13: 2})
+    q2 = FiniteQuotientGroup(spec2, {V5: 2, V13: 2})
+    iso = CentralTransport(q1, q2, V5, V13, 4)
     z5 = unit_of_order(4, 5, 2)
     z13 = unit_of_order(4, 13, 2)
     assert pow(z5, 4, 25) == 1 and pow(z13, 4, 169) == 1
@@ -105,15 +103,15 @@ def test_central_extraction_is_multiplicative():
         return 0 if z == 1 else 1
 
     for i in range(100):
-        x = sample(q1, child_seed(3, 2 * i))
-        y = sample(q1, child_seed(3, 2 * i + 1))
+        x = q1.sample(child_seed(3, 2 * i))
+        y = q1.sample(child_seed(3, 2 * i + 1))
         assert k_of(tuple_mul(x, y)) == (k_of(x) + k_of(y)) % 2
 
 
 def test_transport_requires_matching_condition():
     q1, q2, _ = small_method_a()
     with pytest.raises(InputError):
-        central_transport(q1, q2, V7, V5, 2)  # source has no central condition at 7
+        CentralTransport(q1, q2, V7, V5, 2)  # source has no central condition at 7
 
 
 def test_apply_rejects_non_members():
@@ -150,6 +148,16 @@ def test_round_trip_identity_on_samples(bundle_fn):
 
 
 @pytest.mark.parametrize("bundle_fn", [method_a_pair, method_b_pair, method_c_pair, s16_pair])
+def test_twist_fields_survive_json_and_double_inverse(bundle_fn):
+    iso = bundle_fn().iso
+    places = {v.label: v for v in iso.source.places}
+    rebuilt = type(iso).from_json(iso.to_json(), iso.source, iso.target, places)
+    for copy in (rebuilt, iso.invert().invert()):
+        assert type(copy) is type(iso)
+        assert vars(copy) == vars(iso)
+
+
+@pytest.mark.parametrize("bundle_fn", [method_a_pair, method_b_pair, method_c_pair, s16_pair])
 def test_presets_witnessed(bundle_fn):
     bundle = bundle_fn()
     report = verify_iso(bundle.iso, 300, 0)
@@ -160,24 +168,16 @@ def test_presets_witnessed(bundle_fn):
     assert report.order_match
 
 
-def test_identity_iso_witnessed():
-    q1, _, _ = small_method_a()
-    report = verify_iso(identity_iso(q1), 10, 0)
-    assert report.verdict == "witnessed" and report.exhaustive
-
-
 @pytest.mark.parametrize("bundle_fn", [method_a_pair, method_b_pair, method_c_pair, s16_pair])
 def test_apply_preserves_identity(bundle_fn):
     bundle = bundle_fn()
     assert bundle.iso.apply(bundle.quotient1.identity()) == bundle.quotient2.identity()
-    assert identity_iso(bundle.quotient1).apply(bundle.quotient1.identity()) == (
-        bundle.quotient1.identity()
-    )
+    assert bundle.iso.invert().apply(bundle.quotient2.identity()) == bundle.quotient1.identity()
 
 
 def test_broken_place_swap_is_refuted():
     a = method_a_pair()
-    broken = place_swap(a.quotient1, a.quotient2, a.places[0], a.places[1])
+    broken = PlaceSwap(a.quotient1, a.quotient2, a.places[0], a.places[1])
     report = verify_iso(broken, 100, 0)
     assert report.verdict == "refuted"
     assert report.membership_failures > 0
