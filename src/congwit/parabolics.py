@@ -26,7 +26,6 @@ from .errors import InputError
 from .matrices import (
     SLMat,
     _adj_rows,
-    act,
     elementary,
     from_rows,
     lines_of_projective_space,
@@ -78,30 +77,31 @@ class ParabolicSpec:
             raise InputError("root subset rank does not match n")
         if not is_prime(self.p):
             raise InputError(f"{self.p} is not prime")
+        # Computed once: the (row, column) positions below the block
+        # diagonal, read on every membership test.  blk[r] is the block
+        # holding position r.
+        blk = [k for k, b in enumerate(self.blocks) for _ in range(b)]
+        below = tuple(
+            (r, c) for r in range(self.n) for c in range(self.n) if blk[r] > blk[c]
+        )
+        object.__setattr__(self, "_below_block", below)
 
     @property
     def blocks(self) -> tuple[int, ...]:
         return self.theta.block_sizes()
 
 
-def _block_of_position(blocks) -> list[int]:
-    out = []
-    for k, b in enumerate(blocks):
-        out.extend([k] * b)
-    return out
-
-
 def parabolic_membership(g: SLMat, spec: ParabolicSpec) -> bool:
-    """True iff every entry below the block diagonal vanishes."""
+    """True iff every entry below the block diagonal vanishes.
+
+    Entry (r, c) lies below the block diagonal when the block holding
+    position r comes after the block holding position c; spec lists those
+    positions once, at construction.
+    """
     if g.n != spec.n or g.ring.modulus != spec.p:
         raise InputError("membership is tested mod p at matching dimension")
-    blk = _block_of_position(spec.blocks)
-    return all(
-        g.entries[r][c] == 0
-        for r in range(spec.n)
-        for c in range(spec.n)
-        if blk[r] > blk[c]
-    )
+    e = g.entries
+    return not any(e[r][c] for r, c in spec._below_block)
 
 
 def gl_order(m: int, p: int) -> int:
@@ -148,14 +148,12 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
     if len(ring.factors) != 1 or f.place.p != spec.p:
         raise InputError("the ring must be a single factor over the parabolic's prime")
     mod = ring.modulus
-    blk = _block_of_position(spec.blocks)
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if i < j or blk[i] == blk[j]:
-                gens.append(elementary(n, i, j, 1, ring))
+    gens = [
+        elementary(n, i, j, 1, ring)
+        for i in range(n)
+        for j in range(n)
+        if i != j and (i, j) not in spec._below_block
+    ]
     u = smallest_primitive_root(spec.p, f.exponent) % mod
     u_inv = pow(u, -1, mod)
     for i in range(n - 1):
@@ -236,12 +234,24 @@ def fixed_lines(spec: ParabolicSpec) -> int:
 
     A line fixed by all generators is fixed by the whole subgroup, and the
     count is invariant under conjugation; unequal counts therefore certify
-    that two parabolics are not conjugate.
+    that two parabolics are not conjugate.  Every line of P^(n-1)(F_p) is
+    enumerated and tested against the generators until one moves it.  With
+    v the line's representative (leading coordinate 1 at index lead) and
+    w = g * v mod p, g fixes the line iff w is proportional to v, i.e. iff
+    w = w[lead] * v mod p: the factor can only be w[lead], and an
+    invertible g never sends v to 0.
     """
-    gens = parabolic_generators(spec)
+    p = spec.p
+    gens = [g.entries for g in parabolic_generators(spec)]
     count = 0
-    for line in lines_of_projective_space(spec.n, spec.p):
-        if all(act(g, line) == line for g in gens):
+    for line in lines_of_projective_space(spec.n, p):
+        v = line.coords
+        lead = v.index(1)
+        for rows in gens:
+            w = [sum(a * b for a, b in zip(row, v)) % p for row in rows]
+            if w != [w[lead] * x % p for x in v]:
+                break
+        else:
             count += 1
     return count
 

@@ -28,7 +28,6 @@ from .matrices import (
     SLMat,
     _det_int,
     _minor,
-    _mul_rows,
     central_scalar,
     elementary,
     from_rows,
@@ -191,7 +190,9 @@ class FiniteQuotientGroup:
         self.rings = tuple(single_place_ring(p, e, spec.d) for p, e in items)
         self.conditions = tuple(spec.condition_at(p) for p in self.places)
         self._parabolic = {}
-        for idx, (place, cond) in enumerate(zip(self.places, self.conditions)):
+        # canonical order-m unit of each central-principal component
+        self._central_unit = {}
+        for idx, ((place, e), cond) in enumerate(zip(self.level, self.conditions)):
             if cond.kind == CENTRAL_PRINCIPAL:
                 m = cond.order
                 if spec.n % m != 0 or (place.p - 1) % m != 0:
@@ -199,12 +200,14 @@ class FiniteQuotientGroup:
                         f"central order {m} does not divide gcd(n, p-1) at {place.label}; "
                         "central elements of that order do not exist there"
                     )
+                self._central_unit[idx] = unit_of_order(m, place.p, e)
             if cond.kind == PARABOLIC:
                 self._parabolic[idx] = (
                     ParabolicSpec(spec.n, place.p, cond.theta),
                     single_place_ring(place, 1, spec.d),
                 )
         self._par_gens: dict[str, list[SLMat]] = {}
+        self._par_ops: dict[str, list[tuple]] = {}
         self._gens: list[tuple[SLMat, ...]] | None = None
         self._order: int | None = None
         self._identity: tuple[SLMat, ...] | None = None
@@ -311,7 +314,7 @@ class FiniteQuotientGroup:
         if cond.kind == FULL:
             return _random_elementary_word(rng, n, ring, FULL_WORD_MAX)
         if cond.kind == PARABOLIC:
-            out = _random_word(rng, self._parabolic_sampler_gens(place, ring, cond), n, ring)
+            out = _random_word(rng, self._parabolic_sampler_ops(place, ring, cond), n, ring)
             if e > 1:
                 out = mat_mul(out, from_rows(_principal_rows(rng, n, ring, 1), ring))
             return out
@@ -320,7 +323,7 @@ class FiniteQuotientGroup:
                 return self.identity()[idx]
             return from_rows(_principal_rows(rng, n, ring, cond.depth), ring)
         # central_principal: z^n = 1, so scaling keeps the determinant at 1
-        z = unit_of_order(cond.order, place.p, e)
+        z = self._central_unit[idx]
         k = _below(rng.getrandbits, cond.order)
         rows = _principal_rows(rng, n, ring, cond.depth)
         scalar = pow(z, k, ring.modulus)
@@ -333,6 +336,14 @@ class FiniteQuotientGroup:
             self._par_gens[key] = gens + [mat_inv(g) for g in gens]
         return self._par_gens[key]
 
+    def _parabolic_sampler_ops(self, place, ring, cond):
+        """The sampler generators as column operations (see _column_ops)."""
+        key = place.label
+        if key not in self._par_ops:
+            gens = self._parabolic_sampler_gens(place, ring, cond)
+            self._par_ops[key] = [_column_ops(g) for g in gens]
+        return self._par_ops[key]
+
     # -- generators --------------------------------------------------------
 
     def generators(self) -> list[tuple[SLMat, ...]]:
@@ -344,14 +355,14 @@ class FiniteQuotientGroup:
             for idx, (ring, cond, (place, e)) in enumerate(
                 zip(self.rings, self.conditions, self.level)
             ):
-                for local in self._local_generators(ring, cond, place, e):
+                for local in self._local_generators(idx, ring, cond, place, e):
                     g = list(ident)
                     g[idx] = local
                     gens.append(tuple(g))
             self._gens = gens
         return self._gens
 
-    def _local_generators(self, ring, cond, place, e):
+    def _local_generators(self, idx, ring, cond, place, e):
         n = self.n
         if cond.kind == FULL:
             return [
@@ -364,8 +375,7 @@ class FiniteQuotientGroup:
             return gens
         if cond.kind == PRINCIPAL:
             return _principal_generators(n, ring, place.p, cond.depth, e)
-        z = unit_of_order(cond.order, place.p, e)
-        mod = ring.modulus
+        z = self._central_unit[idx]
         scalar = from_rows(
             [[z if i == j else 0 for j in range(n)] for i in range(n)], ring
         )
@@ -434,14 +444,54 @@ def _random_elementary_word(rng, n, ring, max_len):
     return from_rows(rows, ring)
 
 
-def _random_word(rng, gens, n, ring):
+def _column_ops(g: SLMat) -> tuple:
+    """Right multiplication by g as operations on columns.
+
+    Column c of x * g is sum_k g[k][c] * (column k of x).  One operation
+    (c, ((k, g[k][c]), ...)) is kept for every column of g that differs from
+    the identity's, listing only the nonzero coefficients; the columns that
+    match the identity's are left alone.  An elementary 1 + t*E_ij is the one
+    operation (j, ((i, t), (j, 1))), a diagonal generator scales each moved
+    column by its entry, and a dense g keeps every column it moves.
+    """
+    n = g.n
+    ops = []
+    for c in range(n):
+        col = [g.entries[k][c] for k in range(n)]
+        if col != [int(k == c) for k in range(n)]:
+            ops.append((c, tuple((k, a) for k, a in enumerate(col) if a)))
+    return tuple(ops)
+
+
+def _random_word(rng, ops, n, ring):
+    """A product of 1 to PARABOLIC_WORD_MAX generators, certified once.
+
+    `ops` holds each generator's _column_ops.  The word is kept as a list of
+    reduced columns starting from the identity; each factor recomputes only
+    the columns its generator moves, all from the columns before it, which
+    gives exactly the reduced dense product.  Columns built from one or two
+    others take the short forms.  The draws are _below(PARABOLIC_WORD_MAX)
+    for the length, then _below(len(ops)) per factor, and the result is
+    certified by from_rows.
+    """
     mod = ring.modulus
     bits = rng.getrandbits
-    count = len(gens)
-    rows = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+    count = len(ops)
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
     for _ in range(1 + _below(bits, PARABOLIC_WORD_MAX)):
-        rows = _mul_rows(rows, gens[_below(bits, count)].entries, mod)
-    return from_rows(rows, ring)
+        new = []
+        for c, terms in ops[_below(bits, count)]:
+            if len(terms) == 1:
+                ((k, a),) = terms
+                new.append((c, [a * x % mod for x in cols[k]]))
+            elif len(terms) == 2:
+                (k, a), (l, b) = terms
+                new.append((c, [(a * x + b * y) % mod for x, y in zip(cols[k], cols[l])]))
+            else:
+                new.append((c, [sum(a * cols[k][r] for k, a in terms) % mod for r in range(n)]))
+        for c, col in new:
+            cols[c] = col
+    return from_rows(zip(*cols), ring)
 
 
 def _principal_rows(rng, n, ring, depth):

@@ -90,31 +90,32 @@ class CentralTransport(QuotientIso):
                 raise InputError(
                     f"central transport of order {m} needs the matching central condition at {place.label}"
                 )
-
-    def _image(self, g):
+        # Resolved once for _image: the two component indices, the exponent
+        # k of the central part read mod p^depth at from_place (the first k
+        # wins), and the scalars that move z^k from one place to the other.
         src = self.source
         i = src.place_index(self.from_place)
         j = src.place_index(self.to_place)
-        m = self.scalar_order
-        cond = src.conditions[i]
-        if cond.kind != CENTRAL_PRINCIPAL or cond.order != m:
-            raise InputError("transport source place must carry the matching central condition")
-        place_i, e_i = src.level[i]
-        place_j, e_j = src.level[j]
+        (place_i, e_i), (place_j, e_j) = src.level[i], src.level[j]
         z_i = unit_of_order(m, place_i.p, e_i)
         z_j = unit_of_order(m, place_j.p, e_j)
-        depth_mod = place_i.p**cond.depth
-        seen = g[i].entries[0][0] % depth_mod
+        depth_mod = place_i.p ** src.conditions[i].depth
+        mod_i, mod_j = src.rings[i].modulus, src.rings[j].modulus
+        self._i, self._j, self._depth_mod = i, j, depth_mod
+        self._exponent_of = {}
         for k in range(m):
-            if pow(z_i, k, depth_mod) == seen:
-                break
-        else:
+            self._exponent_of.setdefault(pow(z_i, k, depth_mod), k)
+        self._scalar_i = [pow(z_i, m - k, mod_i) if k else 1 for k in range(m)]
+        self._scalar_j = [pow(z_j, k, mod_j) for k in range(m)]
+
+    def _image(self, g):
+        i, j = self._i, self._j
+        k = self._exponent_of.get(g[i].entries[0][0] % self._depth_mod)
+        if k is None:
             raise InputError("source component is not in the canonical central subgroup")
-        mod_i = src.rings[i].modulus
-        mod_j = src.rings[j].modulus
         out = list(g)
-        out[i] = _scale(g[i], pow(z_i, m - k, mod_i) if k else 1)
-        out[j] = _scale(g[j], pow(z_j, k, mod_j))
+        out[i] = _scale(g[i], self._scalar_i[k])
+        out[j] = _scale(g[j], self._scalar_j[k])
         return tuple(out)
 
     def invert(self) -> "CentralTransport":
@@ -155,12 +156,11 @@ class PlaceSwap(QuotientIso):
     to_place: PrimePlace
 
     def __post_init__(self):
-        self.source.place_index(self.from_place)
-        self.source.place_index(self.to_place)
+        self._i = self.source.place_index(self.from_place)
+        self._j = self.source.place_index(self.to_place)
 
     def _image(self, g):
-        i = self.source.place_index(self.from_place)
-        j = self.source.place_index(self.to_place)
+        i, j = self._i, self._j
         out = list(g)
         out[i], out[j] = out[j], out[i]
         # Re-home swapped components into the destination slot's ring when
@@ -203,10 +203,10 @@ class GraphAutomorphism(QuotientIso):
     reversed_graph: bool = False
 
     def __post_init__(self):
-        self.source.place_index(self.place)
+        self._i = self.source.place_index(self.place)
 
     def _image(self, g):
-        i = self.source.place_index(self.place)
+        i = self._i
         out = list(g)
         out[i] = (
             graph_automorphism_inverse(out[i])
@@ -292,7 +292,7 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
             images[_element_key(x)] = fx
             if not tgt.member(fx):
                 membership += 1
-            elif inverse.apply(fx) != x:
+            elif inverse._image(fx) != x:
                 inverse_failures += 1
         for x in elements:
             for y in elements:
@@ -314,7 +314,8 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
                 membership += 1
             if iso.apply(tuple_mul(x, y)) != tuple_mul(fx, fy):
                 homomorphism += 1
-            if ok_fx and tgt.member(fy) and inverse.apply(fx) != x:
+            # ok_fx is the inverse's source membership test, done once
+            if ok_fx and tgt.member(fy) and inverse._image(fx) != x:
                 inverse_failures += 1
         samples_used = sample_count
         exhaustive = False

@@ -224,3 +224,60 @@ def test_fixed_lines_invariant_under_conjugation(rng):
                 1 for line in lines if all(act(g, line) == line for g in conjugated)
             )
             assert count == expected
+
+
+def _root_subsets(n):
+    return [
+        root_subset(n, members)
+        for k in range(n)
+        for members in itertools.combinations(range(1, n), k)
+    ]
+
+
+def _block_predicate(g, spec):
+    """The per-entry block test parabolic_membership replaced."""
+    blk = []
+    for k, b in enumerate(spec.theta.block_sizes()):
+        blk.extend([k] * b)
+    return all(
+        g.entries[r][c] == 0 for r in range(spec.n) for c in range(spec.n) if blk[r] > blk[c]
+    )
+
+
+def test_membership_matches_the_block_predicate(rng):
+    for n in (2, 3, 4):
+        for p in (3, 5):
+            ring = rational_ring(p, 1)
+            for theta in _root_subsets(n):
+                spec = ParabolicSpec(n, p, theta)
+                gens = parabolic_generators(spec)
+                matrices = []
+                for _ in range(40):
+                    member = identity(n, ring)
+                    for _ in range(rng.randint(1, 8)):
+                        member = mat_mul(member, rng.choice(gens))
+                    matrices += [member, mat_mul(member, random_sl(n, ring, rng, 3))]
+                    matrices.append(random_sl(n, ring, rng))
+                verdicts = [parabolic_membership(g, spec) for g in matrices]
+                assert verdicts == [_block_predicate(g, spec) for g in matrices]
+                assert any(verdicts)
+                if len(theta.members) < n - 1:
+                    assert not all(verdicts)
+
+
+def _act_count(spec):
+    """Fixed lines counted through act and normalize_line."""
+    gens = parabolic_generators(spec)
+    return sum(
+        1
+        for line in lines_of_projective_space(spec.n, spec.p)
+        if all(act(g, line) == line for g in gens)
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fixed_lines_matches_the_action_count(n, p):
+    for theta in _root_subsets(n):
+        spec = ParabolicSpec(n, p, theta)
+        assert fixed_lines(spec) == _act_count(spec)

@@ -11,13 +11,14 @@ from congwit.matrices import (
     elementary,
     from_rows,
     identity,
+    mat_inv,
     mat_mul,
     minus_identity,
     reduce_mat,
     scalar_mul,
     sl_order,
 )
-from congwit.parabolics import parabolic_order, ParabolicSpec, root_subset
+from congwit.parabolics import ParabolicSpec, longest_weyl, parabolic_order, root_subset
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     FULL,
@@ -28,6 +29,8 @@ from congwit.quotients import (
     CentralElementSpec,
     FiniteQuotientGroup,
     _below,
+    _column_ops,
+    _random_word,
     central_presence,
     central_principal,
     closure,
@@ -40,7 +43,7 @@ from congwit.quotients import (
     tuple_inv,
     tuple_mul,
 )
-from congwit.rings import rational_place, split_places, unit_of_order
+from congwit.rings import rational_place, rational_ring, split_places, unit_of_order
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -381,6 +384,58 @@ def test_samples_match_the_randrange_reference():
     for q in _preset_quotients() + [deep_parabolic]:
         for seed in range(200):
             assert q.sample(seed) == _ref_sample(q, seed)
+
+
+def _sampler_gen_sets():
+    """(label, generator list, n, ring): the parabolic samplers of both
+    method-B root subsets at level 1, the level-2 parabolic sampler, and a
+    set widened by a dense matrix, its inverse and a signed permutation."""
+    out = []
+    for theta in ({2, 3}, {1, 2}):
+        q = FiniteQuotientGroup(
+            subgroup_spec(4, {V5: parabolic_pullback(root_subset(4, theta))}), {V5: 1}
+        )
+        gens = q._parabolic_sampler_gens(V5, q.rings[0], q.conditions[0])
+        out.append((f"theta {sorted(theta)} mod 5", gens, 4, q.rings[0]))
+    q2 = FiniteQuotientGroup(
+        subgroup_spec(4, {V5: parabolic_pullback(root_subset(4, {2, 3}))}), {V5: 2}
+    )
+    gens2 = q2._parabolic_sampler_gens(V5, q2.rings[0], q2.conditions[0])
+    out.append(("theta [2, 3] mod 25", gens2, 4, q2.rings[0]))
+    ring = q2.rings[0]
+    dense = from_rows([[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]], ring)
+    out.append(("with dense", gens2 + [dense, mat_inv(dense), longest_weyl(4, ring)], 4, ring))
+    return out
+
+
+def test_column_ops_list_the_moved_columns():
+    ring = rational_ring(5, 1)
+    assert _column_ops(identity(4, ring)) == ()
+    assert _column_ops(elementary(4, 0, 2, 3, ring)) == ((2, ((0, 3), (2, 1))),)
+    torus = from_rows([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ring)
+    assert _column_ops(torus) == ((0, ((0, 2),)), (1, ((1, 3),)))
+
+
+def test_random_word_matches_the_dense_product():
+    for label, gens, n, ring in _sampler_gen_sets():
+        ops = [_column_ops(g) for g in gens]
+        if label == "with dense":
+            # the general sum and a moved single-term column are both exercised
+            assert any(len(terms) > 2 for op in ops for _, terms in op)
+            assert any(k != c for op in ops for c, terms in op if len(terms) == 1 for k, _ in terms)
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _random_word(ours, ops, n, ring) == _ref_word(theirs, gens, n, ring), label
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_sampler_ops_are_derived_from_the_dense_generators():
+    q = method_b_pair().quotient2
+    for idx, (ring, cond, place) in enumerate(zip(q.rings, q.conditions, q.places)):
+        if cond.kind == PARABOLIC:
+            gens = q._parabolic_sampler_gens(place, ring, cond)
+            assert all(isinstance(g, SLMat) for g in gens)
+            assert q._parabolic_sampler_ops(place, ring, cond) == [_column_ops(g) for g in gens]
 
 
 def test_identity_is_built_once():

@@ -1,7 +1,8 @@
 import pytest
 
 from congwit.errors import InputError
-from congwit.matrices import elementary, identity, minus_identity, scalar_mul
+from congwit.matrices import elementary, from_rows, identity, minus_identity, scalar_mul
+from congwit.parabolics import longest_weyl
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     FiniteQuotientGroup,
@@ -119,6 +120,39 @@ def test_apply_rejects_non_members():
     bad = (elementary(4, 0, 1, 1, q1.rings[0]), identity(4, q1.rings[1]))
     with pytest.raises(InputError):
         iso.apply(bad)
+
+
+def test_image_rejects_a_component_outside_the_central_subgroup():
+    q1, _, iso = small_method_a(level=2)
+    # entry (0, 0) is 0 or 2 mod 5, and the order-2 unit's powers are 1 and 4
+    weyl = longest_weyl(4, q1.rings[0])
+    torus = from_rows([[2, 0, 0, 0], [0, 13, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], q1.rings[0])
+    for comp in (weyl, torus):
+        with pytest.raises(InputError):
+            iso._image((comp, identity(4, q1.rings[1])))
+
+
+@pytest.mark.parametrize("bundle_fn", [method_a_pair, method_b_pair, method_c_pair])
+def test_sampled_pair_tests_target_membership_once(bundle_fn, monkeypatch):
+    iso = bundle_fn().iso
+    calls = []
+    member = FiniteQuotientGroup.member
+
+    def counting(self, g):
+        calls.append(self)
+        return member(self, g)
+
+    monkeypatch.setattr(FiniteQuotientGroup, "member", counting)
+
+    def per_quotient(samples):
+        del calls[:]
+        verify_iso(iso, samples, 0)
+        return sum(q is iso.source for q in calls), sum(q is iso.target for q in calls)
+
+    (src10, tgt10), (src20, tgt20) = per_quotient(10), per_quotient(20)
+    # apply on x, y and x*y tests the source; fx and fy are tested once in
+    # the target, and the inverse round trip reuses the test on fx
+    assert (src20 - src10, tgt20 - tgt10) == (10 * 3, 10 * 2)
 
 
 def test_invert_kinds():
