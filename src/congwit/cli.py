@@ -5,11 +5,17 @@ verify-iso, obstruct, selftest.  All reports are canonical JSON on stdout
 (or --output); identical configuration and seed give byte-identical bytes.
 Exit codes: 0 every recomputed certificate holds and the verdict is
 witnessed, 1 a check refuted something, 2 invalid input.
+
+The argument parser is built once per process: the witness flags are read
+from the preset builders' signatures then.  The builders and verify_iso
+themselves are looked up on each call, so a module attribute swapped at run
+time (as per-layer tracing does) is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import sys
@@ -49,6 +55,7 @@ def _builder(name: str):
     return getattr(presets, name.replace("-", "_") + "_pair")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congwit",

@@ -2,9 +2,8 @@
 
 SLMat values are immutable, canonically reduced, and checked to have
 determinant 1 at construction, so a matrix that is not in SL_n cannot be
-built through the public surface.  Also here: the scalar central elements,
-group orders of SL_n(Z/p^e), and projective lines over F_p with the left
-action of SL_n on them.
+built through the public surface.  Also here: the scalar central elements
+and group orders of SL_n(Z/p^e).
 """
 
 from __future__ import annotations
@@ -202,7 +201,7 @@ def identity(n: int, ring: ResidueRing) -> SLMat:
 
 
 def mat_mul(x: SLMat, y: SLMat) -> SLMat:
-    if x.ring != y.ring or x.n != y.n:
+    if (x.ring is not y.ring and x.ring != y.ring) or x.n != y.n:
         raise InputError("matrix product needs matching ring and dimension")
     return SLMat(x.ring, _mul_rows(x.entries, y.entries, x.ring.modulus))
 
@@ -227,7 +226,7 @@ def reduce_mat(x: SLMat, ring: ResidueRing) -> SLMat:
 
     Reducing into the matrix's own ring is the identity and returns x itself.
     """
-    if ring == x.ring:
+    if ring is x.ring or ring == x.ring:
         return x
     mod = ring.modulus
     if x.ring.modulus % mod != 0:
@@ -310,53 +309,3 @@ def enumerate_sl2_order(m: int) -> int:
                     if (a * d - b * c) % m == 1:
                         count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# projective lines
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A line in F_p^n, normalized so the first nonzero coordinate is 1."""
-
-    p: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        first = next((c for c in self.coords if c != 0), None)
-        if first != 1:
-            raise InputError("projective coordinates must lead with 1")
-
-
-def normalize_line(coords, p: int) -> ProjPoint:
-    coords = [c % p for c in coords]
-    first = next((c for c in coords if c != 0), None)
-    if first is None:
-        raise InputError("the zero vector spans no line")
-    inv = pow(first, -1, p)
-    return ProjPoint(p, tuple(c * inv % p for c in coords))
-
-
-def lines_of_projective_space(n: int, p: int) -> list[ProjPoint]:
-    """All (p^n - 1)/(p - 1) lines of F_p^n, each exactly once."""
-    out = []
-    for lead in range(n):
-        tail = n - lead - 1
-        for k in range(p**tail):
-            coords = [0] * lead + [1]
-            rest = k
-            for _ in range(tail):
-                coords.append(rest % p)
-                rest //= p
-            out.append(ProjPoint(p, tuple(coords)))
-    return out
-
-
-def act(g: SLMat, line: ProjPoint) -> ProjPoint:
-    """Left action on column vectors: the line spanned by g * v."""
-    p = line.p
-    if g.ring.modulus != p:
-        raise InputError("the projective action is defined at level 1 only")
-    image = [sum(a * b for a, b in zip(row, line.coords)) for row in g.entries]
-    return normalize_line(image, p)

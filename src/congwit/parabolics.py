@@ -9,6 +9,13 @@ with the longest Weyl permutation, and non-conjugacy of P_theta and
 P_{s(theta)} is certified by the conjugation-invariant count of projective
 lines fixed by the subgroup.
 
+That count is taken by linear algebra over F_p, not by testing lines: the
+fixed lines are the common eigenlines of the generators, found by
+intersecting eigenspaces ker(g - lambda) one generator at a time.
+Eigenspaces of one g for distinct lambda meet only in 0, so each fixed line
+is counted once, and the cost is O(|S| * p * n^3) for |S| generators
+instead of one test per line of P^(n-1)(F_p) (see fixed_lines).
+
 On matrices the symmetry is computed in one pass as a sign-permuted
 adjugate.  The longest Weyl element is w0 = S * J, with J the reversal and
 S = diag(s) its row signs (s_0 = -1 iff n(n-1)/2 is odd, all others +1), so
@@ -28,7 +35,6 @@ from .matrices import (
     _adj_rows,
     elementary,
     from_rows,
-    lines_of_projective_space,
     mat_inv,
     mat_mul,
     transpose,
@@ -229,31 +235,97 @@ def graph_automorphism_inverse(g: SLMat) -> SLMat:
     return SLMat(g.ring, tuple(zip(*_adj_rows(b, g.ring.modulus))))
 
 
+def _kernel(cols, p: int) -> list[list[int]]:
+    """Basis of {c : sum_i c[i] * cols[i] = 0 mod p}, by one elimination.
+
+    The vectors cols[i] are the columns of an n x k matrix over F_p; it is
+    brought to reduced row echelon form and each free column gives one
+    kernel vector.
+    """
+    k = len(cols)
+    rows = [list(r) for r in zip(*cols)]
+    pivots = []
+    for c in range(k):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        top = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(k) if c not in pivots):
+        v = [0] * k
+        v[free] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free] % p
+        basis.append(v)
+    return basis
+
+
+def count_fixed_lines(mats, n: int, p: int) -> int:
+    """Number of lines of F_p^n fixed by every matrix in mats (rows mod p).
+
+    The eigenspace recursion described at fixed_lines, over any list of
+    n x n matrices; an empty list counts every line.
+    """
+
+    def walk(basis, depth):
+        if depth == len(mats):
+            return (p ** len(basis) - 1) // (p - 1)
+        g = mats[depth]
+        images = [[sum(a * x for a, x in zip(row, b)) for row in g] for b in basis]
+        if len(basis) == 1:
+            # one line <b>: the only candidate lambda is read off b's first
+            # nonzero entry, so the other p - 2 eliminations are skipped
+            (b,), (w,) = basis, images
+            lead = next(i for i, x in enumerate(b) if x)
+            lam = w[lead] * pow(b[lead], -1, p) % p
+            fixed = lam and all((x - lam * y) % p == 0 for x, y in zip(w, b))
+            return walk(basis, depth + 1) if fixed else 0
+        total = 0
+        for lam in range(1, p):
+            kernel = _kernel(
+                [[(w - lam * x) % p for w, x in zip(img, b)] for img, b in zip(images, basis)], p
+            )
+            if kernel:
+                sub = [
+                    [sum(c * b[i] for c, b in zip(coef, basis)) % p for i in range(n)]
+                    for coef in kernel
+                ]
+                total += walk(sub, depth + 1)
+        return total
+
+    return walk([[int(i == j) for j in range(n)] for i in range(n)], 0)
+
+
 def fixed_lines(spec: ParabolicSpec) -> int:
     """Number of projective lines fixed by every generator of P_theta.
 
     A line fixed by all generators is fixed by the whole subgroup, and the
     count is invariant under conjugation; unequal counts therefore certify
-    that two parabolics are not conjugate.  Every line of P^(n-1)(F_p) is
-    enumerated and tested against the generators until one moves it.  With
-    v the line's representative (leading coordinate 1 at index lead) and
-    w = g * v mod p, g fixes the line iff w is proportional to v, i.e. iff
-    w = w[lead] * v mod p: the factor can only be w[lead], and an
-    invertible g never sends v to 0.
+    that two parabolics are not conjugate.
+
+    A line <v> is fixed by g iff g v = lambda v for some lambda in F_p^x, so
+    the lines fixed by every generator are the common eigenlines.  Starting
+    from W = F_p^n, each generator g in turn replaces W by the intersections
+    W cap ker(g - lambda), one per lambda in F_p^x; each is the kernel of
+    (g - lambda) * basis(W), found by one Gaussian elimination over F_p, and
+    empty intersections are dropped.  A subspace of dimension k that
+    survives every generator holds (p^k - 1)/(p - 1) lines.  Eigenspaces of
+    one g for distinct lambda meet only in 0, so every fixed line lies in
+    exactly one surviving subspace and the sum counts it once.  Each
+    generator keeps at most n subspaces alive and each costs p - 1
+    eliminations, so the count costs O(|S| * p * n^3) for |S| generators; it
+    does not grow with the (p^n - 1)/(p - 1) lines of P^(n-1)(F_p).
     """
-    p = spec.p
     gens = [g.entries for g in parabolic_generators(spec)]
-    count = 0
-    for line in lines_of_projective_space(spec.n, p):
-        v = line.coords
-        lead = v.index(1)
-        for rows in gens:
-            w = [sum(a * b for a, b in zip(row, v)) % p for row in rows]
-            if w != [w[lead] * x % p for x in v]:
-                break
-        else:
-            count += 1
-    return count
+    return count_fixed_lines(gens, spec.n, spec.p)
 
 
 def parabolic_full(n: int, p: int) -> ParabolicSpec:

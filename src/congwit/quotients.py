@@ -244,7 +244,9 @@ class FiniteQuotientGroup:
         for idx, (comp, ring, cond, place) in enumerate(
             zip(g, self.rings, self.conditions, self.places)
         ):
-            if not isinstance(comp, SLMat) or comp.ring != ring or comp.n != self.n:
+            if not isinstance(comp, SLMat) or comp.n != self.n:
+                return False
+            if comp.ring is not ring and comp.ring != ring:  # rings are interned
                 return False
             if not self._local_member(idx, comp, cond, place):
                 return False

@@ -401,8 +401,15 @@ class ResidueRing:
         return self._modulus
 
 
+@functools.lru_cache(maxsize=None)
 def single_place_ring(place: PrimePlace, e: int, d: int | None = None) -> ResidueRing:
-    """The ring Z/p^e at one place, Hensel-lifting the root when needed."""
+    """The ring Z/p^e at one place, Hensel-lifting the root when needed.
+
+    Interned: places and rings are frozen, so equal arguments return one
+    ring object, and quotients built at the same place and level share it.
+    A bad place or a failed lift raises on every call (exceptions are not
+    cached).
+    """
     if place.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
         if e == 1:
             lifted = place.root
@@ -417,7 +424,7 @@ def single_place_ring(place: PrimePlace, e: int, d: int | None = None) -> Residu
 
 
 def rational_ring(p: int, e: int) -> ResidueRing:
-    return single_place_ring(rational_place(p), e)
+    return single_place_ring(rational_place(p), e, None)
 
 
 def residue_map(x, factor: RingFactor) -> int:

@@ -168,8 +168,8 @@ class PlaceSwap(QuotientIso):
         # same Z/p^e).  A modulus mismatch is left in place so the verifier
         # refutes it as a membership failure instead of crashing.
         for k in (i, j):
-            ring = self.target.rings[k]
-            if out[k].ring != ring and out[k].ring.modulus == ring.modulus:
+            ring, have = self.target.rings[k], out[k].ring
+            if have is not ring and have != ring and have.modulus == ring.modulus:
                 out[k] = SLMat(ring, out[k].entries)
         return tuple(out)
 

@@ -255,6 +255,13 @@ def test_witness_flags_and_defaults(preset, flags):
     assert vars(args) == {**fixed, **dict.fromkeys(flags, 3)}
 
 
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = build_parser()
+    assert build_parser() is parser
+    assert parser.parse_args(["witness", "method-a", "--p", "11"]).p == 11
+    assert parser.parse_args(["witness", "method-a"]).p == 5
+
+
 def test_witness_binds_builders_and_verifier_at_call_time(monkeypatch, tmp_path):
     # Per-layer tracing swaps these module attributes while a command runs,
     # so witness must look them up on each call.

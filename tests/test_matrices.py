@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 
 from congwit.errors import InputError
 from congwit.matrices import (
-    ProjPoint,
     SLMat,
     _bareiss,
     _det_int,
     _minor,
-    act,
     central_scalar,
     elementary,
     enumerate_sl2_order,
     from_rows,
     identity,
-    lines_of_projective_space,
     mat_inv,
     mat_mul,
     minus_identity,
@@ -29,6 +26,7 @@ from congwit.matrices import (
 from congwit.rings import ResidueRing, RingFactor, crt_split, rational_place, rational_ring
 
 from conftest import KERNEL_RINGS, random_sl
+from projective import ProjPoint, act, lines_of_projective_space
 
 R5 = rational_ring(5, 1)
 R25 = rational_ring(5, 2)

@@ -143,3 +143,13 @@ def test_narratives_present(bundle_fn):
     bundle = bundle_fn()
     assert len(bundle.obstruction.narrative) >= 2
     assert all(isinstance(line, str) and line for line in bundle.obstruction.narrative)
+
+
+def test_method_b_certificate_at_large_primes():
+    # the eigenspace count does not enumerate the 10^6 lines of P^3(F_101)
+    bundle = method_b_pair(p=101, q=103)
+    assert bundle.obstruction.holds
+    assert bundle.obstruction.data["fixed_lines"] == {
+        "p101": {"theta": 1, "theta_image": 0},
+        "p103": {"theta": 1, "theta_image": 0},
+    }

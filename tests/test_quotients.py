@@ -43,7 +43,14 @@ from congwit.quotients import (
     tuple_inv,
     tuple_mul,
 )
-from congwit.rings import rational_place, rational_ring, split_places, unit_of_order
+from congwit.rings import (
+    ResidueRing,
+    rational_place,
+    rational_ring,
+    split_places,
+    unit_of_order,
+)
+from congwit.serialize import bundle_from_json, bundle_to_json
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -514,3 +521,29 @@ def test_member_matches_per_entry_predicate(n, p, m, depth, extra):
             assert ours == theirs, (cond, g)
             results.append(ours)
     assert True in results and False in results
+
+
+@pytest.mark.parametrize("build", [method_a_pair, method_b_pair, method_c_pair, s16_pair])
+def test_quotients_of_a_pair_share_one_ring_per_place(build):
+    bundle = build()
+    rebuilt = bundle_from_json(bundle_to_json(bundle))
+    for i, ring in enumerate(bundle.quotient1.rings):
+        assert bundle.quotient2.rings[i] is ring
+        assert rebuilt.quotient1.rings[i] is ring
+        assert rebuilt.quotient2.rings[i] is ring
+
+
+def test_member_accepts_an_equal_ring_held_by_another_object():
+    bundle = method_b_pair()
+    q1, q2 = bundle.quotient1, bundle.quotient2
+
+    def rehome(g):
+        return tuple(SLMat(ResidueRing(c.ring.factors), c.entries) for c in g)
+
+    for seed in range(5):
+        g = q1.sample(seed)
+        copy = rehome(g)
+        assert all(c.ring is not r and c.ring == r for c, r in zip(copy, q1.rings))
+        assert q1.member(copy)
+    sep = rehome(bundle.separating_element)
+    assert q1.member(sep) and not q2.member(sep)

@@ -238,3 +238,17 @@ def test_canonical_units():
         assert all(pow(z, k, mod) != 1 for k in range(1, m))
     with pytest.raises(InputError):
         unit_of_order(4, 7, 1)
+
+
+def test_single_place_rings_are_interned_and_errors_are_not():
+    place = rational_place(7)
+    assert single_place_ring(place, 2, None) is single_place_ring(place, 2, None)
+    assert rational_ring(7, 2) is single_place_ring(place, 2, None)
+    first, _ = split_places(7, 2)
+    assert single_place_ring(first, 2, 2) is single_place_ring(first, 2, 2)
+    inert = PrimePlace(7, "inert")
+    for _ in range(2):
+        with pytest.raises(InputError):
+            single_place_ring(inert, 1)
+        with pytest.raises(InputError):
+            single_place_ring(first, 2)  # lifting the root needs d
