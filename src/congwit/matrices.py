@@ -246,17 +246,6 @@ def elementary(n: int, i: int, j: int, t: int, ring: ResidueRing) -> SLMat:
     return SLMat(ring, tuple(tuple(r) for r in rows))
 
 
-def minus_identity(n: int, ring: ResidueRing) -> SLMat:
-    """The scalar matrix -1; rejected for odd n where its determinant is -1.
-
-    Central elements of other orders come from central_scalar.
-    """
-    if n % 2 != 0:
-        raise InputError(f"-identity has determinant -1 for n={n}; use central_scalar for odd n")
-    mod = ring.modulus
-    return scalar_mul(mod - 1, identity(n, ring))
-
-
 def central_scalar(n: int, ring: ResidueRing, m: int) -> SLMat:
     """The canonical central element of order m: zeta * identity.
 

@@ -30,15 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .matrices import (
-    SLMat,
-    _adj_rows,
-    elementary,
-    from_rows,
-    mat_inv,
-    mat_mul,
-    transpose,
-)
+from .matrices import SLMat, _adj_rows, from_rows
 from .rings import ResidueRing, is_prime, rational_ring, smallest_primitive_root
 
 
@@ -147,27 +139,33 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
     the determinant-1 diagonal, which a single balancing element cannot do
     once there are three or more blocks.
     """
-    n = spec.n
     if ring is None:
         ring = rational_ring(spec.p, 1)
+    return [SLMat(ring, rows) for rows in _generator_rows(spec, ring)]
+
+
+def _generator_rows(spec: ParabolicSpec, ring: ResidueRing) -> list[tuple]:
+    """The entries of parabolic_generators(spec, ring), reduced, as row tuples."""
+    n = spec.n
     f = ring.factors[0]
     if len(ring.factors) != 1 or f.place.p != spec.p:
         raise InputError("the ring must be a single factor over the parabolic's prime")
     mod = ring.modulus
-    gens = [
-        elementary(n, i, j, 1, ring)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (i, j) not in spec._below_block
-    ]
     u = smallest_primitive_root(spec.p, f.exponent) % mod
     u_inv = pow(u, -1, mod)
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and (i, j) not in spec._below_block:
+                rows = [[int(r == c) for c in range(n)] for r in range(n)]
+                rows[i][j] = 1
+                out.append(rows)
     for i in range(n - 1):
-        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
         rows[i][i] = u
         rows[i + 1][i + 1] = u_inv
-        gens.append(from_rows(rows, ring))
-    return gens
+        out.append(rows)
+    return [tuple(map(tuple, rows)) for rows in out]
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +187,6 @@ def longest_weyl(n: int, ring: ResidueRing) -> SLMat:
     s = _weyl_signs(n)
     rows = [[s[i] if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
     return from_rows(rows, ring)
-
-
-def weyl_conjugator(n: int, ring: ResidueRing) -> SLMat:
-    """c = w0 * (w0^T)^(-1); the square of the symmetry is conjugation by c."""
-    w0 = longest_weyl(n, ring)
-    return mat_mul(w0, mat_inv(transpose(w0)))
 
 
 def graph_automorphism(g: SLMat) -> SLMat:
@@ -324,13 +316,8 @@ def fixed_lines(spec: ParabolicSpec) -> int:
     eliminations, so the count costs O(|S| * p * n^3) for |S| generators; it
     does not grow with the (p^n - 1)/(p - 1) lines of P^(n-1)(F_p).
     """
-    gens = [g.entries for g in parabolic_generators(spec)]
-    return count_fixed_lines(gens, spec.n, spec.p)
-
-
-def parabolic_full(n: int, p: int) -> ParabolicSpec:
-    """theta = all simple roots: the whole group as a degenerate parabolic."""
-    return ParabolicSpec(n, p, root_subset(n, range(1, n)))
+    rows = _generator_rows(spec, rational_ring(spec.p, 1))
+    return count_fixed_lines(rows, spec.n, spec.p)
 
 
 def borel(n: int, p: int) -> ParabolicSpec:

@@ -27,14 +27,13 @@ from .errors import InputError
 from .matrices import SLMat, elementary
 from .parabolics import ParabolicSpec, fixed_lines, parabolic_order, root_subset
 from .quotients import (
-    PARABOLIC,
-    CentralElementSpec,
+    CentralPrincipal,
     FiniteQuotientGroup,
+    Parabolic,
+    Principal,
     SubgroupSpec,
+    central_element,
     central_presence,
-    central_principal,
-    parabolic_pullback,
-    principal,
     subgroup_spec,
 )
 from .rings import PrimePlace, conj_place, is_prime, rational_place, split_places, splitting_type
@@ -139,12 +138,12 @@ def s16_pair(p: int = 7) -> WitnessBundle:
 
 def _central_pair(method, params, n, p, q, m, e) -> WitnessBundle:
     vp, vq = rational_place(p), rational_place(q)
-    spec1 = subgroup_spec(n, {vp: central_principal(m, 1), vq: principal(1)})
-    spec2 = subgroup_spec(n, {vp: principal(1), vq: central_principal(m, 1)})
+    spec1 = subgroup_spec(n, {vp: CentralPrincipal(m, 1), vq: Principal(1)})
+    spec2 = subgroup_spec(n, {vp: Principal(1), vq: CentralPrincipal(m, 1)})
     level = {vp: e, vq: e}
     q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
     iso = CentralTransport(q1, q2, vp, vq, m)
-    sep = CentralElementSpec(vp, m).element_of(q1)
+    sep = central_element(q1, vp, m)
     return _bundle(method, params, (vp, vq), spec1, spec2, iso, sep)
 
 
@@ -167,12 +166,8 @@ def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
     if theta == theta_image:
         raise InputError("the root subset must move under the diagram symmetry")
     vp, vq, v3 = rational_place(p), rational_place(q), rational_place(3)
-    spec1 = subgroup_spec(
-        n, {vp: parabolic_pullback(theta), vq: parabolic_pullback(theta), v3: principal(1)}
-    )
-    spec2 = subgroup_spec(
-        n, {vp: parabolic_pullback(theta), vq: parabolic_pullback(theta_image), v3: principal(1)}
-    )
+    spec1 = subgroup_spec(n, {vp: Parabolic(theta), vq: Parabolic(theta), v3: Principal(1)})
+    spec2 = subgroup_spec(n, {vp: Parabolic(theta), vq: Parabolic(theta_image), v3: Principal(1)})
     level = {vp: 1, vq: 1, v3: 1}
     q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
     iso = GraphAutomorphism(q1, q2, vq)
@@ -208,8 +203,8 @@ def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
     n = 2
     p1, p2 = split_places(p, d)
     q1_place, q2_place = split_places(q, d)
-    spec1 = subgroup_spec(n, {p1: principal(1), q1_place: principal(1)}, d=d)
-    spec2 = subgroup_spec(n, {p2: principal(1), q1_place: principal(1)}, d=d)
+    spec1 = subgroup_spec(n, {p1: Principal(1), q1_place: Principal(1)}, d=d)
+    spec2 = subgroup_spec(n, {p2: Principal(1), q1_place: Principal(1)}, d=d)
     level = {p1: 1, p2: 1, q1_place: 1, q2_place: 1}
     quo1, quo2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
     iso = PlaceSwap(quo1, quo2, p1, p2)
@@ -311,13 +306,13 @@ def _central_obstruction(bundle) -> ObstructionReport:
 def _parabolic_obstruction(bundle) -> ObstructionReport:
     vq = bundle.iso.place
     conds = (bundle.spec1.condition_at(vq), bundle.spec2.condition_at(vq))
-    if any(cond.kind != PARABOLIC for cond in conds):
+    if any(not isinstance(cond, Parabolic) for cond in conds):
         raise InputError(f"the graph automorphism at {vq.label} needs parabolic conditions there")
     theta, theta_image = (cond.theta for cond in conds)
     symmetric = theta.symmetric_image() == theta
     image_matches = theta.symmetric_image() == theta_image
     parabolic_places = [
-        place for place, cond in bundle.spec1.conditions if cond.kind == PARABOLIC
+        place for place, cond in bundle.spec1.conditions if isinstance(cond, Parabolic)
     ]
     lines = {}
     orders = {}

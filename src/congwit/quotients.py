@@ -1,12 +1,13 @@
 """Congruence subgroups by local conditions and their finite-level quotients.
 
-A SubgroupSpec records, for finitely many places, one local condition each:
+A SubgroupSpec records, for finitely many places, one local condition each,
+one LocalCondition subclass per kind:
 
-  full                   no constraint at the place
-  principal(e)           g = 1 mod p^e
-  central_principal(m,e) g = zeta * 1 mod p^e for zeta in the canonical
-                         central subgroup of order m
-  parabolic(theta)       g mod p lies in the standard parabolic P_theta
+  Full()                  no constraint at the place
+  Principal(e)            g = 1 mod p^e
+  CentralPrincipal(m, e)  g = zeta * 1 mod p^e for zeta in the canonical
+                          central subgroup of order m
+  Parabolic(theta)        g mod p lies in the standard parabolic P_theta
 
 The finite-level quotient at a chosen level (one exponent per place) is the
 group of tuples, one SL_n(Z/p^e) component per place, satisfying every
@@ -20,10 +21,11 @@ independent oracle for the order formulas.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .errors import InputError
+from .errors import InputError, json_int, json_int_list
 from .matrices import (
     SLMat,
     _det_int,
@@ -43,20 +45,16 @@ from .parabolics import (
     parabolic_generators,
     parabolic_membership,
     parabolic_order,
+    root_subset,
 )
 from .rings import (
     KIND_INERT,
     KIND_RAMIFIED,
     PrimePlace,
-    factorize,
+    ResidueRing,
     single_place_ring,
     unit_of_order,
 )
-
-FULL = "full"
-PRINCIPAL = "principal"
-CENTRAL_PRINCIPAL = "central_principal"
-PARABOLIC = "parabolic"
 
 # Cap on random-word length in the samplers.  Full components use up to 32
 # elementary factors; parabolic words are kept shorter because their
@@ -66,45 +64,198 @@ FULL_WORD_MAX = 32
 PARABOLIC_WORD_MAX = 12
 
 
-@dataclass(frozen=True)
-class LocalCondition:
-    """One local membership condition; see the module docstring."""
+class Component:
+    """A quotient's component at one place: its level exponent and ring, and
+    whatever its condition's setup adds for that condition's own methods."""
 
-    kind: str
-    order: int = 1
-    depth: int = 1
-    theta: RootSubset | None = None
+    def __init__(self, n: int, place: PrimePlace, e: int, ring: ResidueRing):
+        self.n, self.place, self.e, self.ring = n, place, e, ring
+        # the identity's entries, row-major, for the principal predicates
+        self.flat_identity = [int(i == j) for i in range(n) for j in range(n)]
+
+    @functools.cached_property
+    def identity(self) -> SLMat:
+        return identity(self.n, self.ring)
+
+
+class LocalCondition:
+    """One local membership condition; one frozen dataclass per kind.
+
+    A subclass names its `kind` and the least level exponent `depth` it
+    needs at its place.  A quotient calls setup(component, d) once per
+    component, then passes that component to member, local_order, sample and
+    generators.  The JSON form is the kind plus the fields, read back by
+    CONDITION_OF_KIND[kind].from_json(doc, n).
+    """
+
+    def setup(self, c: Component, d: int | None) -> None:
+        pass
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, **asdict(self)}
+
+    @classmethod
+    def from_json(cls, doc: dict, n: int) -> LocalCondition:
+        return cls(*(json_int(doc, f.name) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
+class Full(LocalCondition):
+    """No constraint: the component ranges over SL_n(Z/p^e)."""
+
+    kind = "full"
+    depth = 1
+
+    def member(self, c, g) -> bool:
+        return True
+
+    def local_order(self, c) -> int:
+        return sl_order(c.n, c.place.p, c.e)
+
+    def sample(self, c, rng) -> SLMat:
+        return _random_elementary_word(rng, c.n, c.ring, FULL_WORD_MAX)
+
+    def generators(self, c) -> list[SLMat]:
+        n = c.n
+        return [elementary(n, i, j, 1, c.ring) for i in range(n) for j in range(n) if i != j]
+
+
+@dataclass(frozen=True)
+class Principal(LocalCondition):
+    """g = 1 mod p^depth."""
+
+    kind = "principal"
+    depth: int
 
     def __post_init__(self):
-        if self.kind not in (FULL, PRINCIPAL, CENTRAL_PRINCIPAL, PARABOLIC):
-            raise InputError(f"unknown condition kind {self.kind!r}")
+        if self.depth < 1:
+            raise InputError("depth and order must be >= 1")
+
+    def setup(self, c, d):
+        c.mod = c.place.p**self.depth
+
+    def member(self, c, g) -> bool:
+        mod = c.mod
+        return [x % mod for row in g.entries for x in row] == c.flat_identity
+
+    def local_order(self, c) -> int:
+        return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth))
+
+    def sample(self, c, rng) -> SLMat:
+        if self.depth == c.e:
+            return c.identity
+        return from_rows(_principal_rows(rng, c, self.depth), c.ring)
+
+    def generators(self, c) -> list[SLMat]:
+        return _principal_generators(c.n, c.ring, c.place.p, self.depth, c.e)
+
+
+@dataclass(frozen=True)
+class CentralPrincipal(LocalCondition):
+    """g = z * 1 mod p^depth with z^order = 1: the principal kernel times the
+    canonical central subgroup of that order, which must exist at the place."""
+
+    kind = "central_principal"
+    order: int
+    depth: int
+
+    def __post_init__(self):
         if self.depth < 1 or self.order < 1:
             raise InputError("depth and order must be >= 1")
-        if self.kind == PARABOLIC and self.theta is None:
-            raise InputError("parabolic conditions need a root subset")
-        if self.kind != PARABOLIC and self.theta is not None:
-            raise InputError("only parabolic conditions carry a root subset")
-        if self.kind != CENTRAL_PRINCIPAL and self.order != 1:
-            raise InputError("only central conditions carry a scalar order")
+
+    @classmethod
+    def from_json(cls, doc, n) -> LocalCondition:
+        # order 1 is the plain principal condition
+        cond = super().from_json(doc, n)
+        return Principal(cond.depth) if cond.order == 1 else cond
+
+    def setup(self, c, d):
+        m, p = self.order, c.place.p
+        if c.n % m != 0 or (p - 1) % m != 0:
+            raise InputError(
+                f"central order {m} does not divide gcd(n, p-1) at {c.place.label}; "
+                "central elements of that order do not exist there"
+            )
+        c.unit = unit_of_order(m, p, c.e)
+        c.mod = p**self.depth
+
+    def member(self, c, g) -> bool:
+        # a scalar mod p^depth with an m-torsion unit
+        mod = c.mod
+        flat = [x % mod for row in g.entries for x in row]
+        z = flat[0]
+        if pow(z, self.order, mod) != 1:
+            return False
+        return flat == [z * v for v in c.flat_identity]
+
+    def local_order(self, c) -> int:
+        return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth)) * self.order
+
+    def sample(self, c, rng) -> SLMat:
+        # z^n = 1, so scaling keeps the determinant at 1
+        k = _below(rng.getrandbits, self.order)
+        rows = _principal_rows(rng, c, self.depth)
+        scalar = pow(c.unit, k, c.ring.modulus)
+        return from_rows([[v * scalar for v in row] for row in rows], c.ring)
+
+    def generators(self, c) -> list[SLMat]:
+        n, z = c.n, c.unit
+        scalar = from_rows([[z if i == j else 0 for j in range(n)] for i in range(n)], c.ring)
+        return _principal_generators(n, c.ring, c.place.p, self.depth, c.e) + [scalar]
 
 
-def full_condition() -> LocalCondition:
-    return LocalCondition(FULL)
+@dataclass(frozen=True)
+class Parabolic(LocalCondition):
+    """g mod p lies in the standard parabolic P_theta."""
+
+    kind = "parabolic"
+    depth = 1
+    theta: RootSubset
+
+    def to_json(self) -> dict:
+        return {"kind": self.kind, "theta": sorted(self.theta.members)}
+
+    @classmethod
+    def from_json(cls, doc, n) -> Parabolic:
+        return cls(root_subset(n, json_int_list(doc.get("theta"), "theta")))
+
+    def setup(self, c, d):
+        c.parabolic = ParabolicSpec(c.n, c.place.p, self.theta)
+        c.level1 = single_place_ring(c.place, 1, d)
+        c.ops = None
+
+    def member(self, c, g) -> bool:
+        return parabolic_membership(reduce_mat(g, c.level1), c.parabolic)
+
+    def local_order(self, c) -> int:
+        return parabolic_order(c.parabolic) * c.place.p ** ((c.n * c.n - 1) * (c.e - 1))
+
+    def sampler_gens(self, c) -> list[SLMat]:
+        """P_theta's generators in the component's ring, then their inverses."""
+        gens = parabolic_generators(c.parabolic, c.ring)
+        return gens + [mat_inv(g) for g in gens]
+
+    def sampler_ops(self, c) -> list[tuple]:
+        """sampler_gens as column operations (see _column_ops), built at the
+        first sample, so that quotients never sampled never build them."""
+        if c.ops is None:
+            c.ops = [_column_ops(g) for g in self.sampler_gens(c)]
+        return c.ops
+
+    def sample(self, c, rng) -> SLMat:
+        out = _random_word(rng, self.sampler_ops(c), c.n, c.ring)
+        if c.e > 1:
+            out = mat_mul(out, from_rows(_principal_rows(rng, c, 1), c.ring))
+        return out
+
+    def generators(self, c) -> list[SLMat]:
+        gens = parabolic_generators(c.parabolic, c.ring)
+        if c.e > 1:
+            gens = gens + _principal_generators(c.n, c.ring, c.place.p, 1, c.e)
+        return gens
 
 
-def principal(depth: int) -> LocalCondition:
-    return LocalCondition(PRINCIPAL, depth=depth)
-
-
-def central_principal(order: int, depth: int) -> LocalCondition:
-    # order 1 is the plain principal condition
-    if order == 1:
-        return principal(depth)
-    return LocalCondition(CENTRAL_PRINCIPAL, order=order, depth=depth)
-
-
-def parabolic_pullback(theta: RootSubset) -> LocalCondition:
-    return LocalCondition(PARABOLIC, theta=theta)
+CONDITION_OF_KIND = {cls.kind: cls for cls in (Full, Principal, CentralPrincipal, Parabolic)}
 
 
 @dataclass(frozen=True)
@@ -134,7 +285,7 @@ class SubgroupSpec:
         for p, c in self.conditions:
             if p == place:
                 return c
-        return full_condition()
+        return Full()
 
 
 def subgroup_spec(n: int, conditions: dict, d: int | None = None) -> SubgroupSpec:
@@ -143,76 +294,41 @@ def subgroup_spec(n: int, conditions: dict, d: int | None = None) -> SubgroupSpe
     return SubgroupSpec(n, d, tuple(items))
 
 
-@dataclass(frozen=True)
-class CentralElementSpec:
-    """The canonical order-m central scalar at one place, identity elsewhere.
-
-    Materializing it requires m to divide gcd(n, p - 1); asymmetric
-    membership of this element between two quotients is the centre
-    obstruction.
-    """
-
-    place: PrimePlace
-    order: int
-
-    def element_of(self, q: "FiniteQuotientGroup"):
-        idx = q.place_index(self.place)
-        out = list(q.identity())
-        out[idx] = central_scalar(q.n, q.rings[idx], self.order)
-        return tuple(out)
-
-
 class FiniteQuotientGroup:
     """The finite-level image of a SubgroupSpec.
 
     Elements are tuples of SLMat, one per place of the level in canonical
     place order.  Construction validates that the level covers every
-    condition at at least its depth; membership, order, sampling and
-    generators all follow from the local conditions.
+    condition at at least its depth, then sets up one Component per place;
+    membership, order, sampling and generators are each condition's, read
+    at its component.
     """
 
     def __init__(self, spec: SubgroupSpec, level):
         items = sorted(dict(level).items(), key=lambda pe: pe[0].sort_key)
         if not items:
             raise InputError("a quotient needs at least one place in its level")
-        level_places = {p for p, _ in items}
+        exponents = dict(items)
         for place, cond in spec.conditions:
-            if place not in level_places:
+            if place not in exponents:
                 raise InputError(f"level does not cover the condition at {place.label}")
-            depth = cond.depth if cond.kind != PARABOLIC else 1
-            if dict(items)[place] < depth:
+            if exponents[place] < cond.depth:
                 raise InputError(
-                    f"level exponent at {place.label} is below the condition depth {depth}"
+                    f"level exponent at {place.label} is below the condition depth {cond.depth}"
                 )
         self.spec = spec
         self.level = tuple(items)
         self.places = tuple(p for p, _ in items)
         self.rings = tuple(single_place_ring(p, e, spec.d) for p, e in items)
         self.conditions = tuple(spec.condition_at(p) for p in self.places)
-        self._parabolic = {}
-        # canonical order-m unit of each central-principal component
-        self._central_unit = {}
-        for idx, ((place, e), cond) in enumerate(zip(self.level, self.conditions)):
-            if cond.kind == CENTRAL_PRINCIPAL:
-                m = cond.order
-                if spec.n % m != 0 or (place.p - 1) % m != 0:
-                    raise InputError(
-                        f"central order {m} does not divide gcd(n, p-1) at {place.label}; "
-                        "central elements of that order do not exist there"
-                    )
-                self._central_unit[idx] = unit_of_order(m, place.p, e)
-            if cond.kind == PARABOLIC:
-                self._parabolic[idx] = (
-                    ParabolicSpec(spec.n, place.p, cond.theta),
-                    single_place_ring(place, 1, spec.d),
-                )
-        self._par_gens: dict[str, list[SLMat]] = {}
-        self._par_ops: dict[str, list[tuple]] = {}
+        self.components = tuple(
+            Component(spec.n, place, e, ring) for (place, e), ring in zip(items, self.rings)
+        )
+        for cond, c in zip(self.conditions, self.components):
+            cond.setup(c, spec.d)
         self._gens: list[tuple[SLMat, ...]] | None = None
         self._order: int | None = None
         self._identity: tuple[SLMat, ...] | None = None
-        # the identity's entries, row-major, for the principal predicates
-        self._flat_identity = [int(i == j) for i in range(spec.n) for j in range(spec.n)]
 
     # -- basics ---------------------------------------------------------
 
@@ -228,7 +344,7 @@ class FiniteQuotientGroup:
 
     def identity(self) -> tuple[SLMat, ...]:
         if self._identity is None:
-            self._identity = tuple(identity(self.n, r) for r in self.rings)
+            self._identity = tuple(c.identity for c in self.components)
         return self._identity
 
     # -- membership ------------------------------------------------------
@@ -241,33 +357,15 @@ class FiniteQuotientGroup:
         """
         if len(g) != len(self.places):
             return False
-        for idx, (comp, ring, cond, place) in enumerate(
-            zip(g, self.rings, self.conditions, self.places)
-        ):
-            if not isinstance(comp, SLMat) or comp.n != self.n:
+        n = self.spec.n
+        for comp, cond, c in zip(g, self.conditions, self.components):
+            if not isinstance(comp, SLMat) or comp.n != n:
                 return False
-            if comp.ring is not ring and comp.ring != ring:  # rings are interned
+            if comp.ring is not c.ring and comp.ring != c.ring:  # rings are interned
                 return False
-            if not self._local_member(idx, comp, cond, place):
+            if not cond.member(c, comp):
                 return False
         return True
-
-    def _local_member(self, idx, comp, cond, place) -> bool:
-        if cond.kind == FULL:
-            return True
-        p = place.p
-        if cond.kind == PARABOLIC:
-            pspec, level1 = self._parabolic[idx]
-            return parabolic_membership(reduce_mat(comp, level1), pspec)
-        mod = p**cond.depth
-        flat = [x % mod for row in comp.entries for x in row]
-        if cond.kind == PRINCIPAL:
-            return flat == self._flat_identity
-        # central_principal: scalar mod p^depth with an m-torsion unit
-        z = flat[0]
-        if pow(z, cond.order, mod) != 1:
-            return False
-        return flat == [z * v for v in self._flat_identity]
 
     # -- order -----------------------------------------------------------
 
@@ -276,21 +374,10 @@ class FiniteQuotientGroup:
         """Exact order from the local counting formulas."""
         if self._order is None:
             total = 1
-            for (place, e), cond in zip(self.level, self.conditions):
-                total *= self._local_order(place, e, cond)
+            for cond, c in zip(self.conditions, self.components):
+                total *= cond.local_order(c)
             self._order = total
         return self._order
-
-    def _local_order(self, place, e, cond) -> int:
-        n, p = self.n, place.p
-        if cond.kind == FULL:
-            return sl_order(n, p, e)
-        if cond.kind == PARABOLIC:
-            return parabolic_order(ParabolicSpec(n, p, cond.theta)) * p ** (
-                (n * n - 1) * (e - 1)
-            )
-        kernel = p ** ((n * n - 1) * (e - cond.depth))
-        return kernel * cond.order
 
     # -- sampling ---------------------------------------------------------
 
@@ -304,47 +391,7 @@ class FiniteQuotientGroup:
         algorithm behind random.randrange.
         """
         rng = random.Random(seed)
-        return tuple(
-            self._local_sample(rng, idx, ring, cond, place, e)
-            for idx, (ring, cond, (place, e)) in enumerate(
-                zip(self.rings, self.conditions, self.level)
-            )
-        )
-
-    def _local_sample(self, rng, idx, ring, cond, place, e):
-        n = self.n
-        if cond.kind == FULL:
-            return _random_elementary_word(rng, n, ring, FULL_WORD_MAX)
-        if cond.kind == PARABOLIC:
-            out = _random_word(rng, self._parabolic_sampler_ops(place, ring, cond), n, ring)
-            if e > 1:
-                out = mat_mul(out, from_rows(_principal_rows(rng, n, ring, 1), ring))
-            return out
-        if cond.kind == PRINCIPAL:
-            if cond.depth == e:
-                return self.identity()[idx]
-            return from_rows(_principal_rows(rng, n, ring, cond.depth), ring)
-        # central_principal: z^n = 1, so scaling keeps the determinant at 1
-        z = self._central_unit[idx]
-        k = _below(rng.getrandbits, cond.order)
-        rows = _principal_rows(rng, n, ring, cond.depth)
-        scalar = pow(z, k, ring.modulus)
-        return from_rows([[v * scalar for v in row] for row in rows], ring)
-
-    def _parabolic_sampler_gens(self, place, ring, cond):
-        key = place.label
-        if key not in self._par_gens:
-            gens = parabolic_generators(ParabolicSpec(self.n, place.p, cond.theta), ring)
-            self._par_gens[key] = gens + [mat_inv(g) for g in gens]
-        return self._par_gens[key]
-
-    def _parabolic_sampler_ops(self, place, ring, cond):
-        """The sampler generators as column operations (see _column_ops)."""
-        key = place.label
-        if key not in self._par_ops:
-            gens = self._parabolic_sampler_gens(place, ring, cond)
-            self._par_ops[key] = [_column_ops(g) for g in gens]
-        return self._par_ops[key]
+        return tuple(cond.sample(c, rng) for cond, c in zip(self.conditions, self.components))
 
     # -- generators --------------------------------------------------------
 
@@ -354,34 +401,13 @@ class FiniteQuotientGroup:
         if self._gens is None:
             gens = []
             ident = self.identity()
-            for idx, (ring, cond, (place, e)) in enumerate(
-                zip(self.rings, self.conditions, self.level)
-            ):
-                for local in self._local_generators(idx, ring, cond, place, e):
+            for idx, (cond, c) in enumerate(zip(self.conditions, self.components)):
+                for local in cond.generators(c):
                     g = list(ident)
                     g[idx] = local
                     gens.append(tuple(g))
             self._gens = gens
         return self._gens
-
-    def _local_generators(self, idx, ring, cond, place, e):
-        n = self.n
-        if cond.kind == FULL:
-            return [
-                elementary(n, i, j, 1, ring) for i in range(n) for j in range(n) if i != j
-            ]
-        if cond.kind == PARABOLIC:
-            gens = parabolic_generators(ParabolicSpec(n, place.p, cond.theta), ring)
-            if e > 1:
-                gens = gens + _principal_generators(n, ring, place.p, 1, e)
-            return gens
-        if cond.kind == PRINCIPAL:
-            return _principal_generators(n, ring, place.p, cond.depth, e)
-        z = self._central_unit[idx]
-        scalar = from_rows(
-            [[z if i == j else 0 for j in range(n)] for i in range(n)], ring
-        )
-        return _principal_generators(n, ring, place.p, cond.depth, e) + [scalar]
 
 
 def _principal_generators(n, ring, p, depth, e):
@@ -496,16 +522,14 @@ def _random_word(rng, ops, n, ring):
     return from_rows(zip(*cols), ring)
 
 
-def _principal_rows(rng, n, ring, depth):
+def _principal_rows(rng, c: Component, depth):
     """Integer rows of 1 + p^depth * X with X random, determinant repaired
-    to 1 mod the ring's modulus; the identity rows when depth is the level.
+    to 1 mod the component's modulus; the identity rows when depth is e.
 
     det is affine in the (0, 0) entry with unit cofactor, so a single
     correction lands the determinant on 1 without leaving the kernel shape.
     """
-    mod = ring.modulus
-    p = ring.factors[0].place.p
-    e = ring.factors[0].exponent
+    n, mod, p, e = c.n, c.ring.modulus, c.place.p, c.e
     if e == depth:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     step = p**depth
@@ -522,19 +546,28 @@ def _principal_rows(rng, n, ring, depth):
     return rows
 
 
+def central_element(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> tuple[SLMat, ...]:
+    """The canonical order-m central scalar at one place, identity elsewhere.
+
+    Materializing it requires m to divide gcd(n, p - 1); asymmetric
+    membership of this element between two quotients is the centre
+    obstruction.
+    """
+    idx = q.place_index(place)
+    out = list(q.identity())
+    out[idx] = central_scalar(q.n, q.rings[idx], m)
+    return tuple(out)
+
+
 def central_presence(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> bool:
     """Whether the order-m central element at one place (identity elsewhere)
     belongs to the quotient; the asymmetry of this predicate between a pair
     of quotients is the computable centre obstruction."""
-    return q.member(CentralElementSpec(place, m).element_of(q))
+    return q.member(central_element(q, place, m))
 
 
 def tuple_mul(x, y):
     return tuple(mat_mul(a, b) for a, b in zip(x, y))
-
-
-def tuple_inv(x):
-    return tuple(mat_inv(a) for a in x)
 
 
 def closure(generators, ident, limit: int):
@@ -562,24 +595,3 @@ def closure(generators, ident, limit: int):
 def enumerate_quotient(q: FiniteQuotientGroup, limit: int = 10**5):
     """All elements of a small quotient by closure over its generators."""
     return closure(q.generators(), q.identity(), limit)
-
-
-def sl2_word_image_order(m: int, limit: int = 10**5) -> int:
-    """Order of the subgroup of SL_2(Z/m) generated by the images of the two
-    standard integral generators [[0,-1],[1,0]] and [[1,1],[0,1]].
-
-    Equality with |SL_2(Z/m)| witnesses that reduction from the integral
-    group onto the finite quotient is surjective, which is the evidence for
-    defining quotients by local conditions alone.
-    """
-    rings = [
-        single_place_ring(PrimePlace(p, "rational", None, f"p{p}"), e)
-        for p, e in sorted(factorize(m).items())
-    ]
-    s = [from_rows([[0, -1], [1, 0]], r) for r in rings]
-    t = [from_rows([[1, 1], [0, 1]], r) for r in rings]
-    ident = tuple(identity(2, r) for r in rings)
-    out = closure([tuple(s), tuple(t)], ident, limit)
-    if out is None:
-        raise InputError(f"SL_2(Z/{m}) closure exceeded {limit}")
-    return len(out)

@@ -1,11 +1,11 @@
 """Exact arithmetic in Z and in real quadratic rings Z[sqrt(d)].
 
-The building blocks here are deliberately small: elements a + b*sqrt(d),
-labeled finite places over rational primes (split / inert / ramified /
-rational), square-root lifting modulo prime powers, and residue rings that
-are products of Z/p^e factors.  Only split and rational places carry
-residue maps; inert and ramified places would need quadratic-extension
-residue fields that nothing downstream requires.
+The building blocks here are deliberately small: labeled finite places
+over rational primes (split / inert / ramified / rational), square-root
+lifting modulo prime powers, and residue rings that are products of Z/p^e
+factors.  Only split and rational places carry residue rings; inert and
+ramified places would need quadratic-extension residue fields that nothing
+downstream requires.
 
 All values are immutable and all functions are pure, so everything in this
 module is safe to share across threads.
@@ -78,58 +78,6 @@ def is_squarefree(n: int) -> bool:
 
 def euler_phi_prime_power(p: int, e: int) -> int:
     return (p - 1) * p ** (e - 1)
-
-
-# ---------------------------------------------------------------------------
-# quadratic integers
-
-
-@dataclass(frozen=True)
-class QuadInt:
-    """An element a + b*sqrt(d) of Z[sqrt(d)], d squarefree and >= 2.
-
-    The ring parameter d is carried on every element; mixing elements with
-    different d in one expression is rejected.
-    """
-
-    a: int
-    b: int
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2 or not is_squarefree(self.d):
-            raise InputError(f"ring parameter d={self.d} must be squarefree and >= 2")
-
-    def _check(self, other: "QuadInt"):
-        if self.d != other.d:
-            raise InputError(f"mixed rings: sqrt({self.d}) vs sqrt({other.d})")
-
-    def __add__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.a + other.a, self.b + other.b, self.d)
-
-    def __sub__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(self.a - other.a, self.b - other.b, self.d)
-
-    def __neg__(self) -> "QuadInt":
-        return QuadInt(-self.a, -self.b, self.d)
-
-    def __mul__(self, other: "QuadInt") -> "QuadInt":
-        self._check(other)
-        return QuadInt(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    def __str__(self) -> str:
-        return f"{self.a}{self.b:+d}*sqrt({self.d})"
-
-
-def galois_conj(x: QuadInt) -> QuadInt:
-    """The nontrivial ring automorphism: a + b*sqrt(d) -> a - b*sqrt(d)."""
-    return QuadInt(x.a, -x.b, x.d)
 
 
 # ---------------------------------------------------------------------------
@@ -427,27 +375,6 @@ def rational_ring(p: int, e: int) -> ResidueRing:
     return single_place_ring(rational_place(p), e, None)
 
 
-def residue_map(x, factor: RingFactor) -> int:
-    """Reduce an element of the base ring into the factor Z/p^e.
-
-    Split factors send a + b*sqrt(d) to a + b*lifted_root; rational factors
-    accept plain integers (or quadratic elements with b = 0).
-    """
-    mod = factor.modulus
-    kind = factor.place.kind
-    if kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
-        if isinstance(x, QuadInt):
-            return (x.a + x.b * factor.lifted_root) % mod
-        return x % mod
-    if kind == KIND_RATIONAL:
-        if isinstance(x, QuadInt):
-            if x.b != 0:
-                raise InputError("rational places reduce integers only")
-            return x.a % mod
-        return x % mod
-    raise InputError(f"residue arithmetic at {kind} places is unsupported")
-
-
 def crt_split(x: int, ring: ResidueRing) -> tuple[int, ...]:
     """Components of x in the product decomposition of the ring."""
     ring.modulus  # insists on pairwise coprime factors
@@ -469,21 +396,6 @@ def crt_join(components, ring: ResidueRing) -> int:
 
 # ---------------------------------------------------------------------------
 # roots of unity
-
-
-def roots_of_unity_order(n: int, p: int, e: int) -> int:
-    """Order of the n-torsion of (Z/p^e)^x, i.e. gcd(n, p - 1).
-
-    Independent of e because the unit group is cyclic of order
-    p^(e-1) * (p - 1) and p does not divide n.
-    """
-    if p == 2 or not is_prime(p):
-        raise InputError("p must be an odd prime")
-    if n < 1 or n % p == 0:
-        raise InputError("n must be positive and prime to p")
-    if e < 1:
-        raise InputError("e must be >= 1")
-    return _gcd(n, p - 1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,24 +11,10 @@ from __future__ import annotations
 
 import json
 
-from .errors import InputError
-from .matrices import SLMat
+from .errors import InputError, json_int, json_int_list
+from .matrices import SLMat, from_rows
 from .presets import TWIST_OF_METHOD, ObstructionReport, WitnessBundle, _bundle
-from .quotients import (
-    CENTRAL_PRINCIPAL,
-    FULL,
-    PARABOLIC,
-    PRINCIPAL,
-    FiniteQuotientGroup,
-    LocalCondition,
-    SubgroupSpec,
-    central_principal,
-    full_condition,
-    parabolic_pullback,
-    principal,
-    subgroup_spec,
-)
-from .parabolics import root_subset
+from .quotients import CONDITION_OF_KIND, FiniteQuotientGroup, SubgroupSpec, subgroup_spec
 from .rings import PrimePlace
 from .twists import IsoReport, _place
 
@@ -62,19 +48,6 @@ def _object(value, what) -> dict:
     return value
 
 
-def _int_list(value, what) -> list:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
-        raise InputError(f"{what} must be a list of integers, not {value!r}")
-    return value
-
-
-def _int(doc, key) -> int:
-    value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
 def place_to_json(v: PrimePlace) -> dict:
     return {"label": v.label, "p": v.p, "kind": v.kind, "root": v.root}
 
@@ -84,35 +57,12 @@ def place_from_json(doc) -> PrimePlace:
     label, kind = doc.get("label"), doc.get("kind")
     if not isinstance(label, str) or not isinstance(kind, str):
         raise InputError(f"a place needs a string label and kind, not {doc!r}")
-    root = None if doc.get("root") is None else _int(doc, "root")
-    return PrimePlace(_int(doc, "p"), kind, root, label)
-
-
-def condition_to_json(c: LocalCondition) -> dict:
-    if c.kind == FULL:
-        return {"kind": FULL}
-    if c.kind == PRINCIPAL:
-        return {"kind": PRINCIPAL, "depth": c.depth}
-    if c.kind == CENTRAL_PRINCIPAL:
-        return {"kind": CENTRAL_PRINCIPAL, "order": c.order, "depth": c.depth}
-    return {"kind": PARABOLIC, "theta": sorted(c.theta.members)}
-
-
-def condition_from_json(doc, n: int) -> LocalCondition:
-    kind = _object(doc, "a condition").get("kind")
-    if kind == FULL:
-        return full_condition()
-    if kind == PRINCIPAL:
-        return principal(_int(doc, "depth"))
-    if kind == CENTRAL_PRINCIPAL:
-        return central_principal(_int(doc, "order"), _int(doc, "depth"))
-    if kind == PARABOLIC:
-        return parabolic_pullback(root_subset(n, _int_list(doc.get("theta"), "theta")))
-    raise InputError(f"unknown condition kind {kind!r}")
+    root = None if doc.get("root") is None else json_int(doc, "root")
+    return PrimePlace(json_int(doc, "p"), kind, root, label)
 
 
 def _conditions_to_json(spec: SubgroupSpec) -> dict:
-    return {place.label: condition_to_json(cond) for place, cond in spec.conditions}
+    return {place.label: cond.to_json() for place, cond in spec.conditions}
 
 
 def report_to_json(r: IsoReport) -> dict:
@@ -179,7 +129,7 @@ def bundle_from_json(doc) -> WitnessBundle:
     missing = [key for key in _BUNDLE_KEYS if key not in doc]
     if missing:
         raise InputError(f"bundle is missing {', '.join(missing)}")
-    n = _int(doc, "n")
+    n = json_int(doc, "n")
     method = doc["method"]
     twist = TWIST_OF_METHOD.get(method) if isinstance(method, str) else None
     if twist is None:
@@ -189,19 +139,23 @@ def bundle_from_json(doc) -> WitnessBundle:
     if kind != twist.kind:
         raise InputError(f"method {method} needs a {twist.kind} twist, not {kind!r}")
     base_ring = _object(doc["base_ring"], "base_ring")
-    d = None if base_ring.get("d") is None else _int(base_ring, "d")
+    d = None if base_ring.get("d") is None else json_int(base_ring, "d")
     if not isinstance(doc["places"], list):
         raise InputError(f"places must be a list, not {doc['places']!r}")
     place_list = tuple(place_from_json(p) for p in doc["places"])
     places = {place.label: place for place in place_list}
     level_doc = _object(doc["level"], "level")
-    level = {_place(places, label): _int(level_doc, label) for label in level_doc}
+    level = {_place(places, label): json_int(level_doc, label) for label in level_doc}
 
     def spec_of(key):
-        conds = {
-            _place(places, label): condition_from_json(c, n)
-            for label, c in _object(doc[key], key).items()
-        }
+        conds = {}
+        for label, c in _object(doc[key], key).items():
+            place = _place(places, label)
+            kind = _object(c, "a condition").get("kind")
+            cond_type = CONDITION_OF_KIND.get(kind) if isinstance(kind, str) else None
+            if cond_type is None:
+                raise InputError(f"unknown condition kind {kind!r}")
+            conds[place] = cond_type.from_json(c, n)
         return subgroup_spec(n, conds, d=d)
 
     spec1, spec2 = spec_of("conditions1"), spec_of("conditions2")
@@ -211,11 +165,10 @@ def bundle_from_json(doc) -> WitnessBundle:
     sep = []
     for place, ring in zip(q1.places, q1.rings):
         mdoc = _object(seps.get(place.label), f"separating element at {place.label}")
-        if _int(mdoc, "modulus") != ring.modulus:
+        if json_int(mdoc, "modulus") != ring.modulus:
             raise InputError(f"separating element modulus mismatch at {place.label}")
         rows = mdoc.get("rows")
         if not isinstance(rows, list):
             raise InputError(f"separating element rows at {place.label} must be a list")
-        mod = ring.modulus
-        sep.append(SLMat(ring, tuple(tuple(x % mod for x in _int_list(r, "a row")) for r in rows)))
+        sep.append(from_rows([json_int_list(r, "a row") for r in rows], ring))
     return _bundle(method, doc["params"], place_list, spec1, spec2, iso, sep)

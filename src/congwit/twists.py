@@ -25,12 +25,7 @@ from dataclasses import dataclass
 from .errors import InputError
 from .matrices import SLMat, scalar_mul
 from .parabolics import graph_automorphism, graph_automorphism_inverse
-from .quotients import (
-    CENTRAL_PRINCIPAL,
-    FiniteQuotientGroup,
-    enumerate_quotient,
-    tuple_mul,
-)
+from .quotients import CentralPrincipal, FiniteQuotientGroup, enumerate_quotient, tuple_mul
 from .rings import PrimePlace, unit_of_order
 
 # Quotients at most this large are verified exhaustively: every element,
@@ -86,7 +81,7 @@ class CentralTransport(QuotientIso):
         m = self.scalar_order
         for q, place in ((self.source, self.from_place), (self.target, self.to_place)):
             cond = q.spec.condition_at(place)
-            if cond.kind != CENTRAL_PRINCIPAL or cond.order != m:
+            if not isinstance(cond, CentralPrincipal) or cond.order != m:
                 raise InputError(
                     f"central transport of order {m} needs the matching central condition at {place.label}"
                 )

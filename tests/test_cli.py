@@ -1,11 +1,15 @@
+import copy
 import functools
 import hashlib
 import json
+import operator
 
 import pytest
 
 from congwit import cli, presets
 from congwit.cli import build_parser, main
+from congwit.presets import method_b_pair, s16_pair
+from congwit.serialize import bundle_to_json
 from congwit.twists import QuotientIso
 
 
@@ -181,7 +185,7 @@ def assert_rejected(capsys, tmp_path, doc, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_bundle_without_n_is_rejected(method_a_doc, tmp_path, capsys):
@@ -236,6 +240,66 @@ def test_malformed_nested_bundle_field_is_rejected(case, method_a_doc, tmp_path,
     doc = json.loads(json.dumps(method_a_doc))
     mutate(doc["bundle"])
     assert_rejected(capsys, tmp_path, doc, message)
+
+
+def test_boolean_list_entries_are_rejected(tmp_path, capsys):
+    # JSON true and false are not integers, not even inside a list
+    doc = bundle_to_json(method_b_pair())
+    doc["conditions2"]["p7"]["theta"] = [True, 2]
+    assert_rejected(capsys, tmp_path, doc, "theta must be a list of integers")
+    doc = bundle_to_json(s16_pair())
+    doc["separating_element"]["p3"]["rows"][0][1] = False
+    assert_rejected(capsys, tmp_path, doc, "a row must be a list of integers")
+
+
+# Every node under conditions1 and conditions2 of a preset bundle is replaced
+# by each of these values, or deleted, one case at a time.
+FUZZ_VALUES = (None, True, -1, 0, 1.5, "x", [], {}, [True], [99])
+DELETE = object()
+# preset -> (cases, cases that are not rejected)
+FUZZ_COUNTS = {"method-a": (176, 2), "method-b": (308, 16), "method-c": (154, 6), "s16": (176, 2)}
+
+
+def _nodes(value, path):
+    """The path of value and of every node below it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(child, path + (key,))
+
+
+def _still_well_formed(path, value):
+    """The mutations that leave a valid document: a deleted place condition
+    (read as full), an empty conditions object, an empty or shortened theta."""
+    if value is DELETE:
+        return len(path) == 2 or path[2:3] == ("theta",)
+    return (len(path) == 1 and value == {}) or (path[2:] == ("theta",) and value == [])
+
+
+@pytest.mark.parametrize("preset", sorted(FUZZ_COUNTS))
+def test_condition_field_fuzz_exits_cleanly(preset, tmp_path, capsys):
+    base = bundle_to_json(cli._builder(preset)())
+    path = tmp_path / "mutated.json"
+    cases = accepted = 0
+    for key in ("conditions1", "conditions2"):
+        for where in _nodes(base[key], (key,)):
+            for value in FUZZ_VALUES + (DELETE,):
+                doc = copy.deepcopy(base)
+                holder = functools.reduce(operator.getitem, where[:-1], doc)
+                if value is DELETE:
+                    del holder[where[-1]]
+                else:
+                    holder[where[-1]] = value
+                path.write_text(json.dumps(doc))
+                code, out, err = run_cli(capsys, "obstruct", str(path))
+                case = (where, value)
+                cases += 1
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, case
+                else:
+                    assert code in (0, 1) and err == "" and _still_well_formed(where, value), case
+                    accepted += 1
+    assert (cases, accepted) == FUZZ_COUNTS[preset]
 
 
 @pytest.mark.parametrize(

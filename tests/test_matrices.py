@@ -17,7 +17,6 @@ from congwit.matrices import (
     identity,
     mat_inv,
     mat_mul,
-    minus_identity,
     reduce_mat,
     scalar_mul,
     sl_order,
@@ -26,6 +25,7 @@ from congwit.matrices import (
 from congwit.rings import ResidueRing, RingFactor, crt_split, rational_place, rational_ring
 
 from conftest import KERNEL_RINGS, random_sl
+from oracles import minus_identity
 from projective import ProjPoint, act, lines_of_projective_space
 
 R5 = rational_ring(5, 1)

@@ -9,7 +9,6 @@ from congwit.matrices import (
     identity,
     mat_inv,
     mat_mul,
-    minus_identity,
     sl_order,
     transpose,
 )
@@ -21,17 +20,16 @@ from congwit.parabolics import (
     graph_automorphism,
     graph_automorphism_inverse,
     longest_weyl,
-    parabolic_full,
     parabolic_generators,
     parabolic_membership,
     parabolic_order,
     root_subset,
-    weyl_conjugator,
 )
 from congwit.quotients import closure
 from congwit.rings import rational_ring
 
 from conftest import KERNEL_RINGS, random_sl
+from oracles import minus_identity, parabolic_full, weyl_conjugator
 from projective import act, lines_of_projective_space, normalize_line
 
 R5 = rational_ring(5, 1)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from congwit.matrices import (
     identity,
     mat_inv,
     mat_mul,
-    minus_identity,
     reduce_mat,
     scalar_mul,
     sl_order,
@@ -21,26 +21,22 @@ from congwit.matrices import (
 from congwit.parabolics import ParabolicSpec, longest_weyl, parabolic_order, root_subset
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
-    FULL,
     FULL_WORD_MAX,
-    PARABOLIC,
     PARABOLIC_WORD_MAX,
-    PRINCIPAL,
-    CentralElementSpec,
+    CONDITION_OF_KIND,
+    CentralPrincipal,
     FiniteQuotientGroup,
+    Full,
+    Parabolic,
+    Principal,
     _below,
     _column_ops,
     _random_word,
+    central_element,
     central_presence,
-    central_principal,
     closure,
     enumerate_quotient,
-    full_condition,
-    parabolic_pullback,
-    principal,
-    sl2_word_image_order,
     subgroup_spec,
-    tuple_inv,
     tuple_mul,
 )
 from congwit.rings import (
@@ -52,14 +48,16 @@ from congwit.rings import (
 )
 from congwit.serialize import bundle_from_json, bundle_to_json
 
+from oracles import minus_identity, sl2_word_image_order, tuple_inv
+
 V5 = rational_place(5)
 V7 = rational_place(7)
 V3 = rational_place(3)
 
 
 def method_a_specs(n=4, m=2):
-    spec1 = subgroup_spec(n, {V5: central_principal(m, 1), V7: principal(1)})
-    spec2 = subgroup_spec(n, {V5: principal(1), V7: central_principal(m, 1)})
+    spec1 = subgroup_spec(n, {V5: CentralPrincipal(m, 1), V7: Principal(1)})
+    spec2 = subgroup_spec(n, {V5: Principal(1), V7: CentralPrincipal(m, 1)})
     return spec1, spec2
 
 
@@ -85,7 +83,7 @@ def test_method_a_level_two_order():
 def test_method_b_order_is_parabolic_product():
     theta = root_subset(4, {2, 3})
     spec = subgroup_spec(
-        4, {V5: parabolic_pullback(theta), V7: parabolic_pullback(theta), V3: principal(1)}
+        4, {V5: Parabolic(theta), V7: Parabolic(theta), V3: Principal(1)}
     )
     q = FiniteQuotientGroup(spec, {V5: 1, V7: 1, V3: 1})
     expected = parabolic_order(ParabolicSpec(4, 5, theta)) * parabolic_order(
@@ -98,13 +96,13 @@ def test_level_validation():
     spec1, _ = method_a_specs()
     with pytest.raises(InputError):
         FiniteQuotientGroup(spec1, {V5: 1})  # missing the place at 7
-    spec_deep = subgroup_spec(4, {V5: principal(2)})
+    spec_deep = subgroup_spec(4, {V5: Principal(2)})
     with pytest.raises(InputError):
         FiniteQuotientGroup(spec_deep, {V5: 1})  # level below condition depth
 
 
 def test_central_divisibility_validation():
-    spec = subgroup_spec(4, {V7: central_principal(4, 1)})
+    spec = subgroup_spec(4, {V7: CentralPrincipal(4, 1)})
     with pytest.raises(InputError):
         FiniteQuotientGroup(spec, {V7: 1})  # 4 does not divide gcd(4, 6)
 
@@ -122,7 +120,7 @@ def test_member_examples():
 def test_member_method_b_example():
     theta = root_subset(4, {2, 3})
     spec = subgroup_spec(
-        4, {V5: parabolic_pullback(theta), V7: parabolic_pullback(theta), V3: principal(1)}
+        4, {V5: Parabolic(theta), V7: Parabolic(theta), V3: Principal(1)}
     )
     q = FiniteQuotientGroup(spec, {V5: 1, V7: 1, V3: 1})
     g = list(q.identity())
@@ -142,11 +140,14 @@ def test_member_rejects_mismatched_shapes_gracefully():
     "conditions,level,expected",
     [
         ({}, {V5: 1}, 120),
-        ({V5: principal(1)}, {V5: 2}, 125),
-        ({V5: central_principal(2, 1)}, {V5: 2}, 250),
-        ({V5: principal(1)}, {V5: 3}, 15_625),
-        ({V3: principal(1)}, {V3: 2}, 27),
-        ({V3: central_principal(2, 1)}, {V3: 2}, 54),
+        ({V5: Principal(1)}, {V5: 2}, 125),
+        ({V5: CentralPrincipal(2, 1)}, {V5: 2}, 250),
+        ({V5: Principal(1)}, {V5: 3}, 15_625),
+        ({V3: Principal(1)}, {V3: 2}, 27),
+        ({V3: CentralPrincipal(2, 1)}, {V3: 2}, 54),
+        ({V3: Parabolic(root_subset(2, ()))}, {V3: 1}, 6),
+        ({V3: Parabolic(root_subset(2, ()))}, {V3: 2}, 162),
+        ({V3: Parabolic(root_subset(2, ())), V5: CentralPrincipal(2, 1)}, {V3: 1, V5: 2}, 1_500),
     ],
 )
 def test_sl2_quotient_orders_against_closure(conditions, level, expected):
@@ -156,13 +157,13 @@ def test_sl2_quotient_orders_against_closure(conditions, level, expected):
 
 
 def test_sl3_kernel_closure():
-    q = FiniteQuotientGroup(subgroup_spec(3, {V3: principal(1)}), {V3: 2})
+    q = FiniteQuotientGroup(subgroup_spec(3, {V3: Principal(1)}), {V3: 2})
     assert q.order == 3**8
     assert len(enumerate_quotient(q, 10_000)) == 3**8
 
 
 def test_full_sl2_closure_mod_seven():
-    q = FiniteQuotientGroup(subgroup_spec(2, {V7: full_condition()}), {V7: 1})
+    q = FiniteQuotientGroup(subgroup_spec(2, {V7: Full()}), {V7: 1})
     assert q.order == sl_order(2, 7, 1) == 336
     assert len(enumerate_quotient(q)) == 336
 
@@ -186,11 +187,11 @@ def test_samples_are_members_and_deterministic():
     spec1, spec2 = method_a_specs()
     theta = root_subset(4, {2, 3})
     spec_b = subgroup_spec(
-        4, {V5: parabolic_pullback(theta), V7: parabolic_pullback(theta.symmetric_image()), V3: principal(1)}
+        4, {V5: Parabolic(theta), V7: Parabolic(theta.symmetric_image()), V3: Principal(1)}
     )
     p1, p2 = split_places(7, 2)
     q1_pl, q2_pl = split_places(17, 2)
-    spec_c = subgroup_spec(2, {p1: principal(1), q1_pl: principal(1)}, d=2)
+    spec_c = subgroup_spec(2, {p1: Principal(1), q1_pl: Principal(1)}, d=2)
     quotients = [
         FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
         FiniteQuotientGroup(spec2, {V5: 2, V7: 2}),
@@ -208,7 +209,7 @@ def test_samples_are_members_and_deterministic():
 def test_membership_closed_under_group_operations():
     spec1, _ = method_a_specs()
     theta = root_subset(4, {2, 3})
-    spec_b = subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)})
+    spec_b = subgroup_spec(4, {V5: Parabolic(theta), V3: Principal(1)})
     for q in (
         FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
         FiniteQuotientGroup(spec_b, {V5: 1, V3: 1}),
@@ -220,7 +221,7 @@ def test_membership_closed_under_group_operations():
 
 
 def test_principal_sample_is_congruent_to_identity():
-    q = FiniteQuotientGroup(subgroup_spec(4, {V5: principal(1)}), {V5: 2})
+    q = FiniteQuotientGroup(subgroup_spec(4, {V5: Principal(1)}), {V5: 2})
     for k in range(50):
         (g,) = q.sample(k)
         for i in range(4):
@@ -253,11 +254,11 @@ def test_central_presence():
 def test_central_element_spec_materialization():
     spec1, _ = method_a_specs()
     q = FiniteQuotientGroup(spec1, {V5: 2, V7: 2})
-    element = CentralElementSpec(V5, 2).element_of(q)
+    element = central_element(q, V5, 2)
     assert element[0] == minus_identity(4, q.rings[0])
     assert element[1] == identity(4, q.rings[1])
     with pytest.raises(InputError):
-        CentralElementSpec(V7, 4).element_of(q)  # 4 does not divide gcd(4, 6)
+        central_element(q, V7, 4)  # 4 does not divide gcd(4, 6)
 
 
 @pytest.mark.parametrize("m,expected", [(3, 24), (4, 48), (5, 120), (6, 144), (7, 336)])
@@ -268,7 +269,7 @@ def test_sl2_integral_words_surject_onto_quotients(m, expected):
 def test_generators_are_members():
     spec1, _ = method_a_specs()
     theta = root_subset(4, {2, 3})
-    spec_b = subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)})
+    spec_b = subgroup_spec(4, {V5: Parabolic(theta), V3: Principal(1)})
     for q in (
         FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
         FiniteQuotientGroup(spec_b, {V5: 1, V3: 2}),
@@ -278,12 +279,24 @@ def test_generators_are_members():
 
 
 def test_closure_limit_returns_none():
-    q = FiniteQuotientGroup(subgroup_spec(2, {V7: full_condition()}), {V7: 1})
+    q = FiniteQuotientGroup(subgroup_spec(2, {V7: Full()}), {V7: 1})
     assert closure(q.generators(), q.identity(), 10) is None
 
 
+@pytest.mark.parametrize(
+    "cond",
+    [Full(), Principal(2), CentralPrincipal(4, 1), Parabolic(root_subset(4, {2, 3}))],
+    ids=lambda cond: cond.kind,
+)
+def test_condition_json_round_trip(cond):
+    doc = json.loads(json.dumps(cond.to_json()))
+    assert doc["kind"] == cond.kind
+    assert CONDITION_OF_KIND[doc["kind"]].from_json(doc, 4) == cond
+
+
 def test_order_one_central_condition_is_principal():
-    assert central_principal(1, 2) == principal(2)
+    doc = {"kind": "central_principal", "order": 1, "depth": 2}
+    assert CentralPrincipal.from_json(doc, 4) == Principal(2)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +351,15 @@ def _ref_sample(q, seed):
     rng = random.Random(seed)
     n = q.n
     out = []
-    for ring, cond, (place, e) in zip(q.rings, q.conditions, q.level):
-        if cond.kind == FULL:
+    for ring, cond, (place, e), c in zip(q.rings, q.conditions, q.level, q.components):
+        if isinstance(cond, Full):
             out.append(_ref_elementary_word(rng, n, ring, FULL_WORD_MAX))
-        elif cond.kind == PARABOLIC:
-            g = _ref_word(rng, q._parabolic_sampler_gens(place, ring, cond), n, ring)
+        elif isinstance(cond, Parabolic):
+            g = _ref_word(rng, cond.sampler_gens(c), n, ring)
             if e > 1:
                 g = mat_mul(g, _ref_principal_sample(rng, n, ring, 1))
             out.append(g)
-        elif cond.kind == PRINCIPAL:
+        elif isinstance(cond, Principal):
             out.append(_ref_principal_sample(rng, n, ring, cond.depth))
         else:
             z = unit_of_order(cond.order, place.p, e)
@@ -367,8 +380,8 @@ def _preset_quotients():
 
 def test_below_matches_randrange_draws_and_state():
     theta = root_subset(4, {2, 3})
-    q_b = FiniteQuotientGroup(subgroup_spec(4, {V5: parabolic_pullback(theta)}), {V5: 1})
-    gens_len = len(q_b._parabolic_sampler_gens(V5, q_b.rings[0], q_b.conditions[0]))
+    q_b = FiniteQuotientGroup(subgroup_spec(4, {V5: Parabolic(theta)}), {V5: 1})
+    gens_len = len(q_b.conditions[0].sampler_gens(q_b.components[0]))
     preset_bounds = [32, 12, 5, 7, 17, 25, 49, gens_len]
     bounds = list(range(1, 71))
     for k in range(1, 66):
@@ -386,7 +399,7 @@ def test_below_matches_randrange_draws_and_state():
 def test_samples_match_the_randrange_reference():
     theta = root_subset(4, {2, 3})
     deep_parabolic = FiniteQuotientGroup(
-        subgroup_spec(4, {V5: parabolic_pullback(theta), V3: principal(1)}), {V5: 2, V3: 1}
+        subgroup_spec(4, {V5: Parabolic(theta), V3: Principal(1)}), {V5: 2, V3: 1}
     )
     for q in _preset_quotients() + [deep_parabolic]:
         for seed in range(200):
@@ -400,14 +413,14 @@ def _sampler_gen_sets():
     out = []
     for theta in ({2, 3}, {1, 2}):
         q = FiniteQuotientGroup(
-            subgroup_spec(4, {V5: parabolic_pullback(root_subset(4, theta))}), {V5: 1}
+            subgroup_spec(4, {V5: Parabolic(root_subset(4, theta))}), {V5: 1}
         )
-        gens = q._parabolic_sampler_gens(V5, q.rings[0], q.conditions[0])
+        gens = q.conditions[0].sampler_gens(q.components[0])
         out.append((f"theta {sorted(theta)} mod 5", gens, 4, q.rings[0]))
     q2 = FiniteQuotientGroup(
-        subgroup_spec(4, {V5: parabolic_pullback(root_subset(4, {2, 3}))}), {V5: 2}
+        subgroup_spec(4, {V5: Parabolic(root_subset(4, {2, 3}))}), {V5: 2}
     )
-    gens2 = q2._parabolic_sampler_gens(V5, q2.rings[0], q2.conditions[0])
+    gens2 = q2.conditions[0].sampler_gens(q2.components[0])
     out.append(("theta [2, 3] mod 25", gens2, 4, q2.rings[0]))
     ring = q2.rings[0]
     dense = from_rows([[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]], ring)
@@ -438,15 +451,15 @@ def test_random_word_matches_the_dense_product():
 
 def test_sampler_ops_are_derived_from_the_dense_generators():
     q = method_b_pair().quotient2
-    for idx, (ring, cond, place) in enumerate(zip(q.rings, q.conditions, q.places)):
-        if cond.kind == PARABOLIC:
-            gens = q._parabolic_sampler_gens(place, ring, cond)
+    for cond, c in zip(q.conditions, q.components):
+        if isinstance(cond, Parabolic):
+            gens = cond.sampler_gens(c)
             assert all(isinstance(g, SLMat) for g in gens)
-            assert q._parabolic_sampler_ops(place, ring, cond) == [_column_ops(g) for g in gens]
+            assert cond.sampler_ops(c) == [_column_ops(g) for g in gens]
 
 
 def test_identity_is_built_once():
-    q = FiniteQuotientGroup(subgroup_spec(2, {V5: principal(1)}), {V5: 1, V7: 1})
+    q = FiniteQuotientGroup(subgroup_spec(2, {V5: Principal(1)}), {V5: 1, V7: 1})
     assert q.identity() is q.identity()
     (g, _) = q.sample(3)
     assert g is q.identity()[0]
@@ -464,7 +477,7 @@ def _ref_member(q, g):
             return False
         mod = place.p**cond.depth
         ents = comp.entries
-        if cond.kind == PRINCIPAL:
+        if isinstance(cond, Principal):
             ok = all(
                 ents[i][j] % mod == (1 if i == j else 0) for i in range(q.n) for j in range(q.n)
             )
@@ -509,7 +522,7 @@ def test_member_matches_per_entry_predicate(n, p, m, depth, extra):
     place = rational_place(p)
     level = {place: depth + extra}
     results = []
-    for cond in (principal(depth), central_principal(m, depth)):
+    for cond in (Principal(depth), CentralPrincipal(m, depth)):
         q = FiniteQuotientGroup(subgroup_spec(n, {place: cond}), level)
         elements = _perturbations(n, q.rings[0], p, depth)
         elements += [q.sample(seed)[0] for seed in range(20)]

@@ -5,25 +5,23 @@ import pytest
 from congwit.errors import InputError
 from congwit.rings import (
     PrimePlace,
-    QuadInt,
     ResidueRing,
     RingFactor,
     conj_place,
     crt_join,
     crt_split,
     find_split_primes,
-    galois_conj,
     hensel_lift_sqrt,
     rational_place,
     rational_ring,
-    residue_map,
-    roots_of_unity_order,
     single_place_ring,
     smallest_primitive_root,
     split_places,
     splitting_type,
     unit_of_order,
 )
+
+from oracles import QuadInt, galois_conj, residue_map, roots_of_unity_order
 
 
 def squares_mod(p):

@@ -1,13 +1,13 @@
 import pytest
 
 from congwit.errors import InputError
-from congwit.matrices import elementary, from_rows, identity, minus_identity, scalar_mul
+from congwit.matrices import elementary, from_rows, identity, scalar_mul
 from congwit.parabolics import longest_weyl
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
+    CentralPrincipal,
     FiniteQuotientGroup,
-    central_principal,
-    principal,
+    Principal,
     subgroup_spec,
     tuple_mul,
 )
@@ -19,14 +19,16 @@ from congwit.twists import (
     verify_iso,
 )
 
+from oracles import minus_identity
+
 V5 = rational_place(5)
 V7 = rational_place(7)
 V13 = rational_place(13)
 
 
 def small_method_a(level=1):
-    spec1 = subgroup_spec(4, {V5: central_principal(2, 1), V7: principal(1)})
-    spec2 = subgroup_spec(4, {V5: principal(1), V7: central_principal(2, 1)})
+    spec1 = subgroup_spec(4, {V5: CentralPrincipal(2, 1), V7: Principal(1)})
+    spec2 = subgroup_spec(4, {V5: Principal(1), V7: CentralPrincipal(2, 1)})
     q1 = FiniteQuotientGroup(spec1, {V5: level, V7: level})
     q2 = FiniteQuotientGroup(spec2, {V5: level, V7: level})
     return q1, q2, CentralTransport(q1, q2, V5, V7, 2)
@@ -52,8 +54,8 @@ def test_central_transport_level_two_example():
 
 
 def test_central_transport_order_four():
-    spec1 = subgroup_spec(4, {V5: central_principal(4, 1), V13: principal(1)})
-    spec2 = subgroup_spec(4, {V5: principal(1), V13: central_principal(4, 1)})
+    spec1 = subgroup_spec(4, {V5: CentralPrincipal(4, 1), V13: Principal(1)})
+    spec2 = subgroup_spec(4, {V5: Principal(1), V13: CentralPrincipal(4, 1)})
     q1 = FiniteQuotientGroup(spec1, {V5: 1, V13: 1})
     q2 = FiniteQuotientGroup(spec2, {V5: 1, V13: 1})
     iso = CentralTransport(q1, q2, V5, V13, 4)
@@ -75,8 +77,8 @@ def test_central_transport_order_four():
 def test_central_transport_order_four_at_level_two():
     # depth-1 condition read below a level-2 ring: the extraction uses the
     # residue of the canonical level-2 unit, the rescaling its exact lift
-    spec1 = subgroup_spec(4, {V5: central_principal(4, 1), V13: principal(1)})
-    spec2 = subgroup_spec(4, {V5: principal(1), V13: central_principal(4, 1)})
+    spec1 = subgroup_spec(4, {V5: CentralPrincipal(4, 1), V13: Principal(1)})
+    spec2 = subgroup_spec(4, {V5: Principal(1), V13: CentralPrincipal(4, 1)})
     q1 = FiniteQuotientGroup(spec1, {V5: 2, V13: 2})
     q2 = FiniteQuotientGroup(spec2, {V5: 2, V13: 2})
     iso = CentralTransport(q1, q2, V5, V13, 4)
