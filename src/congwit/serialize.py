@@ -15,7 +15,7 @@ from .errors import InputError, json_int, json_int_list
 from .matrices import SLMat, from_rows
 from .presets import TWIST_OF_METHOD, ObstructionReport, WitnessBundle, _bundle
 from .quotients import CONDITION_OF_KIND, FiniteQuotientGroup, SubgroupSpec, subgroup_spec
-from .rings import PrimePlace
+from .rings import MAX_MODULUS, PrimePlace, is_prime
 from .twists import IsoReport, _place
 
 SCHEMA_VERSION = "1"
@@ -57,8 +57,12 @@ def place_from_json(doc) -> PrimePlace:
     label, kind = doc.get("label"), doc.get("kind")
     if not isinstance(label, str) or not isinstance(kind, str):
         raise InputError(f"a place needs a string label and kind, not {doc!r}")
+    p = json_int(doc, "p")
+    # the bound keeps trial division short; no ring may reach MAX_MODULUS anyway
+    if not (2 < p < MAX_MODULUS and is_prime(p)):
+        raise InputError(f"place {label} needs an odd prime p below {MAX_MODULUS}, not {p}")
     root = None if doc.get("root") is None else json_int(doc, "root")
-    return PrimePlace(json_int(doc, "p"), kind, root, label)
+    return PrimePlace(p, kind, root, label)
 
 
 def _conditions_to_json(spec: SubgroupSpec) -> dict:

@@ -20,6 +20,10 @@ errors, so deliberately broken twists are refuted rather than crashing.
 from __future__ import annotations
 
 import hashlib
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -265,6 +269,13 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
     checked set; the homomorphism property of each twist kind also holds by
     construction (central scalars, component relabeling, the diagram
     symmetry), which the generator-exact checks pin down.
+
+    Sampled pair i is a pure function of child_seed(master_seed, 2i) and
+    child_seed(master_seed, 2i + 1), so the pairs are split into one
+    contiguous index range per worker and the counts summed: the report is
+    the same for any split.  With cpus = usable_cpus() there are
+    w = max(1, min(len(cpus), sample_count // PAIRS_PER_WORKER)) workers;
+    see _check_pairs_forked.  The exhaustive regime runs in one process.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
@@ -299,19 +310,15 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
         samples_used = len(elements)
         exhaustive = True
     else:
-        for index in range(sample_count):
-            x = src.sample(child_seed(master_seed, 2 * index))
-            y = src.sample(child_seed(master_seed, 2 * index + 1))
-            fx = iso.apply(x)
-            fy = iso.apply(y)
-            ok_fx = tgt.member(fx)
-            if not ok_fx:
-                membership += 1
-            if iso.apply(tuple_mul(x, y)) != tuple_mul(fx, fy):
-                homomorphism += 1
-            # ok_fx is the inverse's source membership test, done once
-            if ok_fx and tgt.member(fy) and inverse._image(fx) != x:
-                inverse_failures += 1
+        cpus = usable_cpus()
+        workers = max(1, min(len(cpus), sample_count // PAIRS_PER_WORKER))
+        if workers == 1:
+            counts = _check_pairs(iso, inverse, master_seed, 0, sample_count)
+        else:
+            counts = _check_pairs_forked(iso, inverse, master_seed, sample_count, cpus[:workers])
+        membership += counts[0]
+        homomorphism += counts[1]
+        inverse_failures += counts[2]
         samples_used = sample_count
         exhaustive = False
 
@@ -326,3 +333,123 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
         exhaustive=exhaustive,
         master_seed=master_seed,
     )
+
+
+def _check_pairs(iso, inverse, master_seed, start, stop):
+    """(membership, homomorphism, inverse) failure counts over the sampled
+    pairs start <= i < stop."""
+    src, tgt = iso.source, iso.target
+    membership = homomorphism = inverse_failures = 0
+    for index in range(start, stop):
+        x = src.sample(child_seed(master_seed, 2 * index))
+        y = src.sample(child_seed(master_seed, 2 * index + 1))
+        fx = iso.apply(x)
+        fy = iso.apply(y)
+        ok_fx = tgt.member(fx)
+        if not ok_fx:
+            membership += 1
+        if iso.apply(tuple_mul(x, y)) != tuple_mul(fx, fy):
+            homomorphism += 1
+        # ok_fx is the inverse's source membership test, done once
+        if ok_fx and tgt.member(fy) and inverse._image(fx) != x:
+            inverse_failures += 1
+    return membership, homomorphism, inverse_failures
+
+
+# ---------------------------------------------------------------------------
+# sampled pairs on several CPUs
+
+# Fewer pairs than this per worker cost more in fork and start-up than a
+# second CPU saves.
+PAIRS_PER_WORKER = 50
+
+
+def usable_cpus() -> list[int]:
+    """The CPUs this process may run on, ascending.  Empty, so one worker,
+    where the platform cannot fork or pin a process, or where other threads
+    run: a forked child would hold copies of their locks but not the threads."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    if threading.active_count() > 1:
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _check_pairs_forked(iso, inverse, master_seed, sample_count, cpus):
+    """_check_pairs over [0, sample_count) cut into len(cpus) chunks.
+
+    Chunk k is [s*k//w, s*(k+1)//w) and runs pinned to cpus[k]: chunk 0 in
+    this process, the others in forked children that send their counts back
+    through a pipe.  An error in a chunk is re-raised here, the lowest chunk's
+    first, as the one-process loop would meet it; a child that sends nothing
+    is an error, never zero failures.  Every child is reaped before return,
+    and killed first when the call fails.
+    """
+    w = len(cpus)
+    cut = [sample_count * k // w for k in range(w + 1)]
+    children = []  # (pid, read end, first pair, stop) of children not yet reaped
+    try:
+        for k in range(1, w):
+            pid, read_end = _fork_chunk(iso, inverse, master_seed, cut[k], cut[k + 1], cpus[k])
+            children.append((pid, read_end, cut[k], cut[k + 1]))
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpus[0]})
+        try:
+            totals = _check_pairs(iso, inverse, master_seed, cut[0], cut[1])
+        finally:
+            os.sched_setaffinity(0, mask)
+        while children:
+            pid, read_end, start, stop = children[0]
+            data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            os.close(read_end)
+            if status != 0 or not data:
+                raise RuntimeError(
+                    f"the worker for sampled pairs {start}..{stop - 1} ended without a result "
+                    f"(wait status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            totals = tuple(a + b for a, b in zip(totals, value))
+    except BaseException:
+        for pid, *_ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end, *_ in children:
+            os.close(read_end)
+            os.waitpid(pid, 0)
+    return totals
+
+
+def _fork_chunk(iso, inverse, master_seed, start, stop, cpu):
+    """Fork a child that checks pairs [start, stop) pinned to `cpu` and
+    pickles (True, counts), or (False, the exception that stopped it), into
+    a pipe; returns (pid, read end).
+
+    The child leaves by os._exit, so no atexit handler runs and no stdio
+    buffer inherited from this process is flushed a second time.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:
+        os.close(read_end)
+        try:
+            os.sched_setaffinity(0, {cpu})
+            result = (True, _check_pairs(iso, inverse, master_seed, start, stop))
+        except BaseException as exc:
+            result = (False, exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)

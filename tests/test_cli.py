@@ -252,6 +252,24 @@ def test_boolean_list_entries_are_rejected(tmp_path, capsys):
     assert_rejected(capsys, tmp_path, doc, "a row must be a list of integers")
 
 
+@pytest.mark.parametrize(
+    "p,condition",
+    [(9, {"kind": "principal", "depth": 1}), (2, {"kind": "parabolic", "theta": [2]})],
+    ids=["composite-principal", "two-parabolic"],
+)
+def test_place_over_a_non_odd_prime_is_rejected(p, condition, method_a_doc, tmp_path, capsys):
+    # A well-formed extra place over 9 or 2, conditioned in both specs, with a
+    # separating element there: the quotient would compute over Z/9 or Z/2.
+    doc = json.loads(json.dumps(method_a_doc))
+    bundle, label = doc["bundle"], f"p{p}"
+    bundle["places"].append({"label": label, "p": p, "kind": "rational", "root": None})
+    bundle["level"][label] = 1
+    bundle["conditions1"][label] = bundle["conditions2"][label] = condition
+    rows = [[int(i == j) for j in range(4)] for i in range(4)]
+    bundle["separating_element"][label] = {"modulus": p, "rows": rows}
+    assert_rejected(capsys, tmp_path, doc, f"place {label} needs an odd prime p")
+
+
 # Every node under conditions1 and conditions2 of a preset bundle is replaced
 # by each of these values, or deleted, one case at a time.
 FUZZ_VALUES = (None, True, -1, 0, 1.5, "x", [], {}, [True], [99])

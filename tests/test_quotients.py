@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congwit.errors import InputError
 from congwit.matrices import (
@@ -154,6 +156,39 @@ def test_sl2_quotient_orders_against_closure(conditions, level, expected):
     q = FiniteQuotientGroup(subgroup_spec(2, conditions), level)
     assert q.order == expected
     assert len(enumerate_quotient(q, 50_000)) == expected
+
+
+CLOSURE_CAP = 20_000
+
+# Every condition kind at n = 2 with depth at most 2; the order-2 centre
+# exists at every odd place.
+SL2_CONDITIONS = st.one_of(
+    st.none(),
+    st.just(Full()),
+    st.integers(1, 2).map(Principal),
+    st.integers(1, 2).map(lambda depth: CentralPrincipal(2, depth)),
+    st.sampled_from([(), (1,)]).map(lambda theta: Parabolic(root_subset(2, theta))),
+)
+
+
+@st.composite
+def small_sl2_quotients(draw):
+    places = draw(st.lists(st.sampled_from([V3, V5]), min_size=1, max_size=2, unique=True))
+    conditions, level = {}, {}
+    for place in places:
+        cond = draw(SL2_CONDITIONS)
+        level[place] = draw(st.integers(1 if cond is None else cond.depth, 2))
+        if cond is not None:
+            conditions[place] = cond
+    return FiniteQuotientGroup(subgroup_spec(2, conditions), level)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(small_sl2_quotients())
+def test_order_formula_matches_closure_on_random_sl2_specs(q):
+    # every report's order_match compares these formulas
+    assume(q.order <= CLOSURE_CAP)
+    assert len(enumerate_quotient(q, CLOSURE_CAP)) == q.order
 
 
 def test_sl3_kernel_closure():
