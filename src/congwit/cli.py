@@ -20,8 +20,8 @@ import inspect
 import json
 import sys
 
-from . import presets
 from .errors import InputError
+from .presets import PRESETS, builder
 from .rings import find_split_primes
 from .selftest import FAULTS, run_selftest
 from .serialize import (
@@ -36,23 +36,10 @@ from .twists import verify_iso
 DEFAULT_SAMPLES = 10000
 DEFAULT_SEED = 0
 
-# CLI name -> help text.  A preset's builder is presets.<name>_pair, looked
-# up at call time; its keyword parameters are the preset's flags, defaults,
-# config echo and bundle params.
-PRESETS = {
-    "method-a": "central scalar asymmetry in SL_n",
-    "method-b": "diagram-symmetric parabolic pair in SL_4",
-    "method-c": "split-place swap over Z[sqrt(d)]",
-    "s16": "2x2 central pair at the primes 3 and 5",
-}
 _FLAG_HELP = {
     "order": "order of the transported central element",
     "level": "level exponent at both places",
 }
-
-
-def _builder(name: str):
-    return getattr(presets, name.replace("-", "_") + "_pair")
 
 
 @functools.cache
@@ -73,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in PRESETS.items():
         sp = methods.add_parser(name, help=help_text)
-        for param in inspect.signature(_builder(name)).parameters.values():
+        for param in inspect.signature(builder(name)).parameters.values():
             sp.add_argument(
                 f"--{param.name}", type=int, default=param.default, help=_FLAG_HELP.get(param.name)
             )
@@ -119,9 +106,9 @@ def _emit(doc: dict, output: str | None):
 
 
 def _cmd_witness(args) -> int:
-    builder = _builder(args.method)
-    params = {name: getattr(args, name) for name in inspect.signature(builder).parameters}
-    bundle = builder(**params)
+    build = builder(args.method)
+    params = {name: getattr(args, name) for name in inspect.signature(build).parameters}
+    bundle = build(**params)
     config = {"command": "witness", "method": args.method, **params}
     config["samples"] = args.samples
     config["seed"] = args.seed

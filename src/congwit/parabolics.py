@@ -147,11 +147,10 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
 def _generator_rows(spec: ParabolicSpec, ring: ResidueRing) -> list[tuple]:
     """The entries of parabolic_generators(spec, ring), reduced, as row tuples."""
     n = spec.n
-    f = ring.factors[0]
-    if len(ring.factors) != 1 or f.place.p != spec.p:
-        raise InputError("the ring must be a single factor over the parabolic's prime")
+    if ring.place.p != spec.p:
+        raise InputError("the ring must sit over the parabolic's prime")
     mod = ring.modulus
-    u = smallest_primitive_root(spec.p, f.exponent) % mod
+    u = smallest_primitive_root(spec.p, ring.exponent) % mod
     u_inv = pow(u, -1, mod)
     out = []
     for i in range(n):

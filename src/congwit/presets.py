@@ -69,6 +69,15 @@ class WitnessBundle:
     obstruction: ObstructionReport
 
 
+# CLI name -> help text.  A preset's builder is <name>_pair (see builder); its
+# keyword parameters are the preset's flags, defaults, config echo and params.
+PRESETS = {
+    "method-a": "central scalar asymmetry in SL_n",
+    "method-b": "diagram-symmetric parabolic pair in SL_4",
+    "method-c": "split-place swap over Z[sqrt(d)]",
+    "s16": "2x2 central pair at the primes 3 and 5",
+}
+
 # The twist type each preset method is witnessed by.
 TWIST_OF_METHOD = {
     "A": CentralTransport,
@@ -215,6 +224,11 @@ def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
     return _bundle("C", {"d": d, "p": p, "q": q}, places, spec1, spec2, iso, sep)
 
 
+def builder(name: str):
+    """A preset's builder, looked up on each call: tracing swaps it at run time."""
+    return globals()[name.replace("-", "_") + "_pair"]
+
+
 def _bundle(method, params, places, spec1, spec2, iso, sep) -> WitnessBundle:
     """Assemble a bundle around its twist and attach the recomputed certificate."""
     bundle = WitnessBundle(
@@ -356,18 +370,19 @@ def _parabolic_obstruction(bundle) -> ObstructionReport:
 
 
 def _galois_obstruction(bundle) -> ObstructionReport:
-    table = {place.label: conj_place(place).label for place in bundle.places}
-    involution = all(
-        conj_place(conj_place(place)) == place for place in bundle.places
-    )
+    places = bundle.places
+    image = {place: conj_place(place, places) for place in places}
+    # a conjugate outside the bundle has no label there, and shows as null
+    table = {v.label: w.label if w in places else None for v, w in image.items()}
+    involution = all(conj_place(w, places) == v for v, w in image.items())
     swap_a, swap_b = bundle.iso.from_place, bundle.iso.to_place
     shared = [
         place
         for place, cond in bundle.spec1.conditions
         if place not in (swap_a, swap_b) and bundle.spec2.condition_at(place) == cond
     ]
-    shared_moved = all(conj_place(place) != place for place in shared)
-    swap_matches = conj_place(swap_a) == swap_b
+    shared_moved = all(conj_place(place, places) != place for place in shared)
+    swap_matches = conj_place(swap_a, places) == swap_b
     separation = _separation(bundle)
     holds = (
         involution

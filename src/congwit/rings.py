@@ -2,10 +2,10 @@
 
 The building blocks here are deliberately small: labeled finite places
 over rational primes (split / inert / ramified / rational), square-root
-lifting modulo prime powers, and residue rings that are products of Z/p^e
-factors.  Only split and rational places carry residue rings; inert and
-ramified places would need quadratic-extension residue fields that nothing
-downstream requires.
+lifting modulo prime powers, and residue rings Z/p^e, one place at one
+exponent each.  Only split and rational places carry residue rings; inert
+and ramified places would need quadratic-extension residue fields that
+nothing downstream requires.
 
 All values are immutable and all functions are pure, so everything in this
 module is safe to share across threads.
@@ -201,22 +201,16 @@ def split_places(p: int, d: int) -> tuple[PrimePlace, PrimePlace]:
     )
 
 
-def conj_place(v: PrimePlace) -> PrimePlace:
-    """Image of a place under the ring conjugation: swaps the two split
-    places over the same prime and fixes every other kind."""
-    if v.kind == KIND_SPLIT_FIRST:
-        return PrimePlace(v.p, KIND_SPLIT_SECOND, v.p - v.root, _swap_ab(v.label))
-    if v.kind == KIND_SPLIT_SECOND:
-        return PrimePlace(v.p, KIND_SPLIT_FIRST, v.p - v.root, _swap_ab(v.label))
-    return v
-
-
-def _swap_ab(label: str) -> str:
-    if label.endswith("a"):
-        return label[:-1] + "b"
-    if label.endswith("b"):
-        return label[:-1] + "a"
-    return label
+def conj_place(v: PrimePlace, places=()) -> PrimePlace:
+    """Image of a place under the ring conjugation, which swaps the two split
+    places over a prime and fixes every other kind.  Labels are names only:
+    the image is the place among `places` with the conjugate (p, kind, root),
+    or an unlabeled place when there is none."""
+    if v.kind not in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
+        return v
+    kind = KIND_SPLIT_SECOND if v.kind == KIND_SPLIT_FIRST else KIND_SPLIT_FIRST
+    key = (v.p, kind, v.p - v.root)
+    return next((w for w in places if (w.p, w.kind, w.root) == key), PrimePlace(*key))
 
 
 def find_split_primes(d, count, exclude=(), congruence=None):
@@ -236,7 +230,7 @@ def find_split_primes(d, count, exclude=(), congruence=None):
         cm, ca = congruence
         if cm < 1:
             raise InputError("congruence modulus must be positive")
-        if cm > 1 and _gcd(ca % cm, cm) != 1:
+        if cm > 1 and math.gcd(ca, cm) != 1:
             raise InputError(f"congruence class {ca} mod {cm} contains at most one prime")
     found: list[int] = []
     scanned = 0
@@ -256,12 +250,6 @@ def find_split_primes(d, count, exclude=(), congruence=None):
     raise AssertionError("unreachable")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def hensel_lift_sqrt(d: int, p: int, r: int, e: int) -> int:
     """The unique lift of the square root r of d mod p to a root mod p^e.
 
@@ -278,6 +266,7 @@ def hensel_lift_sqrt(d: int, p: int, r: int, e: int) -> int:
         raise InputError(f"{r} is not a square root of {d} mod {p}")
     if r == 0:
         raise InputError("root 0 mod p cannot be lifted (p divides d)")
+    _guarded_modulus(p, e)  # before the e steps
     x = r
     for k in range(2, e + 1):
         mod = p**k
@@ -285,15 +274,24 @@ def hensel_lift_sqrt(d: int, p: int, r: int, e: int) -> int:
     return x
 
 
+def _guarded_modulus(p: int, e: int) -> int:
+    """p^e below MAX_MODULUS, e >= 1; p >= 2, so e >= 32 is refused unbuilt."""
+    if e < 1:
+        raise InputError("exponent must be >= 1")
+    if e >= MAX_MODULUS.bit_length() or p**e >= MAX_MODULUS:
+        raise InputError(f"modulus {p}^{e} exceeds the 2^31 guard")
+    return p**e
+
+
 # ---------------------------------------------------------------------------
 # residue rings
 
 
 @dataclass(frozen=True)
-class RingFactor:
-    """One factor Z/p^e of a residue ring, tied to a place.
+class ResidueRing:
+    """The ring Z/p^e at one place.
 
-    For split places the factor stores the lifted square root of d mod p^e
+    For split places the ring stores the lifted square root of d mod p^e
     so that reduction of quadratic integers is a ring homomorphism at
     every level.
     """
@@ -303,49 +301,18 @@ class RingFactor:
     lifted_root: int | None = None
 
     def __post_init__(self):
-        if self.exponent < 1:
-            raise InputError("exponent must be >= 1")
-        object.__setattr__(self, "_modulus", self.place.p**self.exponent)
-        if self.modulus >= MAX_MODULUS:
-            raise InputError(f"modulus {self.place.p}^{self.exponent} exceeds the 2^31 guard")
-        split = self.place.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND)
-        if split:
+        # Computed once: the modulus is read on every matrix operation.
+        object.__setattr__(self, "_modulus", _guarded_modulus(self.place.p, self.exponent))
+        if self.place.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
             if self.lifted_root is None:
-                raise InputError("split factors need a lifted root")
+                raise InputError("split rings need a lifted root")
             if self.lifted_root % self.place.p != self.place.root:
                 raise InputError("lifted root does not reduce to the place root")
         elif self.lifted_root is not None:
-            raise InputError(f"{self.place.kind} factors carry no lifted root")
+            raise InputError(f"{self.place.kind} rings carry no lifted root")
 
     @property
     def modulus(self) -> int:
-        return self._modulus
-
-
-@dataclass(frozen=True)
-class ResidueRing:
-    """A product of factors Z/p^e over pairwise distinct places."""
-
-    factors: tuple[RingFactor, ...]
-
-    def __post_init__(self):
-        places = [f.place for f in self.factors]
-        if len(set(places)) != len(places):
-            raise InputError("ring factors must sit at pairwise distinct places")
-        if not self.factors:
-            raise InputError("a residue ring needs at least one factor")
-        # Computed once: the modulus is read on every matrix operation.  None
-        # marks a ring with two factors over one prime, whose every access
-        # to .modulus raises.
-        ps = [f.place.p for f in self.factors]
-        m = math.prod(f.modulus for f in self.factors) if len(set(ps)) == len(ps) else None
-        object.__setattr__(self, "_modulus", m)
-
-    @property
-    def modulus(self) -> int:
-        """Product of the factor moduli; defined only for pairwise coprime factors."""
-        if self._modulus is None:
-            raise InputError("factors over the same rational prime have no joint modulus")
         return self._modulus
 
 
@@ -365,33 +332,36 @@ def single_place_ring(place: PrimePlace, e: int, d: int | None = None) -> Residu
             if d is None:
                 raise InputError("lifting a split place beyond level 1 needs d")
             lifted = hensel_lift_sqrt(d, place.p, place.root, e)
-        return ResidueRing((RingFactor(place, e, lifted),))
+        return ResidueRing(place, e, lifted)
     if place.kind in (KIND_INERT, KIND_RAMIFIED):
         raise InputError(f"no residue ring at {place.kind} places (out of scope)")
-    return ResidueRing((RingFactor(place, e, None),))
+    return ResidueRing(place, e)
 
 
 def rational_ring(p: int, e: int) -> ResidueRing:
     return single_place_ring(rational_place(p), e, None)
 
 
-def crt_split(x: int, ring: ResidueRing) -> tuple[int, ...]:
-    """Components of x in the product decomposition of the ring."""
-    ring.modulus  # insists on pairwise coprime factors
-    return tuple(x % f.modulus for f in ring.factors)
+def _coprime(moduli) -> int:
+    """The product of pairwise coprime positive moduli; anything else raises."""
+    mod = math.prod(moduli)
+    if not moduli or min(moduli) < 1 or math.lcm(*moduli) != mod:
+        raise InputError(f"CRT moduli must be positive and pairwise coprime, not {list(moduli)}")
+    return mod
 
 
-def crt_join(components, ring: ResidueRing) -> int:
-    """Inverse of crt_split: reassemble x mod the full modulus."""
-    mod = ring.modulus
-    if len(components) != len(ring.factors):
-        raise InputError("component count does not match the ring factors")
-    x = 0
-    for c, f in zip(components, ring.factors):
-        m = f.modulus
-        rest = mod // m
-        x += c * rest * pow(rest, -1, m)
-    return x % mod
+def crt_split(x: int, moduli) -> tuple[int, ...]:
+    """The residues of x modulo pairwise coprime moduli."""
+    _coprime(moduli)
+    return tuple([x % m for m in moduli])
+
+
+def crt_join(parts, moduli) -> int:
+    """Inverse of crt_split: the x modulo the product with those residues."""
+    mod = _coprime(moduli)
+    if len(parts) != len(moduli):
+        raise InputError("component count does not match the moduli")
+    return sum([c * (mod // m) * pow(mod // m, -1, m) for c, m in zip(parts, moduli)]) % mod
 
 
 # ---------------------------------------------------------------------------

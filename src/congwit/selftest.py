@@ -22,18 +22,9 @@ from .parabolics import (
     graph_automorphism,
     root_subset,
 )
-from .presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
+from .presets import PRESETS, builder
 from .quotients import FULL_WORD_MAX, _random_elementary_word
-from .rings import (
-    ResidueRing,
-    RingFactor,
-    crt_join,
-    crt_split,
-    factorize,
-    hensel_lift_sqrt,
-    rational_place,
-    rational_ring,
-)
+from .rings import crt_join, crt_split, factorize, hensel_lift_sqrt, rational_ring
 from .twists import PlaceSwap, verify_iso
 
 FAULT_W0_SIGN = "w0-sign"
@@ -60,16 +51,13 @@ def check_sl2_enumeration_orders():
 
 def check_crt_roundtrip():
     for m in range(2, 1001):
-        factors = factorize(m)
-        if len(factors) < 2:
+        moduli = [p**e for p, e in sorted(factorize(m).items())]
+        if len(moduli) < 2:
             continue
-        ring = ResidueRing(
-            tuple(RingFactor(rational_place(p), e, None) for p, e in sorted(factors.items()))
-        )
         seen = set()
         for x in range(m):
-            parts = crt_split(x, ring)
-            if crt_join(parts, ring) != x:
+            parts = crt_split(x, moduli)
+            if crt_join(parts, moduli) != x:
                 raise CheckFailure("crt-roundtrip", f"x={x} mod {m} does not round-trip")
             seen.add(parts)
         if len(seen) != m:
@@ -156,19 +144,22 @@ def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None =
     if inject_fault is not None and inject_fault not in FAULTS:
         raise CheckFailure("selftest", f"unknown fault {inject_fault!r}")
 
-    def preset_a():
-        bundle = method_a_pair()
-        if inject_fault == FAULT_PLACE_SWAP_A:
-            broken = PlaceSwap(
-                bundle.quotient1, bundle.quotient2, bundle.places[0], bundle.places[1]
-            )
-            report = verify_iso(broken, samples, seed)
-            raise CheckFailure(
-                "preset-method-a",
-                f"injected place swap on the central pair: verdict {report.verdict}, "
-                f"membership failures {report.membership_failures}",
-            )
-        _check_bundle("preset-method-a", bundle, samples, seed)
+    def preset(name):
+        def check():
+            bundle = builder(name)()
+            if name == "method-a" and inject_fault == FAULT_PLACE_SWAP_A:
+                broken = PlaceSwap(
+                    bundle.quotient1, bundle.quotient2, bundle.places[0], bundle.places[1]
+                )
+                report = verify_iso(broken, samples, seed)
+                raise CheckFailure(
+                    "preset-method-a",
+                    f"injected place swap on the central pair: verdict {report.verdict}, "
+                    f"membership failures {report.membership_failures}",
+                )
+            _check_bundle(f"preset-{name}", bundle, samples, seed)
+
+        return check
 
     checks = [
         ("sl2-enumeration-orders", check_sl2_enumeration_orders),
@@ -179,11 +170,7 @@ def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None =
             lambda: check_graph_automorphism_determinant(inject_fault == FAULT_W0_SIGN),
         ),
         ("fixed-line-baselines", check_fixed_line_baselines),
-        ("preset-method-a", preset_a),
-        ("preset-method-b", lambda: _check_bundle("preset-method-b", method_b_pair(), samples, seed)),
-        ("preset-method-c", lambda: _check_bundle("preset-method-c", method_c_pair(), samples, seed)),
-        ("preset-s16", lambda: _check_bundle("preset-s16", s16_pair(), samples, seed)),
-    ]
+    ] + [(f"preset-{name}", preset(name)) for name in PRESETS]
     for name, fn in checks:
         start = time.monotonic()
         try:

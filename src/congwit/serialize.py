@@ -15,7 +15,7 @@ from .errors import InputError, json_int, json_int_list
 from .matrices import SLMat, from_rows
 from .presets import TWIST_OF_METHOD, ObstructionReport, WitnessBundle, _bundle
 from .quotients import CONDITION_OF_KIND, FiniteQuotientGroup, SubgroupSpec, subgroup_spec
-from .rings import MAX_MODULUS, PrimePlace, is_prime
+from .rings import MAX_MODULUS, PrimePlace, is_prime, is_squarefree
 from .twists import IsoReport, _place
 
 SCHEMA_VERSION = "1"
@@ -86,12 +86,11 @@ def obstruction_to_json(o: ObstructionReport) -> dict:
     return {"kind": o.kind, "data": o.data, "holds": o.holds, "narrative": list(o.narrative)}
 
 
+def _base_ring_to_json(d: int | None) -> dict:
+    return {"kind": "rational_integers"} if d is None else {"kind": "quadratic_integers", "d": d}
+
+
 def bundle_to_json(bundle: WitnessBundle) -> dict:
-    base_ring = (
-        {"kind": "rational_integers"}
-        if bundle.d is None
-        else {"kind": "quadratic_integers", "d": bundle.d}
-    )
     sep = {
         place.label: mat_to_json(comp)
         for place, comp in zip(bundle.quotient1.places, bundle.separating_element)
@@ -102,7 +101,7 @@ def bundle_to_json(bundle: WitnessBundle) -> dict:
         "method": bundle.method,
         "params": bundle.params,
         "n": bundle.n,
-        "base_ring": base_ring,
+        "base_ring": _base_ring_to_json(bundle.d),
         "places": [place_to_json(p) for p in bundle.quotient1.places],
         "level": {place.label: e for place, e in bundle.level},
         "conditions1": _conditions_to_json(bundle.spec1),
@@ -134,6 +133,8 @@ def bundle_from_json(doc) -> WitnessBundle:
     if missing:
         raise InputError(f"bundle is missing {', '.join(missing)}")
     n = json_int(doc, "n")
+    if n < 2:
+        raise InputError(f"n must be >= 2, not {n}")
     method = doc["method"]
     twist = TWIST_OF_METHOD.get(method) if isinstance(method, str) else None
     if twist is None:
@@ -143,13 +144,24 @@ def bundle_from_json(doc) -> WitnessBundle:
     if kind != twist.kind:
         raise InputError(f"method {method} needs a {twist.kind} twist, not {kind!r}")
     base_ring = _object(doc["base_ring"], "base_ring")
-    d = None if base_ring.get("d") is None else json_int(base_ring, "d")
+    d = json_int(base_ring, "d") if base_ring.get("kind") == "quadratic_integers" else None
+    squarefree = d is None or 2 <= d < MAX_MODULUS and is_squarefree(d)  # bounded trial division
+    if base_ring != _base_ring_to_json(d) or not squarefree:
+        raise InputError(f"base_ring {base_ring!r} is not Z or Z[sqrt(d)], d squarefree in [2, 2^31)")
     if not isinstance(doc["places"], list):
         raise InputError(f"places must be a list, not {doc['places']!r}")
     place_list = tuple(place_from_json(p) for p in doc["places"])
+    for v in place_list:  # only split places carry a root
+        if v.root is not None and (d is None or (v.root * v.root - d) % v.p):
+            raise InputError(f"place {v.label}: root {v.root} is not a square root of d = {d} mod {v.p}")
     places = {place.label: place for place in place_list}
+    if len(places) < len(place_list) or len({(v.p, v.kind, v.root) for v in place_list}) < len(places):
+        raise InputError("places need distinct labels and distinct (p, kind, root)")
     level_doc = _object(doc["level"], "level")
     level = {_place(places, label): json_int(level_doc, label) for label in level_doc}
+    # read before any quotient is built, whose size grows with n
+    seps = _object(doc["separating_element"], "separating_element")
+    sep_rows = {place: _separating_rows(seps.get(place.label), place, n) for place in level}
 
     def spec_of(key):
         conds = {}
@@ -165,14 +177,22 @@ def bundle_from_json(doc) -> WitnessBundle:
     spec1, spec2 = spec_of("conditions1"), spec_of("conditions2")
     q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
     iso = twist.from_json(iso_doc, q1, q2, places)
-    seps = _object(doc["separating_element"], "separating_element")
     sep = []
     for place, ring in zip(q1.places, q1.rings):
-        mdoc = _object(seps.get(place.label), f"separating element at {place.label}")
-        if json_int(mdoc, "modulus") != ring.modulus:
+        modulus, rows = sep_rows[place]
+        if modulus != ring.modulus:
             raise InputError(f"separating element modulus mismatch at {place.label}")
-        rows = mdoc.get("rows")
-        if not isinstance(rows, list):
-            raise InputError(f"separating element rows at {place.label} must be a list")
-        sep.append(from_rows([json_int_list(r, "a row") for r in rows], ring))
-    return _bundle(method, doc["params"], place_list, spec1, spec2, iso, sep)
+        sep.append(from_rows(rows, ring))
+    return _bundle(method, _object(doc["params"], "params"), place_list, spec1, spec2, iso, sep)
+
+
+def _separating_rows(doc, place: PrimePlace, n: int) -> tuple[int, list]:
+    """The modulus and rows of the separating element at a place, n x n."""
+    doc = _object(doc, f"separating element at {place.label}")
+    modulus, rows = json_int(doc, "modulus"), doc.get("rows")
+    if not isinstance(rows, list):
+        raise InputError(f"separating element rows at {place.label} must be a list")
+    rows = [json_int_list(r, "a row") for r in rows]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise InputError(f"separating element at {place.label} must be {n}x{n}")
+    return modulus, rows

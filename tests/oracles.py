@@ -8,6 +8,7 @@ compare with the package's own results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from congwit.errors import InputError
@@ -20,8 +21,6 @@ from congwit.rings import (
     KIND_SPLIT_SECOND,
     PrimePlace,
     ResidueRing,
-    RingFactor,
-    _gcd,
     factorize,
     is_prime,
     is_squarefree,
@@ -81,17 +80,17 @@ def galois_conj(x: QuadInt) -> QuadInt:
     return QuadInt(x.a, -x.b, x.d)
 
 
-def residue_map(x, factor: RingFactor) -> int:
-    """Reduce an element of the base ring into the factor Z/p^e.
+def residue_map(x, ring: ResidueRing) -> int:
+    """Reduce an element of the base ring into the residue ring Z/p^e.
 
-    Split factors send a + b*sqrt(d) to a + b*lifted_root; rational factors
+    Split places send a + b*sqrt(d) to a + b*lifted_root; rational places
     accept plain integers (or quadratic elements with b = 0).
     """
-    mod = factor.modulus
-    kind = factor.place.kind
+    mod = ring.modulus
+    kind = ring.place.kind
     if kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
         if isinstance(x, QuadInt):
-            return (x.a + x.b * factor.lifted_root) % mod
+            return (x.a + x.b * ring.lifted_root) % mod
         return x % mod
     if kind == KIND_RATIONAL:
         if isinstance(x, QuadInt):
@@ -114,7 +113,7 @@ def roots_of_unity_order(n: int, p: int, e: int) -> int:
         raise InputError("n must be positive and prime to p")
     if e < 1:
         raise InputError("e must be >= 1")
-    return _gcd(n, p - 1)
+    return math.gcd(n, p - 1)
 
 
 # ---------------------------------------------------------------------------

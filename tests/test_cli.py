@@ -3,9 +3,16 @@ import functools
 import hashlib
 import json
 import operator
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import congwit
 from congwit import cli, presets
 from congwit.cli import build_parser, main
 from congwit.presets import method_b_pair, s16_pair
@@ -231,6 +238,15 @@ MALFORMED = {
         lambda b: b["iso"].update(from_place="p11"),
         "unknown place label 'p11'",
     ),
+    # labels are names only: one place, listed twice or under a second label
+    "place-listed-twice": (
+        lambda b: b["places"].append(dict(b["places"][0])),
+        "places need distinct labels and distinct (p, kind, root)",
+    ),
+    "place-under-two-labels": (
+        lambda b: b["places"].append(dict(b["places"][0], label="five")),
+        "places need distinct labels and distinct (p, kind, root)",
+    ),
 }
 
 
@@ -296,7 +312,7 @@ def _still_well_formed(path, value):
 
 @pytest.mark.parametrize("preset", sorted(FUZZ_COUNTS))
 def test_condition_field_fuzz_exits_cleanly(preset, tmp_path, capsys):
-    base = bundle_to_json(cli._builder(preset)())
+    base = bundle_to_json(presets.builder(preset)())
     path = tmp_path / "mutated.json"
     cases = accepted = 0
     for key in ("conditions1", "conditions2"):
@@ -358,7 +374,7 @@ def test_witness_binds_builders_and_verifier_at_call_time(monkeypatch, tmp_path)
         return wrapper
 
     monkeypatch.setattr(cli, "verify_iso", spy(cli.verify_iso))
-    for name in cli.PRESETS:
+    for name in presets.PRESETS:
         attr = name.replace("-", "_") + "_pair"
         monkeypatch.setattr(presets, attr, spy(getattr(presets, attr)))
         argv = ["witness", name, "--samples", "1", "--output", str(tmp_path / "w.json")]
@@ -371,3 +387,190 @@ def test_twist_types_share_one_apply():
     assert {k.kind for k in kinds} == {"central_transport", "place_swap", "graph_automorphism"}
     assert "apply" in QuotientIso.__dict__
     assert not [k for k in kinds if "apply" in k.__dict__]
+
+
+# Runs one command and appends the seconds it took, import excluded, to stderr.
+TIMED_MAIN = """
+import sys, time
+from congwit.cli import main
+start = time.monotonic()
+try:
+    code = main(sys.argv[1:])
+finally:
+    sys.stderr.write(f"{time.monotonic() - start}\\n")
+sys.exit(code)
+"""
+
+
+def run_isolated(tmp_path, doc, *argv, timeout=20):
+    """`congwit <argv[0]> DOC <argv[1:]>` in a fresh interpreter capped at
+    1 GB of address space and cut off after `timeout` seconds; returns the
+    exit code, stdout, stderr and the command's own seconds."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(congwit.__file__).parents[1]))
+    cap = (1 << 30, 1 << 30)
+    run = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, argv[0], str(path), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+    )
+    err, _, seconds = run.stderr.rstrip("\n").rpartition("\n")
+    return run.returncode, run.stdout, err + "\n" if err else "", float(seconds)
+
+
+def assert_rejected_fast(tmp_path, doc, message):
+    """Both bundle readers exit 2 with one error line within a second; a
+    hang fails by the subprocess timeout."""
+    for argv in (["obstruct"], ["verify-iso", "--samples", "3"]):
+        code, out, err, seconds = run_isolated(tmp_path, doc, *argv)
+        assert (code, out) == (2, ""), (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert seconds < 1, (argv, seconds)
+
+
+@pytest.mark.parametrize("preset,label", [("method-a", "p7"), ("method-c", "p7b")])
+def test_absurd_level_exponent_is_refused_before_any_power(preset, label, tmp_path):
+    # At p7 the modulus p^e, at p7b the e-step Hensel lift, used to run first.
+    doc = bundle_to_json(presets.builder(preset)())
+    doc["level"][label] = 10**9
+    assert_rejected_fast(tmp_path, doc, f"modulus 7^{10**9} exceeds the 2^31 guard")
+
+
+@pytest.mark.parametrize(
+    "preset,n,message",
+    [
+        ("method-c", 3, "separating element at p7a must be 3x3"),
+        ("method-c", 0, "n must be >= 2, not 0"),
+        ("method-a", 2, "separating element at p5 must be 2x2"),
+    ],
+)
+def test_bundle_n_must_match_the_document(preset, n, message, tmp_path, capsys):
+    doc = bundle_to_json(presets.builder(preset)())
+    doc["n"] = n
+    assert_rejected(capsys, tmp_path, doc, message)
+
+
+@pytest.mark.parametrize("n", [5000, 10**6])
+def test_huge_bundle_n_is_refused_before_any_quotient(n, tmp_path):
+    doc = bundle_to_json(presets.builder("method-c")())
+    doc["n"] = n
+    assert_rejected_fast(tmp_path, doc, f"must be {n}x{n}")
+
+
+# One malformed base ring or split-place root per case, applied to a method-c
+# bundle (d = 2; p7a carries the root 3 of 2 mod 7).
+MALFORMED_QUADRATIC = {
+    "root-not-a-square-root": (
+        lambda b: b["places"][0].update(root=1),
+        "place p7a: root 1 is not a square root of d = 2 mod 7",
+    ),
+    "d-without-these-roots": (
+        lambda b: b["base_ring"].update(d=3),
+        "place p7a: root 3 is not a square root of d = 3 mod 7",
+    ),
+    "rational-base-ring": (
+        lambda b: b.update(base_ring={"kind": "rational_integers"}),
+        "root 3 is not a square root of d = None mod 7",
+    ),
+    "d-not-squarefree": (lambda b: b["base_ring"].update(d=8), "d squarefree in [2, 2^31)"),
+    "unknown-ring-kind": (lambda b: b["base_ring"].update(kind="gaussian"), "is not Z or Z[sqrt(d)]"),
+    "d-without-kind": (lambda b: b["base_ring"].pop("kind"), "is not Z or Z[sqrt(d)]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_QUADRATIC))
+def test_base_ring_and_split_roots_must_agree(case, tmp_path, capsys):
+    mutate, message = MALFORMED_QUADRATIC[case]
+    doc = bundle_to_json(presets.method_c_pair())
+    mutate(doc)
+    assert_rejected(capsys, tmp_path, doc, message)
+
+
+def _relabel(value, names):
+    """value with every dict key and string equal to a label renamed."""
+    if isinstance(value, dict):
+        return {names.get(k, k): _relabel(v, names) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_relabel(v, names) for v in value]
+    return names.get(value, value) if isinstance(value, str) else value
+
+
+def test_method_c_certificate_does_not_depend_on_label_spelling(tmp_path, capsys):
+    names = {"p7a": "u", "p7b": "v", "p17a": "w", "p17b": "z"}
+    back = {new: old for old, new in names.items()}
+    base = bundle_to_json(presets.method_c_pair())
+    outputs = []
+    for doc in (base, _relabel(base, names)):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "obstruct", str(path))
+        assert (code, err) == (0, ""), out
+        obstruction = json.loads(out)["obstruction"]
+        code, out, err = run_cli(capsys, "verify-iso", str(path), "--samples", "40")
+        assert (code, err) == (0, "")
+        outputs.append([obstruction, json.loads(out)["iso_report"]])
+    assert outputs[1][0]["data"]["conjugation"] == {"u": "v", "v": "u", "w": "z", "z": "w"}
+    assert _relabel(outputs[1], back) == outputs[0]
+
+
+# preset -> (cases, cases that are not rejected) for the fields outside the
+# condition maps
+DOCUMENT_FUZZ_COUNTS = {
+    "method-a": (1111, 365),
+    "method-b": (1518, 496),
+    "method-c": (1133, 325),
+    "s16": (759, 279),
+}
+
+
+def _document_mutation_is_well_formed(base, path, value):
+    """The mutations outside the condition maps that leave a valid document:
+    any inside params (a free record of the builder's arguments) or inside the
+    recomputed orders and obstruction, a value set to what it was, a deleted
+    null, a deleted level entry at a place without conditions, and an integer
+    entry of a separating element (the determinant check decides)."""
+    if path[0] in ("orders", "obstruction") or path[0] == "params" and len(path) > 1:
+        return True
+    if path[0] == "params":
+        return isinstance(value, dict)
+    old = functools.reduce(operator.getitem, path, base)
+    if value is DELETE:
+        conditioned = {*base["conditions1"], *base["conditions2"]}
+        return old is None or (path[0] == "level" and path[1] not in conditioned)
+    if type(value) is type(old) and value == old:
+        return True
+    return path[0] == "separating_element" and len(path) == 5 and type(value) is int
+
+
+@pytest.mark.parametrize("preset", sorted(DOCUMENT_FUZZ_COUNTS))
+def test_document_field_fuzz_exits_cleanly(preset, monkeypatch, capsys):
+    base = bundle_to_json(presets.builder(preset)())
+    text = json.dumps(base)
+    docs = {}
+    # each mutated document is handed over as parsed, without a file
+    monkeypatch.setattr(cli, "_load_json", docs.pop)
+    cases = accepted = 0
+    for key in sorted(set(base) - {"conditions1", "conditions2"}):
+        for where in _nodes(base[key], (key,)):
+            for value in FUZZ_VALUES + (DELETE,):
+                doc = json.loads(text)
+                holder = functools.reduce(operator.getitem, where[:-1], doc)
+                if value is DELETE:
+                    del holder[where[-1]]
+                else:
+                    holder[where[-1]] = value
+                docs["mutated.json"] = doc
+                code, out, err = run_cli(capsys, "obstruct", "mutated.json")
+                case = (where, value)
+                cases += 1
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, case
+                else:
+                    assert code in (0, 1) and err == "", case
+                    assert _document_mutation_is_well_formed(base, where, value), case
+                    accepted += 1
+    assert (cases, accepted) == DOCUMENT_FUZZ_COUNTS[preset]

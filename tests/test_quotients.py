@@ -365,8 +365,8 @@ def _ref_word(rng, gens, n, ring):
 
 def _ref_principal_sample(rng, n, ring, depth):
     mod = ring.modulus
-    p = ring.factors[0].place.p
-    e = ring.factors[0].exponent
+    p = ring.place.p
+    e = ring.exponent
     if e == depth:
         return identity(n, ring)
     step = p**depth
@@ -531,7 +531,7 @@ def _perturbations(n, ring, p, depth):
     principal shape: one off-diagonal entry by 1 or by p^(depth-1), and a
     non-scalar diagonal c*diag(u, 1/u, 1, ...)."""
     mod = ring.modulus
-    e = ring.factors[0].exponent
+    e = ring.exponent
     scalars = sorted({pow(unit_of_order(n, p, e), k, mod) for k in range(n)})
     out = []
     for c in scalars:
@@ -586,7 +586,7 @@ def test_member_accepts_an_equal_ring_held_by_another_object():
     q1, q2 = bundle.quotient1, bundle.quotient2
 
     def rehome(g):
-        return tuple(SLMat(ResidueRing(c.ring.factors), c.entries) for c in g)
+        return tuple(SLMat(ResidueRing(c.ring.place, c.ring.exponent, c.ring.lifted_root), c.entries) for c in g)
 
     for seed in range(5):
         g = q1.sample(seed)

@@ -6,7 +6,6 @@ from congwit.errors import InputError
 from congwit.rings import (
     PrimePlace,
     ResidueRing,
-    RingFactor,
     conj_place,
     crt_join,
     crt_split,
@@ -124,17 +123,21 @@ def test_quadint_arithmetic_and_conj():
 def test_conj_place():
     p1, p2 = split_places(7, 2)
     assert p1.root == 3 and p2.root == 4
-    assert conj_place(p1) == p2 and conj_place(p2) == p1
-    v = rational_place(5)
-    assert conj_place(v) == v
+    assert conj_place(p1, (p1, p2)) == p2 and conj_place(p2, (p1, p2)) == p1
+    # labels are names only: the conjugate is found by (p, kind, root)
+    u, v = PrimePlace(7, "split_first", 3, "u"), PrimePlace(7, "split_second", 4, "v")
+    assert conj_place(u, (v, u)) is v and conj_place(v, (v, u)) is u
+    assert conj_place(p1) == PrimePlace(7, "split_second", 4) == conj_place(p1, (p1, u))
+    w = rational_place(5)
+    assert conj_place(w) == w
     inert = PrimePlace(5, "inert", None, "p5i")
     assert conj_place(inert) == inert
 
 
 def test_residue_map_examples():
     p1, p2 = split_places(7, 2)
-    f1 = single_place_ring(p1, 1).factors[0]
-    f2 = single_place_ring(p2, 1).factors[0]
+    f1 = single_place_ring(p1, 1)
+    f2 = single_place_ring(p2, 1)
     x = QuadInt(1, 1, 2)
     assert residue_map(x, f1) == 4
     assert residue_map(x, f2) == 5
@@ -144,7 +147,7 @@ def test_residue_map_examples():
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_residue_map_is_ring_homomorphism(e):
     p1, _ = split_places(7, 2)
-    f = single_place_ring(p1, e, d=2).factors[0]
+    f = single_place_ring(p1, e, d=2)
     rng = random.Random(11 + e)
     for _ in range(1000):
         x = QuadInt(rng.randrange(-200, 200), rng.randrange(-200, 200), 2)
@@ -157,8 +160,8 @@ def test_residue_map_commutes_with_conjugation():
     rng = random.Random(3)
     for e in (1, 2):
         for v in split_places(7, 2) + split_places(17, 2):
-            f = single_place_ring(v, e, d=2).factors[0]
-            f_conj = single_place_ring(conj_place(v), e, d=2).factors[0]
+            f = single_place_ring(v, e, d=2)
+            f_conj = single_place_ring(conj_place(v), e, d=2)
             for _ in range(250):
                 x = QuadInt(rng.randrange(-99, 99), rng.randrange(-99, 99), 2)
                 assert residue_map(galois_conj(x), f) == residue_map(x, f_conj)
@@ -168,7 +171,7 @@ def test_residue_map_rejects_unsupported_places():
     inert = PrimePlace(5, "inert", None, "p5i")
     with pytest.raises(InputError):
         single_place_ring(inert, 1)
-    f = single_place_ring(rational_place(5), 1).factors[0]
+    f = single_place_ring(rational_place(5), 1)
     with pytest.raises(InputError):
         residue_map(QuadInt(1, 1, 2), f)
 
@@ -190,38 +193,37 @@ def test_roots_of_unity_order_examples_and_oracle():
 
 
 def test_crt_examples():
-    ring = ResidueRing(
-        (RingFactor(rational_place(5), 1, None), RingFactor(rational_place(7), 1, None))
-    )
-    assert ring.modulus == ring.factors[0].modulus * ring.factors[1].modulus == 35
-    assert crt_split(12, ring) == (2, 5)
-    assert crt_split(0, ring) == (0, 0)
-    assert crt_join((2, 5), ring) == 12
+    moduli = (5, 7)
+    assert crt_split(12, moduli) == (2, 5)
+    assert crt_split(0, moduli) == (0, 0)
+    assert crt_join((2, 5), moduli) == 12
     for x in range(35):
-        assert crt_join(crt_split(x, ring), ring) == x
+        assert crt_join(crt_split(x, moduli), moduli) == x
+    assert crt_join(crt_split(1234, (8, 9, 25)), (8, 9, 25)) == 1234
 
 
 def test_crt_requires_coprime_factors():
-    p1, p2 = split_places(7, 2)
-    ring = ResidueRing(
-        (RingFactor(p1, 1, p1.root), RingFactor(p2, 1, p2.root))
-    )
-    # The modulus is computed once at construction; the rejection must
-    # still fire on every access, not just the first.
-    for _ in range(2):
-        with pytest.raises(InputError):
-            ring.modulus
-    with pytest.raises(InputError):
-        crt_split(3, ring)
+    # two places over one prime give moduli with a common factor
+    for moduli in ((7, 7), (9, 3), (5, 7, 15), (4, 6), (5, 0), (5, -7), (-5, -7), ()):
+        with pytest.raises(InputError, match="pairwise coprime"):
+            crt_split(3, moduli)
+        with pytest.raises(InputError, match="pairwise coprime"):
+            crt_join((0,) * len(moduli), moduli)
 
 
 def test_residue_ring_guards():
-    with pytest.raises(InputError):
-        ResidueRing(())
-    with pytest.raises(InputError):
-        ResidueRing((RingFactor(rational_place(5), 1), RingFactor(rational_place(5), 2)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="exponent must be >= 1"):
+        rational_ring(5, 0)
+    with pytest.raises(InputError, match="exceeds the 2\\^31 guard"):
         rational_ring(46337, 3)  # 46337^3 > 2^31
+    with pytest.raises(InputError, match="lifted root"):
+        ResidueRing(rational_place(5), 1, 2)
+    first, _ = split_places(7, 2)
+    with pytest.raises(InputError, match="lifted root"):
+        ResidueRing(first, 2, 4)  # 4 does not reduce to the root 3
+    ring = rational_ring(7, 2)
+    assert (ring.place, ring.exponent, ring.lifted_root, ring.modulus) == (rational_place(7), 2, None, 49)
+    assert "modulus" in ResidueRing.__dict__ and isinstance(ResidueRing.__dict__["modulus"], property)
 
 
 def test_canonical_units():
