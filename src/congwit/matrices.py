@@ -253,7 +253,7 @@ def central_scalar(n: int, ring: ResidueRing, m: int) -> SLMat:
     gcd(n, p - 1); that divisibility is exactly the condition for SL_n over
     the residue ring to contain full m-torsion of its centre.
     """
-    p, e = ring.place.p, ring.exponent
+    p, e = ring.p, ring.e
     if m < 1 or n % m != 0 or (p - 1) % m != 0:
         raise InputError(f"order {m} does not divide gcd({n}, {p - 1})")
     z = unit_of_order(m, p, e)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .matrices import SLMat, _adj_rows, from_rows
-from .rings import ResidueRing, is_prime, rational_ring, smallest_primitive_root
+from .rings import ResidueRing, is_prime, residue_ring, smallest_primitive_root
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,17 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
     once there are three or more blocks.
     """
     if ring is None:
-        ring = rational_ring(spec.p, 1)
+        ring = residue_ring(spec.p, 1)
     return [SLMat(ring, rows) for rows in _generator_rows(spec, ring)]
 
 
 def _generator_rows(spec: ParabolicSpec, ring: ResidueRing) -> list[tuple]:
     """The entries of parabolic_generators(spec, ring), reduced, as row tuples."""
     n = spec.n
-    if ring.place.p != spec.p:
+    if ring.p != spec.p:
         raise InputError("the ring must sit over the parabolic's prime")
     mod = ring.modulus
-    u = smallest_primitive_root(spec.p, ring.exponent) % mod
+    u = smallest_primitive_root(spec.p, ring.e) % mod
     u_inv = pow(u, -1, mod)
     out = []
     for i in range(n):
@@ -315,7 +315,7 @@ def fixed_lines(spec: ParabolicSpec) -> int:
     eliminations, so the count costs O(|S| * p * n^3) for |S| generators; it
     does not grow with the (p^n - 1)/(p - 1) lines of P^(n-1)(F_p).
     """
-    rows = _generator_rows(spec, rational_ring(spec.p, 1))
+    rows = _generator_rows(spec, residue_ring(spec.p, 1))
     return count_fixed_lines(rows, spec.n, spec.p)
 
 

@@ -52,7 +52,7 @@ from .rings import (
     KIND_RAMIFIED,
     PrimePlace,
     ResidueRing,
-    single_place_ring,
+    residue_ring,
     unit_of_order,
 )
 
@@ -68,8 +68,8 @@ class Component:
     """A quotient's component at one place: its level exponent and ring, and
     whatever its condition's setup adds for that condition's own methods."""
 
-    def __init__(self, n: int, place: PrimePlace, e: int, ring: ResidueRing):
-        self.n, self.place, self.e, self.ring = n, place, e, ring
+    def __init__(self, n: int, place: PrimePlace, ring: ResidueRing):
+        self.n, self.place, self.e, self.ring = n, place, ring.e, ring
         # the identity's entries, row-major, for the principal predicates
         self.flat_identity = [int(i == j) for i in range(n) for j in range(n)]
 
@@ -82,13 +82,13 @@ class LocalCondition:
     """One local membership condition; one frozen dataclass per kind.
 
     A subclass names its `kind` and the least level exponent `depth` it
-    needs at its place.  A quotient calls setup(component, d) once per
+    needs at its place.  A quotient calls setup(component) once per
     component, then passes that component to member, local_order, sample and
     generators.  The JSON form is the kind plus the fields, read back by
     CONDITION_OF_KIND[kind].from_json(doc, n).
     """
 
-    def setup(self, c: Component, d: int | None) -> None:
+    def setup(self, c: Component) -> None:
         pass
 
     def to_json(self) -> dict:
@@ -131,7 +131,7 @@ class Principal(LocalCondition):
         if self.depth < 1:
             raise InputError("depth and order must be >= 1")
 
-    def setup(self, c, d):
+    def setup(self, c):
         c.mod = c.place.p**self.depth
 
     def member(self, c, g) -> bool:
@@ -169,7 +169,7 @@ class CentralPrincipal(LocalCondition):
         cond = super().from_json(doc, n)
         return Principal(cond.depth) if cond.order == 1 else cond
 
-    def setup(self, c, d):
+    def setup(self, c):
         m, p = self.order, c.place.p
         if c.n % m != 0 or (p - 1) % m != 0:
             raise InputError(
@@ -219,9 +219,9 @@ class Parabolic(LocalCondition):
     def from_json(cls, doc, n) -> Parabolic:
         return cls(root_subset(n, json_int_list(doc.get("theta"), "theta")))
 
-    def setup(self, c, d):
+    def setup(self, c):
         c.parabolic = ParabolicSpec(c.n, c.place.p, self.theta)
-        c.level1 = single_place_ring(c.place, 1, d)
+        c.level1 = residue_ring(c.place.p, 1)
         c.ops = None
 
     def member(self, c, g) -> bool:
@@ -274,9 +274,6 @@ class SubgroupSpec:
         places = [p for p, _ in self.conditions]
         if len(set(places)) != len(places):
             raise InputError("at most one condition per place")
-        for p in places:
-            if p.kind in (KIND_INERT, KIND_RAMIFIED):
-                raise InputError(f"no conditions at {p.kind} places (out of scope)")
         keys = [p.sort_key for p in places]
         if keys != sorted(keys):
             raise InputError("conditions must be sorted by place")
@@ -298,16 +295,20 @@ class FiniteQuotientGroup:
     """The finite-level image of a SubgroupSpec.
 
     Elements are tuples of SLMat, one per place of the level in canonical
-    place order.  Construction validates that the level covers every
-    condition at at least its depth, then sets up one Component per place;
-    membership, order, sampling and generators are each condition's, read
-    at its component.
+    place order.  Construction validates that every place of the level has
+    a residue ring Z/p^e (inert and ramified places are out of scope) and
+    that the level covers every condition at at least its depth, then sets
+    up one Component per place; membership, order, sampling and generators
+    are each condition's, read at its component.
     """
 
     def __init__(self, spec: SubgroupSpec, level):
         items = sorted(dict(level).items(), key=lambda pe: pe[0].sort_key)
         if not items:
             raise InputError("a quotient needs at least one place in its level")
+        for place, _ in items:
+            if place.kind in (KIND_INERT, KIND_RAMIFIED):
+                raise InputError(f"no residue ring at the {place.kind} place {place.label} (out of scope)")
         exponents = dict(items)
         for place, cond in spec.conditions:
             if place not in exponents:
@@ -319,13 +320,11 @@ class FiniteQuotientGroup:
         self.spec = spec
         self.level = tuple(items)
         self.places = tuple(p for p, _ in items)
-        self.rings = tuple(single_place_ring(p, e, spec.d) for p, e in items)
+        self.rings = tuple(residue_ring(p.p, e) for p, e in items)
         self.conditions = tuple(spec.condition_at(p) for p in self.places)
-        self.components = tuple(
-            Component(spec.n, place, e, ring) for (place, e), ring in zip(items, self.rings)
-        )
+        self.components = tuple(Component(spec.n, p, ring) for p, ring in zip(self.places, self.rings))
         for cond, c in zip(self.conditions, self.components):
-            cond.setup(c, spec.d)
+            cond.setup(c)
         self._gens: list[tuple[SLMat, ...]] | None = None
         self._order: int | None = None
         self._identity: tuple[SLMat, ...] | None = None

@@ -2,10 +2,9 @@
 
 The building blocks here are deliberately small: labeled finite places
 over rational primes (split / inert / ramified / rational), square-root
-lifting modulo prime powers, and residue rings Z/p^e, one place at one
-exponent each.  Only split and rational places carry residue rings; inert
-and ramified places would need quadratic-extension residue fields that
-nothing downstream requires.
+lifting modulo prime powers, and the residue rings Z/p^e.  Only split and
+rational places have such a ring; inert and ramified places would need
+quadratic-extension residue fields that nothing downstream requires.
 
 All values are immutable and all functions are pure, so everything in this
 module is safe to share across threads.
@@ -104,7 +103,9 @@ class PrimePlace:
 
     Split places carry the square root of d modulo p that identifies them;
     the two places over a split prime carry the two distinct roots r and
-    p - r.  kind == "rational" is used when the base ring is Z.
+    p - r, split_first the smaller and split_second the larger, so a place's
+    kind follows from its root.  kind == "rational" is used when the base
+    ring is Z.
     """
 
     p: int
@@ -118,6 +119,11 @@ class PrimePlace:
         split = self.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND)
         if split and (self.root is None or not 0 < self.root < self.p):
             raise InputError("split places need a root in (0, p)")
+        if split and (self.root < self.p - self.root) != (self.kind == KIND_SPLIT_FIRST):
+            raise InputError(
+                f"place {self.label}: split_first carries the smaller root r < p - r "
+                f"and split_second the larger, not {self.kind} with root {self.root} mod {self.p}"
+            )
         if not split and self.root is not None:
             raise InputError(f"{self.kind} places carry no root")
 
@@ -289,27 +295,22 @@ def _guarded_modulus(p: int, e: int) -> int:
 
 @dataclass(frozen=True)
 class ResidueRing:
-    """The ring Z/p^e at one place.
+    """The ring Z/p^e.
 
-    For split places the ring stores the lifted square root of d mod p^e
-    so that reduction of quadratic integers is a ring homomorphism at
-    every level.
+    At a split place the residue ring O/v^e is this same ring; the root
+    that fixes the identification matters only when quadratic integers are
+    reduced, which nothing here does.  So both places over a split prime
+    share one ring.
     """
 
-    place: PrimePlace
-    exponent: int
-    lifted_root: int | None = None
+    p: int
+    e: int
 
     def __post_init__(self):
         # Computed once: the modulus is read on every matrix operation.
-        object.__setattr__(self, "_modulus", _guarded_modulus(self.place.p, self.exponent))
-        if self.place.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
-            if self.lifted_root is None:
-                raise InputError("split rings need a lifted root")
-            if self.lifted_root % self.place.p != self.place.root:
-                raise InputError("lifted root does not reduce to the place root")
-        elif self.lifted_root is not None:
-            raise InputError(f"{self.place.kind} rings carry no lifted root")
+        object.__setattr__(self, "_modulus", _guarded_modulus(self.p, self.e))
+        if not is_prime(self.p):
+            raise InputError(f"{self.p} is not prime")
 
     @property
     def modulus(self) -> int:
@@ -317,29 +318,11 @@ class ResidueRing:
 
 
 @functools.lru_cache(maxsize=None)
-def single_place_ring(place: PrimePlace, e: int, d: int | None = None) -> ResidueRing:
-    """The ring Z/p^e at one place, Hensel-lifting the root when needed.
-
-    Interned: places and rings are frozen, so equal arguments return one
-    ring object, and quotients built at the same place and level share it.
-    A bad place or a failed lift raises on every call (exceptions are not
-    cached).
-    """
-    if place.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
-        if e == 1:
-            lifted = place.root
-        else:
-            if d is None:
-                raise InputError("lifting a split place beyond level 1 needs d")
-            lifted = hensel_lift_sqrt(d, place.p, place.root, e)
-        return ResidueRing(place, e, lifted)
-    if place.kind in (KIND_INERT, KIND_RAMIFIED):
-        raise InputError(f"no residue ring at {place.kind} places (out of scope)")
-    return ResidueRing(place, e)
-
-
-def rational_ring(p: int, e: int) -> ResidueRing:
-    return single_place_ring(rational_place(p), e, None)
+def residue_ring(p: int, e: int) -> ResidueRing:
+    """The ring Z/p^e, interned: equal arguments return one ring object, so
+    quotients at the same prime and exponent share it.  Bad arguments raise
+    on every call (exceptions are not cached)."""
+    return ResidueRing(p, e)
 
 
 def _coprime(moduli) -> int:

@@ -24,7 +24,7 @@ from .parabolics import (
 )
 from .presets import PRESETS, builder
 from .quotients import FULL_WORD_MAX, _random_elementary_word
-from .rings import crt_join, crt_split, factorize, hensel_lift_sqrt, rational_ring
+from .rings import crt_join, crt_split, factorize, hensel_lift_sqrt, residue_ring
 from .twists import PlaceSwap, verify_iso
 
 FAULT_W0_SIGN = "w0-sign"
@@ -96,7 +96,7 @@ def check_graph_automorphism_determinant(corrupt_sign: bool = False):
                 "graph-automorphism-determinant",
                 f"reversal conjugator for n={n} has determinant {det}, not 1",
             )
-    ring = rational_ring(5, 1)
+    ring = residue_ring(5, 1)
     rng = random.Random(11)
     for _ in range(50):
         x = _random_elementary_word(rng, 4, ring, FULL_WORD_MAX)

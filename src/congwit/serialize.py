@@ -187,7 +187,8 @@ def bundle_from_json(doc) -> WitnessBundle:
 
 
 def _separating_rows(doc, place: PrimePlace, n: int) -> tuple[int, list]:
-    """The modulus and rows of the separating element at a place, n x n."""
+    """The modulus and rows of the separating element at a place, n x n,
+    with every entry canonically reduced into [0, modulus)."""
     doc = _object(doc, f"separating element at {place.label}")
     modulus, rows = json_int(doc, "modulus"), doc.get("rows")
     if not isinstance(rows, list):
@@ -195,4 +196,8 @@ def _separating_rows(doc, place: PrimePlace, n: int) -> tuple[int, list]:
     rows = [json_int_list(r, "a row") for r in rows]
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InputError(f"separating element at {place.label} must be {n}x{n}")
+    if any(not 0 <= x < modulus for r in rows for x in r):
+        raise InputError(
+            f"separating element at {place.label}: entries must be canonically reduced into [0, {modulus})"
+        )
     return modulus, rows

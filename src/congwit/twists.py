@@ -27,7 +27,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import InputError
-from .matrices import SLMat, scalar_mul
+from .matrices import scalar_mul
 from .parabolics import graph_automorphism, graph_automorphism_inverse
 from .quotients import CentralPrincipal, FiniteQuotientGroup, enumerate_quotient, tuple_mul
 from .rings import PrimePlace, unit_of_order
@@ -95,11 +95,11 @@ class CentralTransport(QuotientIso):
         src = self.source
         i = src.place_index(self.from_place)
         j = src.place_index(self.to_place)
-        (place_i, e_i), (place_j, e_j) = src.level[i], src.level[j]
-        z_i = unit_of_order(m, place_i.p, e_i)
-        z_j = unit_of_order(m, place_j.p, e_j)
-        depth_mod = place_i.p ** src.conditions[i].depth
-        mod_i, mod_j = src.rings[i].modulus, src.rings[j].modulus
+        ring_i, ring_j = src.rings[i], src.rings[j]
+        z_i = unit_of_order(m, ring_i.p, ring_i.e)
+        z_j = unit_of_order(m, ring_j.p, ring_j.e)
+        depth_mod = ring_i.p ** src.conditions[i].depth
+        mod_i, mod_j = ring_i.modulus, ring_j.modulus
         self._i, self._j, self._depth_mod = i, j, depth_mod
         self._exponent_of = {}
         for k in range(m):
@@ -161,15 +161,10 @@ class PlaceSwap(QuotientIso):
     def _image(self, g):
         i, j = self._i, self._j
         out = list(g)
+        # The two places over one split prime share the ring Z/p^e.  Places
+        # with different rings are swapped all the same, and the verifier
+        # refutes the image as a membership failure.
         out[i], out[j] = out[j], out[i]
-        # Re-home swapped components into the destination slot's ring when
-        # the moduli agree (the two places over one split prime carry the
-        # same Z/p^e).  A modulus mismatch is left in place so the verifier
-        # refutes it as a membership failure instead of crashing.
-        for k in (i, j):
-            ring, have = self.target.rings[k], out[k].ring
-            if have is not ring and have != ring and have.modulus == ring.modulus:
-                out[k] = SLMat(ring, out[k].entries)
         return tuple(out)
 
     def invert(self) -> "PlaceSwap":

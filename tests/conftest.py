@@ -3,10 +3,10 @@ import random
 import pytest
 
 from congwit.matrices import elementary, identity, mat_mul
-from congwit.rings import rational_ring
+from congwit.rings import residue_ring
 
 # Rings for pinning the unrolled matrix kernels to their references.
-KERNEL_RINGS = [rational_ring(p, e) for p, e in ((5, 1), (7, 1), (17, 1), (7, 2))]
+KERNEL_RINGS = [residue_ring(p, e) for p, e in ((5, 1), (7, 1), (17, 1), (7, 2))]
 
 
 def random_sl(n, ring, rng, length=20):

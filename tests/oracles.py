@@ -22,9 +22,10 @@ from congwit.rings import (
     PrimePlace,
     ResidueRing,
     factorize,
+    hensel_lift_sqrt,
     is_prime,
     is_squarefree,
-    single_place_ring,
+    residue_ring,
 )
 
 
@@ -80,17 +81,18 @@ def galois_conj(x: QuadInt) -> QuadInt:
     return QuadInt(x.a, -x.b, x.d)
 
 
-def residue_map(x, ring: ResidueRing) -> int:
-    """Reduce an element of the base ring into the residue ring Z/p^e.
+def residue_map(x, place: PrimePlace, e: int) -> int:
+    """Reduce an element of the base ring into Z/p^e at a place.
 
-    Split places send a + b*sqrt(d) to a + b*lifted_root; rational places
-    accept plain integers (or quadratic elements with b = 0).
+    Split places send a + b*sqrt(d) to a + b*r, with r the lift of the
+    place's root to a square root of d mod p^e; rational places accept plain
+    integers (or quadratic elements with b = 0).
     """
-    mod = ring.modulus
-    kind = ring.place.kind
+    mod = residue_ring(place.p, e).modulus
+    kind = place.kind
     if kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
         if isinstance(x, QuadInt):
-            return (x.a + x.b * ring.lifted_root) % mod
+            return (x.a + x.b * hensel_lift_sqrt(x.d, place.p, place.root, e)) % mod
         return x % mod
     if kind == KIND_RATIONAL:
         if isinstance(x, QuadInt):
@@ -154,10 +156,7 @@ def sl2_word_image_order(m: int, limit: int = 10**5) -> int:
     group onto the finite quotient is surjective, which is the evidence for
     defining quotients by local conditions alone.
     """
-    rings = [
-        single_place_ring(PrimePlace(p, "rational", None, f"p{p}"), e)
-        for p, e in sorted(factorize(m).items())
-    ]
+    rings = [residue_ring(p, e) for p, e in sorted(factorize(m).items())]
     s = [from_rows([[0, -1], [1, 0]], r) for r in rings]
     t = [from_rows([[1, 1], [0, 1]], r) for r in rings]
     ident = tuple(identity(2, r) for r in rings)

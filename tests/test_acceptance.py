@@ -27,7 +27,7 @@ from congwit.rings import (
     crt_split,
     factorize,
     hensel_lift_sqrt,
-    rational_ring,
+    residue_ring,
     splitting_type,
 )
 from congwit.selftest import run_selftest
@@ -137,7 +137,7 @@ def test_criterion_3_method_b_witness(runs):
         # (1,3)-parabolic into the (3,1)-parabolic, at the twisted prime
         theta = root_subset(4, {2, 3})
         image = theta.symmetric_image()
-        ring7 = rational_ring(7, 1)
+        ring7 = residue_ring(7, 1)
         for g in parabolic_generators(ParabolicSpec(4, 7, theta), ring7):
             assert parabolic_membership(graph_automorphism(g), ParabolicSpec(4, 7, image))
         data = run["doc"]["bundle"]["obstruction"]["data"]

@@ -247,6 +247,15 @@ MALFORMED = {
         lambda b: b["places"].append(dict(b["places"][0], label="five")),
         "places need distinct labels and distinct (p, kind, root)",
     ),
+    # p5 holds the central scalar 24 = -1 mod 25 in its (0, 0) entry
+    "separating-entry-negative": (
+        lambda b: b["separating_element"]["p5"]["rows"][0].__setitem__(0, -1),
+        "entries must be canonically reduced",
+    ),
+    "separating-entry-unreduced": (
+        lambda b: b["separating_element"]["p5"]["rows"][0].__setitem__(0, 24 + 25),
+        "entries must be canonically reduced",
+    ),
 }
 
 
@@ -461,8 +470,8 @@ def test_huge_bundle_n_is_refused_before_any_quotient(n, tmp_path):
     assert_rejected_fast(tmp_path, doc, f"must be {n}x{n}")
 
 
-# One malformed base ring or split-place root per case, applied to a method-c
-# bundle (d = 2; p7a carries the root 3 of 2 mod 7).
+# One malformed base ring, split-place root or split kind per case, applied to
+# a method-c bundle (d = 2; p7a carries the root 3 of 2 mod 7, p7b the root 4).
 MALFORMED_QUADRATIC = {
     "root-not-a-square-root": (
         lambda b: b["places"][0].update(root=1),
@@ -479,6 +488,14 @@ MALFORMED_QUADRATIC = {
     "d-not-squarefree": (lambda b: b["base_ring"].update(d=8), "d squarefree in [2, 2^31)"),
     "unknown-ring-kind": (lambda b: b["base_ring"].update(kind="gaussian"), "is not Z or Z[sqrt(d)]"),
     "d-without-kind": (lambda b: b["base_ring"].pop("kind"), "is not Z or Z[sqrt(d)]"),
+    "two-split-first-places": (
+        lambda b: b["places"][1].update(kind="split_first"),
+        "place p7b: split_first carries the smaller root r < p - r",
+    ),
+    "split-kinds-swapped": (
+        lambda b: [b["places"][0].update(kind="split_second"), b["places"][1].update(kind="split_first")],
+        "place p7a: split_first carries the smaller root r < p - r",
+    ),
 }
 
 
@@ -488,6 +505,22 @@ def test_base_ring_and_split_roots_must_agree(case, tmp_path, capsys):
     doc = bundle_to_json(presets.method_c_pair())
     mutate(doc)
     assert_rejected(capsys, tmp_path, doc, message)
+
+
+@pytest.mark.parametrize("kind,p", [("inert", 5), ("ramified", 3)])
+@pytest.mark.parametrize("conditioned", [False, True], ids=["level-only", "conditioned"])
+def test_inert_and_ramified_places_have_no_ring(kind, p, conditioned, tmp_path, capsys):
+    # Over Z[sqrt(3)], 3 ramifies and 5 is inert.  The place gets a level
+    # entry and a separating element, and in one variant a condition in both
+    # specs.
+    doc = bundle_to_json(presets.method_c_pair(3, 11, 13))
+    label = f"p{p}"
+    doc["places"].append({"label": label, "p": p, "kind": kind, "root": None})
+    doc["level"][label] = 1
+    doc["separating_element"][label] = {"modulus": p, "rows": [[1, 0], [0, 1]]}
+    if conditioned:
+        doc["conditions1"][label] = doc["conditions2"][label] = {"kind": "principal", "depth": 1}
+    assert_rejected(capsys, tmp_path, doc, f"no residue ring at the {kind} place {label}")
 
 
 def _relabel(value, names):
@@ -520,10 +553,10 @@ def test_method_c_certificate_does_not_depend_on_label_spelling(tmp_path, capsys
 # preset -> (cases, cases that are not rejected) for the fields outside the
 # condition maps
 DOCUMENT_FUZZ_COUNTS = {
-    "method-a": (1111, 365),
-    "method-b": (1518, 496),
-    "method-c": (1133, 325),
-    "s16": (759, 279),
+    "method-a": (1111, 337),
+    "method-b": (1518, 461),
+    "method-c": (1133, 318),
+    "s16": (759, 273),
 }
 
 
@@ -532,7 +565,8 @@ def _document_mutation_is_well_formed(base, path, value):
     any inside params (a free record of the builder's arguments) or inside the
     recomputed orders and obstruction, a value set to what it was, a deleted
     null, a deleted level entry at a place without conditions, and an integer
-    entry of a separating element (the determinant check decides)."""
+    entry of a separating element in [0, modulus) (the determinant check
+    decides)."""
     if path[0] in ("orders", "obstruction") or path[0] == "params" and len(path) > 1:
         return True
     if path[0] == "params":
@@ -543,7 +577,9 @@ def _document_mutation_is_well_formed(base, path, value):
         return old is None or (path[0] == "level" and path[1] not in conditioned)
     if type(value) is type(old) and value == old:
         return True
-    return path[0] == "separating_element" and len(path) == 5 and type(value) is int
+    if path[0] == "separating_element" and len(path) == 5 and type(value) is int:
+        return 0 <= value < base["separating_element"][path[1]]["modulus"]
+    return False
 
 
 @pytest.mark.parametrize("preset", sorted(DOCUMENT_FUZZ_COUNTS))

@@ -22,15 +22,15 @@ from congwit.matrices import (
     sl_order,
     sl_order_mod,
 )
-from congwit.rings import rational_ring
+from congwit.rings import residue_ring
 
 from conftest import KERNEL_RINGS, random_sl
 from oracles import minus_identity
 from projective import ProjPoint, act, lines_of_projective_space
 
-R5 = rational_ring(5, 1)
-R25 = rational_ring(5, 2)
-R7 = rational_ring(7, 1)
+R5 = residue_ring(5, 1)
+R25 = residue_ring(5, 2)
+R7 = residue_ring(7, 1)
 
 
 def test_identity_and_unipotent_inverse():
@@ -50,7 +50,7 @@ def test_inverse_roundtrip_random(ring, n, rng):
 
 
 def test_inverse_for_larger_n(rng):
-    ring = rational_ring(3, 2)
+    ring = residue_ring(3, 2)
     ident = identity(5, ring)
     for _ in range(50):
         x = random_sl(5, ring, rng)

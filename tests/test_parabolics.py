@@ -26,13 +26,13 @@ from congwit.parabolics import (
     root_subset,
 )
 from congwit.quotients import closure
-from congwit.rings import rational_ring
+from congwit.rings import residue_ring
 
 from conftest import KERNEL_RINGS, random_sl
 from oracles import minus_identity, parabolic_full, weyl_conjugator
 from projective import act, lines_of_projective_space, normalize_line
 
-R5 = rational_ring(5, 1)
+R5 = residue_ring(5, 1)
 P1 = ParabolicSpec(4, 5, root_subset(4, {2, 3}))
 P2 = ParabolicSpec(4, 5, root_subset(4, {1, 2}))
 
@@ -91,7 +91,7 @@ def test_parabolic_order():
 def test_parabolic_order_against_closure(spec, expected):
     assert parabolic_order(spec) == expected
     gens = [(g,) for g in parabolic_generators(spec)]
-    ident = (identity(spec.n, rational_ring(spec.p, 1)),)
+    ident = (identity(spec.n, residue_ring(spec.p, 1)),)
     assert len(closure(gens, ident, 50_000)) == expected
 
 
@@ -115,7 +115,7 @@ def test_graph_automorphism_examples():
 
 
 def test_graph_automorphism_is_multiplicative(rng):
-    for ring, n in ((R5, 4), (rational_ring(5, 2), 4), (rational_ring(7, 1), 2)):
+    for ring, n in ((R5, 4), (residue_ring(5, 2), 4), (residue_ring(7, 1), 2)):
         for _ in range(300):
             x = random_sl(n, ring, rng)
             y = random_sl(n, ring, rng)
@@ -125,7 +125,7 @@ def test_graph_automorphism_is_multiplicative(rng):
 
 
 def test_graph_automorphism_squares_to_inner(rng):
-    for ring, n in ((R5, 4), (rational_ring(7, 1), 2), (rational_ring(5, 1), 3)):
+    for ring, n in ((R5, 4), (residue_ring(7, 1), 2), (residue_ring(5, 1), 3)):
         c = weyl_conjugator(n, ring)
         c_inv = mat_inv(c)
         for _ in range(300):
@@ -161,7 +161,7 @@ def test_graph_automorphism_matches_composite_definition(ring, n, rng):
 
 def test_longest_weyl_determinant_convention():
     for n in (2, 3, 4, 5):
-        w0 = longest_weyl(n, rational_ring(5, 1))  # construction validates det = 1
+        w0 = longest_weyl(n, residue_ring(5, 1))  # construction validates det = 1
         assert w0.n == n
         # The sign sits at (0, n-1) exactly when the reversal is odd.
         corner = 4 if (n * (n - 1) // 2) % 2 == 1 else 1
@@ -173,7 +173,7 @@ def test_longest_weyl_determinant_convention():
 
 def test_graph_automorphism_swaps_parabolics():
     for p in (5, 7):
-        ring = rational_ring(p, 1)
+        ring = residue_ring(p, 1)
         a = ParabolicSpec(4, p, root_subset(4, {2, 3}))
         b = ParabolicSpec(4, p, root_subset(4, {1, 2}))
         for g in parabolic_generators(a, ring):
@@ -198,7 +198,7 @@ def test_fixed_lines_counts_whole_group_fixers():
     # fixed-by-generators equals fixed-by-group: enumerate the Borel of
     # SL_2(F_3) and check its one counted line against every element
     spec = borel(2, 3)
-    ring = rational_ring(3, 1)
+    ring = residue_ring(3, 1)
     gens = [(g,) for g in parabolic_generators(spec)]
     elements = closure(gens, (identity(2, ring),), 100)
     assert len(elements) == parabolic_order(spec)
@@ -245,7 +245,7 @@ def _block_predicate(g, spec):
 def test_membership_matches_the_block_predicate(rng):
     for n in (2, 3, 4):
         for p in (3, 5):
-            ring = rational_ring(p, 1)
+            ring = residue_ring(p, 1)
             for theta in _root_subsets(n):
                 spec = ParabolicSpec(n, p, theta)
                 gens = parabolic_generators(spec)
@@ -307,7 +307,7 @@ def _diag(values):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_count_fixed_lines_matches_enumeration(n, p):
     rng = random.Random(1000 * n + p)
-    ring = rational_ring(p, 1)
+    ring = residue_ring(p, 1)
     every = (p**n - 1) // (p - 1)
     ident = _diag([1] * n)
     assert count_fixed_lines([], n, p) == every

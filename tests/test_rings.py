@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,8 +13,7 @@ from congwit.rings import (
     find_split_primes,
     hensel_lift_sqrt,
     rational_place,
-    rational_ring,
-    single_place_ring,
+    residue_ring,
     smallest_primitive_root,
     split_places,
     splitting_type,
@@ -136,44 +136,40 @@ def test_conj_place():
 
 def test_residue_map_examples():
     p1, p2 = split_places(7, 2)
-    f1 = single_place_ring(p1, 1)
-    f2 = single_place_ring(p2, 1)
     x = QuadInt(1, 1, 2)
-    assert residue_map(x, f1) == 4
-    assert residue_map(x, f2) == 5
-    assert residue_map(QuadInt(7, 0, 2), f1) == 0
+    assert residue_map(x, p1, 1) == 4
+    assert residue_map(x, p2, 1) == 5
+    assert residue_map(QuadInt(7, 0, 2), p1, 1) == 0
 
 
 @pytest.mark.parametrize("e", [1, 2, 3])
 def test_residue_map_is_ring_homomorphism(e):
     p1, _ = split_places(7, 2)
-    f = single_place_ring(p1, e, d=2)
+    mod = 7**e
     rng = random.Random(11 + e)
     for _ in range(1000):
         x = QuadInt(rng.randrange(-200, 200), rng.randrange(-200, 200), 2)
         y = QuadInt(rng.randrange(-200, 200), rng.randrange(-200, 200), 2)
-        assert residue_map(x + y, f) == (residue_map(x, f) + residue_map(y, f)) % f.modulus
-        assert residue_map(x * y, f) == (residue_map(x, f) * residue_map(y, f)) % f.modulus
+        fx, fy = residue_map(x, p1, e), residue_map(y, p1, e)
+        assert residue_map(x + y, p1, e) == (fx + fy) % mod
+        assert residue_map(x * y, p1, e) == fx * fy % mod
 
 
 def test_residue_map_commutes_with_conjugation():
     rng = random.Random(3)
     for e in (1, 2):
         for v in split_places(7, 2) + split_places(17, 2):
-            f = single_place_ring(v, e, d=2)
-            f_conj = single_place_ring(conj_place(v), e, d=2)
             for _ in range(250):
                 x = QuadInt(rng.randrange(-99, 99), rng.randrange(-99, 99), 2)
-                assert residue_map(galois_conj(x), f) == residue_map(x, f_conj)
+                assert residue_map(galois_conj(x), v, e) == residue_map(x, conj_place(v), e)
 
 
 def test_residue_map_rejects_unsupported_places():
     inert = PrimePlace(5, "inert", None, "p5i")
+    with pytest.raises(InputError, match="inert"):
+        residue_map(QuadInt(1, 1, 2), inert, 1)
     with pytest.raises(InputError):
-        single_place_ring(inert, 1)
-    f = single_place_ring(rational_place(5), 1)
-    with pytest.raises(InputError):
-        residue_map(QuadInt(1, 1, 2), f)
+        residue_map(QuadInt(1, 1, 2), rational_place(5), 1)
 
 
 def test_roots_of_unity_order_examples_and_oracle():
@@ -213,16 +209,12 @@ def test_crt_requires_coprime_factors():
 
 def test_residue_ring_guards():
     with pytest.raises(InputError, match="exponent must be >= 1"):
-        rational_ring(5, 0)
+        residue_ring(5, 0)
     with pytest.raises(InputError, match="exceeds the 2\\^31 guard"):
-        rational_ring(46337, 3)  # 46337^3 > 2^31
-    with pytest.raises(InputError, match="lifted root"):
-        ResidueRing(rational_place(5), 1, 2)
-    first, _ = split_places(7, 2)
-    with pytest.raises(InputError, match="lifted root"):
-        ResidueRing(first, 2, 4)  # 4 does not reduce to the root 3
-    ring = rational_ring(7, 2)
-    assert (ring.place, ring.exponent, ring.lifted_root, ring.modulus) == (rational_place(7), 2, None, 49)
+        residue_ring(46337, 3)  # 46337^3 > 2^31
+    ring = residue_ring(7, 2)
+    assert [f.name for f in dataclasses.fields(ResidueRing)] == ["p", "e"]
+    assert (ring.p, ring.e, ring.modulus) == (7, 2, 49)
     assert "modulus" in ResidueRing.__dict__ and isinstance(ResidueRing.__dict__["modulus"], property)
 
 
@@ -240,15 +232,11 @@ def test_canonical_units():
         unit_of_order(4, 7, 1)
 
 
-def test_single_place_rings_are_interned_and_errors_are_not():
-    place = rational_place(7)
-    assert single_place_ring(place, 2, None) is single_place_ring(place, 2, None)
-    assert rational_ring(7, 2) is single_place_ring(place, 2, None)
-    first, _ = split_places(7, 2)
-    assert single_place_ring(first, 2, 2) is single_place_ring(first, 2, 2)
-    inert = PrimePlace(7, "inert")
+def test_residue_rings_are_interned_and_errors_are_not():
+    assert residue_ring(7, 2) is residue_ring(7, 2)
+    assert residue_ring(7, 2) == ResidueRing(7, 2) and residue_ring(7, 1) != residue_ring(7, 2)
     for _ in range(2):
-        with pytest.raises(InputError):
-            single_place_ring(inert, 1)
-        with pytest.raises(InputError):
-            single_place_ring(first, 2)  # lifting the root needs d
+        with pytest.raises(InputError, match="exponent must be >= 1"):
+            residue_ring(7, 0)
+        with pytest.raises(InputError, match="9 is not prime"):
+            residue_ring(9, 1)

@@ -219,6 +219,31 @@ def test_broken_place_swap_is_refuted():
     assert report.membership_failures > 0
 
 
+def test_place_swap_keeps_the_shared_ring():
+    # both places over 7 share one ring object, and both over 17
+    bundle = method_c_pair()
+    q1, q2 = bundle.quotient1, bundle.quotient2
+    rings = {}
+    for place, ring in zip(q1.places, q1.rings):
+        rings.setdefault(place.p, []).append(ring)
+    assert sorted(rings) == [7, 17]
+    assert all(len(rs) == 2 and rs[0] is rs[1] for rs in rings.values())
+    for seed in range(20):
+        image = bundle.iso.apply(q1.sample(seed))
+        assert all(c.ring is ring for c, ring in zip(image, q2.rings))
+
+
+def test_place_swap_between_exponents_is_refuted():
+    # Z/49 at p7a and Z/7 at p7b: the swapped components sit in the wrong rings
+    c = method_c_pair()
+    level = dict(c.level)
+    level[c.iso.from_place] = 2
+    q1, q2 = (FiniteQuotientGroup(spec, level) for spec in (c.spec1, c.spec2))
+    report = verify_iso(PlaceSwap(q1, q2, c.iso.from_place, c.iso.to_place), 100, 0)
+    assert report.verdict == "refuted"
+    assert report.membership_failures > 0
+
+
 def test_exhaustive_verification_for_tiny_quotients():
     bundle = s16_pair(7)
     report = verify_iso(bundle.iso, 10_000, 0)
