@@ -36,7 +36,7 @@ from .quotients import (
     central_presence,
     subgroup_spec,
 )
-from .rings import PrimePlace, conj_place, is_prime, rational_place, split_places, splitting_type
+from .rings import PrimePlace, conj_place, is_prime, is_squarefree, rational_place, split_places
 from .twists import CentralTransport, GraphAutomorphism, PlaceSwap, QuotientIso
 
 
@@ -195,20 +195,11 @@ def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
     twist swaps the components at the two places over p, and the ring
     conjugation certificate shows the shared place over q moves.
     """
-    from .rings import is_squarefree
-
     if d < 2 or not is_squarefree(d):
         raise InputError(f"d={d} must be squarefree and >= 2")
     _need_prime(p), _need_prime(q)
     if p == q:
         raise InputError("p and q must be distinct")
-    for r in (p, q):
-        kind, _ = splitting_type(r, d)
-        if kind != "split":
-            raise InputError(
-                f"{r} is {kind} in Q(sqrt({d})): x^2 = {d} mod {r} has "
-                f"{'no solution' if kind == 'inert' else 'a double root'}, but a split prime is required"
-            )
     n = 2
     p1, p2 = split_places(p, d)
     q1_place, q2_place = split_places(q, d)
@@ -338,10 +329,19 @@ def _parabolic_obstruction(bundle) -> ObstructionReport:
             "theta": parabolic_order(spec_a),
             "theta_image": parabolic_order(spec_b),
         }
+    # The twist acts at vq alone, and a global automorphism acts alike at
+    # every place: the specs must agree away from vq, and another place must
+    # keep spec 1's Parabolic(theta) in both, so no graph twist can fix it.
+    spec1, spec2 = bundle.spec1, bundle.spec2
+    others = {place for place, _ in spec1.conditions + spec2.conditions} - {vq}
+    agree_elsewhere = all(spec1.condition_at(v) == spec2.condition_at(v) for v in others)
+    anchored = any(v != vq and cond == conds[0] for v, cond in spec1.conditions)
     separation = _separation(bundle)
     holds = (
         not symmetric
         and image_matches
+        and agree_elsewhere
+        and anchored
         and all(v["theta"] != v["theta_image"] for v in lines.values())
         and all(v["theta"] == v["theta_image"] for v in orders.values())
         and separation["quotient1"]

@@ -47,14 +47,7 @@ from .parabolics import (
     parabolic_order,
     root_subset,
 )
-from .rings import (
-    KIND_INERT,
-    KIND_RAMIFIED,
-    PrimePlace,
-    ResidueRing,
-    residue_ring,
-    unit_of_order,
-)
+from .rings import PrimePlace, ResidueRing, residue_ring, unit_of_order
 
 # Cap on random-word length in the samplers.  Full components use up to 32
 # elementary factors; parabolic words are kept shorter because their
@@ -295,20 +288,16 @@ class FiniteQuotientGroup:
     """The finite-level image of a SubgroupSpec.
 
     Elements are tuples of SLMat, one per place of the level in canonical
-    place order.  Construction validates that every place of the level has
-    a residue ring Z/p^e (inert and ramified places are out of scope) and
-    that the level covers every condition at at least its depth, then sets
-    up one Component per place; membership, order, sampling and generators
-    are each condition's, read at its component.
+    place order, each in the residue ring Z/p^e of its place.  Construction
+    validates that the level covers every condition at at least its depth,
+    then sets up one Component per place; membership, order, sampling and
+    generators are each condition's, read at its component.
     """
 
     def __init__(self, spec: SubgroupSpec, level):
         items = sorted(dict(level).items(), key=lambda pe: pe[0].sort_key)
         if not items:
             raise InputError("a quotient needs at least one place in its level")
-        for place, _ in items:
-            if place.kind in (KIND_INERT, KIND_RAMIFIED):
-                raise InputError(f"no residue ring at the {place.kind} place {place.label} (out of scope)")
         exponents = dict(items)
         for place, cond in spec.conditions:
             if place not in exponents:

@@ -1,10 +1,12 @@
 """Exact arithmetic in Z and in real quadratic rings Z[sqrt(d)].
 
-The building blocks here are deliberately small: labeled finite places
-over rational primes (split / inert / ramified / rational), square-root
-lifting modulo prime powers, and the residue rings Z/p^e.  Only split and
-rational places have such a ring; inert and ramified places would need
-quadratic-extension residue fields that nothing downstream requires.
+The building blocks here are deliberately small: labeled finite places,
+square-root lifting modulo prime powers, and the residue rings Z/p^e.  A
+place is a rational prime p and, over Z[sqrt(d)], the root of x^2 = d mod p
+that names one of the two places over a split prime; its kind (rational,
+split_first, split_second) follows from the root.  Every place has the
+residue ring Z/p^e.  Inert and ramified primes would need quadratic-extension
+residue fields that nothing downstream requires, so they have no places here.
 
 All values are immutable and all functions are pure, so everything in this
 module is safe to share across threads.
@@ -82,60 +84,38 @@ def euler_phi_prime_power(p: int, e: int) -> int:
 # ---------------------------------------------------------------------------
 # places
 
-KIND_RATIONAL = "rational"
-KIND_SPLIT_FIRST = "split_first"
-KIND_SPLIT_SECOND = "split_second"
-KIND_INERT = "inert"
-KIND_RAMIFIED = "ramified"
-
-_KIND_RANK = {
-    KIND_RATIONAL: 0,
-    KIND_SPLIT_FIRST: 1,
-    KIND_SPLIT_SECOND: 2,
-    KIND_INERT: 3,
-    KIND_RAMIFIED: 4,
-}
-
 
 @dataclass(frozen=True)
 class PrimePlace:
-    """A labeled finite place over the rational prime p.
+    """A labeled finite place over the odd prime p.
 
-    Split places carry the square root of d modulo p that identifies them;
-    the two places over a split prime carry the two distinct roots r and
-    p - r, split_first the smaller and split_second the larger, so a place's
-    kind follows from its root.  kind == "rational" is used when the base
-    ring is Z.
+    A place of Z carries no root.  A place of Z[sqrt(d)] over a split prime
+    carries the square root r of d mod p, 0 < r < p, that identifies it; the
+    two places over p carry r and p - r.  The kind follows from the root:
+    rational without one, split_first for the smaller root (r < p - r) and
+    split_second for the larger.  Nothing here checks the root against d:
+    serialize.place_from_json ties a place to its base ring.
     """
 
     p: int
-    kind: str
     root: int | None = None
     label: str = ""
 
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise InputError(f"unknown place kind {self.kind!r}")
-        split = self.kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND)
-        if split and (self.root is None or not 0 < self.root < self.p):
-            raise InputError("split places need a root in (0, p)")
-        if split and (self.root < self.p - self.root) != (self.kind == KIND_SPLIT_FIRST):
-            raise InputError(
-                f"place {self.label}: split_first carries the smaller root r < p - r "
-                f"and split_second the larger, not {self.kind} with root {self.root} mod {self.p}"
-            )
-        if not split and self.root is not None:
-            raise InputError(f"{self.kind} places carry no root")
+    @property
+    def kind(self) -> str:
+        if self.root is None:
+            return "rational"
+        return "split_first" if self.root < self.p - self.root else "split_second"
 
     @property
     def sort_key(self) -> tuple[int, int]:
-        return (self.p, _KIND_RANK[self.kind])
+        return (self.p, self.root or 0)
 
 
 def rational_place(p: int) -> PrimePlace:
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    return PrimePlace(p, KIND_RATIONAL, None, f"p{p}")
+    return PrimePlace(p, None, f"p{p}")
 
 
 def splitting_type(p: int, d: int):
@@ -199,24 +179,23 @@ def split_places(p: int, d: int) -> tuple[PrimePlace, PrimePlace]:
     """The two places over a prime p that splits in Z[sqrt(d)]."""
     kind, roots = splitting_type(p, d)
     if kind != "split":
-        raise InputError(f"{p} is {kind} in Z[sqrt({d})], not split")
+        raise InputError(
+            f"{p} is {kind} in Z[sqrt({d})]: x^2 = {d} mod {p} has "
+            f"{'no solution' if kind == 'inert' else 'a double root'}, but a split prime is required"
+        )
     r1, r2 = roots
-    return (
-        PrimePlace(p, KIND_SPLIT_FIRST, r1, f"p{p}a"),
-        PrimePlace(p, KIND_SPLIT_SECOND, r2, f"p{p}b"),
-    )
+    return PrimePlace(p, r1, f"p{p}a"), PrimePlace(p, r2, f"p{p}b")
 
 
 def conj_place(v: PrimePlace, places=()) -> PrimePlace:
     """Image of a place under the ring conjugation, which swaps the two split
-    places over a prime and fixes every other kind.  Labels are names only:
-    the image is the place among `places` with the conjugate (p, kind, root),
-    or an unlabeled place when there is none."""
-    if v.kind not in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
+    places over a prime (roots r and p - r) and fixes a rational place.
+    Labels are names only: the image is the place among `places` with the
+    conjugate (p, root), or an unlabeled place when there is none."""
+    if v.root is None:
         return v
-    kind = KIND_SPLIT_SECOND if v.kind == KIND_SPLIT_FIRST else KIND_SPLIT_FIRST
-    key = (v.p, kind, v.p - v.root)
-    return next((w for w in places if (w.p, w.kind, w.root) == key), PrimePlace(*key))
+    key = (v.p, v.p - v.root)
+    return next((w for w in places if (w.p, w.root) == key), PrimePlace(*key))
 
 
 def find_split_primes(d, count, exclude=(), congruence=None):

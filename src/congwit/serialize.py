@@ -52,7 +52,13 @@ def place_to_json(v: PrimePlace) -> dict:
     return {"label": v.label, "p": v.p, "kind": v.kind, "root": v.root}
 
 
-def place_from_json(doc) -> PrimePlace:
+def place_from_json(doc, d: int | None) -> PrimePlace:
+    """A place of the base ring Z (d None) or Z[sqrt(d)], checked against it.
+
+    Over Z a place carries no root.  Over Z[sqrt(d)] it carries a root r of
+    x^2 = d mod p with 0 < r < p, so p splits; inert and ramified primes
+    have no such root.  The document's kind must be the kind the root gives.
+    """
     doc = _object(doc, "a place")
     label, kind = doc.get("label"), doc.get("kind")
     if not isinstance(label, str) or not isinstance(kind, str):
@@ -62,7 +68,16 @@ def place_from_json(doc) -> PrimePlace:
     if not (2 < p < MAX_MODULUS and is_prime(p)):
         raise InputError(f"place {label} needs an odd prime p below {MAX_MODULUS}, not {p}")
     root = None if doc.get("root") is None else json_int(doc, "root")
-    return PrimePlace(p, kind, root, label)
+    if d is None and root is not None:
+        raise InputError(f"place {label}: a place over Z carries no root, not {root}")
+    if d is not None and (root is None or not 0 < root < p):
+        raise InputError(f"place {label}: a place over Z[sqrt({d})] needs a root in (0, {p}), not {root}")
+    if d is not None and (root * root - d) % p:
+        raise InputError(f"place {label}: root {root} is not a square root of d = {d} mod {p}")
+    place = PrimePlace(p, root, label)
+    if kind != place.kind:
+        raise InputError(f"place {label} is {place.kind} (p = {p}, root {root}), not {kind}")
+    return place
 
 
 def _conditions_to_json(spec: SubgroupSpec) -> dict:
@@ -150,13 +165,10 @@ def bundle_from_json(doc) -> WitnessBundle:
         raise InputError(f"base_ring {base_ring!r} is not Z or Z[sqrt(d)], d squarefree in [2, 2^31)")
     if not isinstance(doc["places"], list):
         raise InputError(f"places must be a list, not {doc['places']!r}")
-    place_list = tuple(place_from_json(p) for p in doc["places"])
-    for v in place_list:  # only split places carry a root
-        if v.root is not None and (d is None or (v.root * v.root - d) % v.p):
-            raise InputError(f"place {v.label}: root {v.root} is not a square root of d = {d} mod {v.p}")
+    place_list = tuple(place_from_json(p, d) for p in doc["places"])
     places = {place.label: place for place in place_list}
-    if len(places) < len(place_list) or len({(v.p, v.kind, v.root) for v in place_list}) < len(places):
-        raise InputError("places need distinct labels and distinct (p, kind, root)")
+    if len(places) < len(place_list) or len({(v.p, v.root) for v in place_list}) < len(places):
+        raise InputError("places need distinct labels and distinct (p, root)")
     level_doc = _object(doc["level"], "level")
     level = {_place(places, label): json_int(level_doc, label) for label in level_doc}
     # read before any quotient is built, whose size grows with n

@@ -26,7 +26,7 @@ import signal
 import threading
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, json_int
 from .matrices import scalar_mul
 from .parabolics import graph_automorphism, graph_automorphism_inverse
 from .quotients import CentralPrincipal, FiniteQuotientGroup, enumerate_quotient, tuple_mul
@@ -138,7 +138,7 @@ class CentralTransport(QuotientIso):
             target,
             _place(places, doc.get("from_place")),
             _place(places, doc.get("to_place")),
-            doc.get("scalar_order"),
+            json_int(doc, "scalar_order"),
         )
 
 

@@ -16,9 +16,6 @@ from congwit.matrices import SLMat, from_rows, identity, mat_inv, mat_mul, scala
 from congwit.parabolics import ParabolicSpec, longest_weyl, root_subset
 from congwit.quotients import closure
 from congwit.rings import (
-    KIND_RATIONAL,
-    KIND_SPLIT_FIRST,
-    KIND_SPLIT_SECOND,
     PrimePlace,
     ResidueRing,
     factorize,
@@ -89,18 +86,13 @@ def residue_map(x, place: PrimePlace, e: int) -> int:
     integers (or quadratic elements with b = 0).
     """
     mod = residue_ring(place.p, e).modulus
-    kind = place.kind
-    if kind in (KIND_SPLIT_FIRST, KIND_SPLIT_SECOND):
-        if isinstance(x, QuadInt):
-            return (x.a + x.b * hensel_lift_sqrt(x.d, place.p, place.root, e)) % mod
+    if not isinstance(x, QuadInt):
         return x % mod
-    if kind == KIND_RATIONAL:
-        if isinstance(x, QuadInt):
-            if x.b != 0:
-                raise InputError("rational places reduce integers only")
-            return x.a % mod
-        return x % mod
-    raise InputError(f"residue arithmetic at {kind} places is unsupported")
+    if place.root is not None:
+        return (x.a + x.b * hensel_lift_sqrt(x.d, place.p, place.root, e)) % mod
+    if x.b != 0:
+        raise InputError("rational places reduce integers only")
+    return x.a % mod
 
 
 def roots_of_unity_order(n: int, p: int, e: int) -> int:

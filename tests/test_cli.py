@@ -241,11 +241,11 @@ MALFORMED = {
     # labels are names only: one place, listed twice or under a second label
     "place-listed-twice": (
         lambda b: b["places"].append(dict(b["places"][0])),
-        "places need distinct labels and distinct (p, kind, root)",
+        "places need distinct labels and distinct (p, root)",
     ),
     "place-under-two-labels": (
         lambda b: b["places"].append(dict(b["places"][0], label="five")),
-        "places need distinct labels and distinct (p, kind, root)",
+        "places need distinct labels and distinct (p, root)",
     ),
     # p5 holds the central scalar 24 = -1 mod 25 in its (0, 0) entry
     "separating-entry-negative": (
@@ -255,6 +255,19 @@ MALFORMED = {
     "separating-entry-unreduced": (
         lambda b: b["separating_element"]["p5"]["rows"][0].__setitem__(0, 24 + 25),
         "entries must be canonically reduced",
+    ),
+    # over Z every place is rational, even one that is only listed
+    "inert-place-over-z": (
+        lambda b: b["places"].append({"label": "p11", "p": 11, "kind": "inert", "root": None}),
+        "place p11 is rational (p = 11, root None), not inert",
+    ),
+    "ramified-place-over-z": (
+        lambda b: b["places"].append({"label": "p3", "p": 3, "kind": "ramified", "root": None}),
+        "place p3 is rational (p = 3, root None), not ramified",
+    ),
+    "scalar-order-float": (
+        lambda b: b["iso"].update(scalar_order=2.0),
+        "scalar_order must be an integer",
     ),
 }
 
@@ -470,7 +483,7 @@ def test_huge_bundle_n_is_refused_before_any_quotient(n, tmp_path):
     assert_rejected_fast(tmp_path, doc, f"must be {n}x{n}")
 
 
-# One malformed base ring, split-place root or split kind per case, applied to
+# One malformed base ring, place root or place kind per case, applied to
 # a method-c bundle (d = 2; p7a carries the root 3 of 2 mod 7, p7b the root 4).
 MALFORMED_QUADRATIC = {
     "root-not-a-square-root": (
@@ -483,18 +496,18 @@ MALFORMED_QUADRATIC = {
     ),
     "rational-base-ring": (
         lambda b: b.update(base_ring={"kind": "rational_integers"}),
-        "root 3 is not a square root of d = None mod 7",
+        "place p7a: a place over Z carries no root, not 3",
     ),
     "d-not-squarefree": (lambda b: b["base_ring"].update(d=8), "d squarefree in [2, 2^31)"),
     "unknown-ring-kind": (lambda b: b["base_ring"].update(kind="gaussian"), "is not Z or Z[sqrt(d)]"),
     "d-without-kind": (lambda b: b["base_ring"].pop("kind"), "is not Z or Z[sqrt(d)]"),
     "two-split-first-places": (
         lambda b: b["places"][1].update(kind="split_first"),
-        "place p7b: split_first carries the smaller root r < p - r",
+        "place p7b is split_second (p = 7, root 4), not split_first",
     ),
     "split-kinds-swapped": (
         lambda b: [b["places"][0].update(kind="split_second"), b["places"][1].update(kind="split_first")],
-        "place p7a: split_first carries the smaller root r < p - r",
+        "place p7a is split_first (p = 7, root 3), not split_second",
     ),
 }
 
@@ -507,12 +520,14 @@ def test_base_ring_and_split_roots_must_agree(case, tmp_path, capsys):
     assert_rejected(capsys, tmp_path, doc, message)
 
 
-@pytest.mark.parametrize("kind,p", [("inert", 5), ("ramified", 3)])
+@pytest.mark.parametrize("kind,p", [("inert", 5), ("ramified", 3), ("rational", 5)])
 @pytest.mark.parametrize("conditioned", [False, True], ids=["level-only", "conditioned"])
 def test_inert_and_ramified_places_have_no_ring(kind, p, conditioned, tmp_path, capsys):
-    # Over Z[sqrt(3)], 3 ramifies and 5 is inert.  The place gets a level
-    # entry and a separating element, and in one variant a condition in both
-    # specs.
+    # Over Z[sqrt(3)], 3 ramifies and 5 is inert: x^2 = 3 has no root in
+    # (0, p), so neither prime has a place, whatever kind the document names.
+    # The place gets a level entry and a separating element, and in one
+    # variant a principal condition in both specs; the rational place there
+    # used to pass verify-iso and fail obstruct.
     doc = bundle_to_json(presets.method_c_pair(3, 11, 13))
     label = f"p{p}"
     doc["places"].append({"label": label, "p": p, "kind": kind, "root": None})
@@ -520,7 +535,25 @@ def test_inert_and_ramified_places_have_no_ring(kind, p, conditioned, tmp_path, 
     doc["separating_element"][label] = {"modulus": p, "rows": [[1, 0], [0, 1]]}
     if conditioned:
         doc["conditions1"][label] = doc["conditions2"][label] = {"kind": "principal", "depth": 1}
-    assert_rejected(capsys, tmp_path, doc, f"no residue ring at the {kind} place {label}")
+    assert_rejected(capsys, tmp_path, doc, f"place {label}: a place over Z[sqrt(3)] needs a root in (0, {p})")
+
+
+@pytest.mark.parametrize(
+    "p5", [{"kind": "parabolic", "theta": [1, 2]}, None], ids=["graph-image-at-p5", "full-at-p5"]
+)
+def test_method_b_certificate_fails_for_globally_conjugate_specs(p5, tmp_path, capsys):
+    # Spec 2 becomes the image of spec 1 under the diagram symmetry at every
+    # place, so the subgroups are isomorphic and no certificate may hold.
+    doc = bundle_to_json(method_b_pair())
+    if p5 is None:
+        del doc["conditions1"]["p5"], doc["conditions2"]["p5"]
+    else:
+        doc["conditions2"]["p5"] = p5
+    path = tmp_path / "conjugate.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "obstruct", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["obstruction"]["holds"] is False
 
 
 def _relabel(value, names):

@@ -124,14 +124,25 @@ def test_conj_place():
     p1, p2 = split_places(7, 2)
     assert p1.root == 3 and p2.root == 4
     assert conj_place(p1, (p1, p2)) == p2 and conj_place(p2, (p1, p2)) == p1
-    # labels are names only: the conjugate is found by (p, kind, root)
-    u, v = PrimePlace(7, "split_first", 3, "u"), PrimePlace(7, "split_second", 4, "v")
+    # labels are names only: the conjugate is found by (p, root)
+    u, v = PrimePlace(7, 3, "u"), PrimePlace(7, 4, "v")
     assert conj_place(u, (v, u)) is v and conj_place(v, (v, u)) is u
-    assert conj_place(p1) == PrimePlace(7, "split_second", 4) == conj_place(p1, (p1, u))
+    assert conj_place(p1) == PrimePlace(7, 4) == conj_place(p1, (p1, u))
     w = rational_place(5)
     assert conj_place(w) == w
-    inert = PrimePlace(5, "inert", None, "p5i")
-    assert conj_place(inert) == inert
+
+
+def test_place_kind_follows_from_root():
+    assert [f.name for f in dataclasses.fields(PrimePlace)] == ["p", "root", "label"]
+    assert rational_place(7).kind == "rational" and rational_place(7).root is None
+    assert [v.kind for v in split_places(17, 2)] == ["split_first", "split_second"]
+    assert [PrimePlace(7, r).kind for r in range(1, 7)] == ["split_first"] * 3 + ["split_second"] * 3
+    # the order of kinds over one prime: rational, then the smaller root, then the larger
+    places = [PrimePlace(7, 4), rational_place(7), PrimePlace(5, 3), PrimePlace(7, 3)]
+    ordered = sorted(places, key=lambda v: v.sort_key)
+    assert [(v.p, v.kind) for v in ordered] == [
+        (5, "split_second"), (7, "rational"), (7, "split_first"), (7, "split_second")
+    ]
 
 
 def test_residue_map_examples():
@@ -165,9 +176,6 @@ def test_residue_map_commutes_with_conjugation():
 
 
 def test_residue_map_rejects_unsupported_places():
-    inert = PrimePlace(5, "inert", None, "p5i")
-    with pytest.raises(InputError, match="inert"):
-        residue_map(QuadInt(1, 1, 2), inert, 1)
     with pytest.raises(InputError):
         residue_map(QuadInt(1, 1, 2), rational_place(5), 1)
 
@@ -230,6 +238,21 @@ def test_canonical_units():
         assert all(pow(z, k, mod) != 1 for k in range(1, m))
     with pytest.raises(InputError):
         unit_of_order(4, 7, 1)
+
+
+def test_canonical_units_form_a_tower():
+    # reducing the order-m unit mod p^e gives the one mod p^(e-1), so the
+    # central transports at every level are compatible
+    triples = [
+        (m, p, e)
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+        for e in range(2, 6)
+        for m in range(1, p)
+        if (p - 1) % m == 0
+    ]
+    assert len(triples) == 292
+    for m, p, e in triples:
+        assert unit_of_order(m, p, e) % p ** (e - 1) == unit_of_order(m, p, e - 1), (m, p, e)
 
 
 def test_residue_rings_are_interned_and_errors_are_not():
