@@ -11,8 +11,9 @@ the other:
               symmetry; unequal fixed-line counts certify non-conjugacy
   method C    over a real quadratic ring, the constrained split place over p
               differs; ring conjugation moves the shared place over q
-  s16         method A at (n, p, q, order, level) = (2, 3, 5, 2, 1), phrased
-              for matrices with entries integral away from a prime p
+  s16         the quotients of method A at (n, p, q, order, level) =
+              (2, 3, 5, 2, 1), over Z[1/p] for a further prime p, where SL_2
+              has rank 2 (method A itself needs n >= 3: rank n - 1 over Z)
 
 Non-isomorphism of the underlying subgroups is not machine-verified here:
 the reports label it as certified by superrigidity theory given the emitted
@@ -134,10 +135,11 @@ def s16_pair(p: int = 7) -> WitnessBundle:
     """The 2x2 pair at the primes 3 and 5: entries a, d congruent to a common
     sign mod 3 and to 1 mod 5 on one side, mirrored on the other.
 
-    This is method A at (n, p, q, order, level) = (2, 3, 5, 2, 1).  The
-    parameter p only names the ring of matrices with entries integral away
-    from p; every level used here is coprime to p, so p enters the record
-    but not the computation.
+    These are the quotients of method A at (n, p, q, order, level) =
+    (2, 3, 5, 2, 1), over the ring of matrices with entries integral away
+    from p, where SL_2 has rank 2; over Z it has rank 1, so method A refuses
+    n = 2.  Every level used here is coprime to p, so p enters the record
+    and the rank but not the computation.
     """
     _need_prime(p)
     if p in (2, 3, 5):
@@ -221,11 +223,20 @@ def builder(name: str):
 
 
 def _bundle(method, params, places, spec1, spec2, iso, sep) -> WitnessBundle:
-    """Assemble a bundle around its twist and attach the recomputed certificate."""
+    """Assemble a bundle around its twist and attach the recomputed certificate.
+
+    The certificate rests on superrigidity, which needs rank at least 2: the
+    rank of SL_n is n - 1 over Z, and 2(n - 1) over Z[sqrt(d)] or, for s16,
+    over Z[1/p].
+    """
+    n = spec1.n
+    rank = (n - 1) * (1 if spec1.d is None and method != "S16" else 2)
+    if rank < 2:
+        raise InputError(f"SL_{n} has rank {rank} in method {method}; the certificate needs rank >= 2")
     bundle = WitnessBundle(
         method=method,
         params=params,
-        n=spec1.n,
+        n=n,
         d=spec1.d,
         places=places,
         level=iso.source.level,

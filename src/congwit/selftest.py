@@ -17,6 +17,7 @@ import time
 from .matrices import _det_int, enumerate_sl2_order, mat_mul, sl_order_mod
 from .parabolics import (
     ParabolicSpec,
+    _weyl_signs,
     borel,
     fixed_lines,
     graph_automorphism,
@@ -24,7 +25,7 @@ from .parabolics import (
 )
 from .presets import PRESETS, builder
 from .quotients import FULL_WORD_MAX, _random_elementary_word
-from .rings import crt_join, crt_split, factorize, hensel_lift_sqrt, residue_ring
+from .rings import residue_ring
 from .twists import PlaceSwap, verify_iso
 
 FAULT_W0_SIGN = "w0-sign"
@@ -49,48 +50,13 @@ def check_sl2_enumeration_orders():
             )
 
 
-def check_crt_roundtrip():
-    for m in range(2, 1001):
-        moduli = [p**e for p, e in sorted(factorize(m).items())]
-        if len(moduli) < 2:
-            continue
-        seen = set()
-        for x in range(m):
-            parts = crt_split(x, moduli)
-            if crt_join(parts, moduli) != x:
-                raise CheckFailure("crt-roundtrip", f"x={x} mod {m} does not round-trip")
-            seen.add(parts)
-        if len(seen) != m:
-            raise CheckFailure("crt-roundtrip", f"split is not injective mod {m}")
-
-
-def check_hensel_lifts():
-    from .rings import splitting_type
-
-    for p in (7, 17, 23):
-        kind, roots = splitting_type(p, 2)
-        if kind != "split":
-            raise CheckFailure("hensel-lifts", f"{p} unexpectedly {kind} for d=2")
-        for r in roots:
-            for e in range(1, 5):
-                lifted = hensel_lift_sqrt(2, p, r, e)
-                if (lifted * lifted - 2) % p**e != 0 or lifted % p != r:
-                    raise CheckFailure(
-                        "hensel-lifts", f"lift of {r} mod {p}^{e} is wrong: {lifted}"
-                    )
-
-
 def check_graph_automorphism_determinant(corrupt_sign: bool = False):
     """The reversal conjugator must have determinant 1 under the fixed sign
-    convention, and the induced map must be multiplicative."""
+    convention, and the induced map must be multiplicative.  corrupt_sign
+    drops the convention's signs."""
     for n in (2, 3, 4):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][n - 1 - i] = 1
-        needs_sign = (n * (n - 1) // 2) % 2 == 1
-        if needs_sign and not corrupt_sign:
-            rows[0][n - 1] = -1
-        det = _det_int(rows)
+        s = (1,) * n if corrupt_sign else _weyl_signs(n)
+        det = _det_int([[s[i] if j == n - 1 - i else 0 for j in range(n)] for i in range(n)])
         if det != 1:
             raise CheckFailure(
                 "graph-automorphism-determinant",
@@ -163,8 +129,6 @@ def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None =
 
     checks = [
         ("sl2-enumeration-orders", check_sl2_enumeration_orders),
-        ("crt-roundtrip", check_crt_roundtrip),
-        ("hensel-lifts", check_hensel_lifts),
         (
             "graph-automorphism-determinant",
             lambda: check_graph_automorphism_determinant(inject_fault == FAULT_W0_SIGN),

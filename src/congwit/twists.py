@@ -10,10 +10,10 @@ behind the constructed pairs:
                       rational prime (a relabeling of the ambient product)
   graph automorphism  apply the diagram symmetry to one component
 
-Each twist has an explicit inverse of the same type.  verify_iso checks, on
-generators exactly and on seeded samples, that a declared twist is a
-well-defined bijective homomorphism between its source and target; small
-quotients are verified exhaustively.  Failures are data in the report, not
+Each twist has an explicit inverse of the same type.  verify_iso checks
+that a declared twist is a well-defined bijective homomorphism between its
+source and target: on every edge of the Cayley graph of a small quotient,
+on seeded sample pairs otherwise.  Failures are data in the report, not
 errors, so deliberately broken twists are refuted rather than crashing.
 """
 
@@ -32,8 +32,8 @@ from .parabolics import graph_automorphism, graph_automorphism_inverse
 from .quotients import CentralPrincipal, FiniteQuotientGroup, enumerate_quotient, tuple_mul
 from .rings import PrimePlace, unit_of_order
 
-# Quotients at most this large are verified exhaustively: every element,
-# every pair, total surjectivity.
+# Quotients at most this large are verified exhaustively: every element
+# against every generator, an edge of the Cayley graph.
 EXHAUSTIVE_LIMIT = 64
 
 
@@ -246,77 +246,66 @@ class IsoReport:
         return self.verdict == "witnessed"
 
 
-def _element_key(g):
-    return tuple(c.entries for c in g)
-
-
 def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0) -> IsoReport:
-    """Check a declared twist on generators, samples or the whole group.
+    """Check a declared twist on generators, then pair by pair.
 
-    (a) well-definedness: images of every generator and every sample belong
-        to the target, by exact membership;
-    (b) homomorphism: apply(x*y) equals apply(x)*apply(y) on sampled pairs
-        (all pairs in the exhaustive regime);
-    (c) invertibility: the declared inverse round-trips every checked
-        element, and the exact orders agree.
+    Pair (x, y) checks (a) membership: apply(x) belongs to the target;
+    (b) homomorphism: apply(x*y) equals apply(x)*apply(y); (c) inverse: the
+    declared inverse takes apply(x) back to x.  The exact orders must agree.
 
-    A "witnessed" verdict certifies that no counterexample exists among the
-    checked set; the homomorphism property of each twist kind also holds by
-    construction (central scalars, component relabeling, the diagram
-    symmetry), which the generator-exact checks pin down.
+    A quotient of order at most EXHAUSTIVE_LIMIT is checked on every edge
+    (x, s) of its Cayley graph: x runs over every element and s over the
+    generators, the identity when there are none, and edge i is
+    (element i // |S|, generator i % |S|).  Since S generates the group,
+    apply(x*s) = apply(x)*apply(s) for all x and s gives apply(x*y) =
+    apply(x)*apply(y) for all x and y, and round trips on every element with
+    equal orders give a bijection: a "witnessed" verdict is then a proof.
+    Larger quotients are checked on sample_count seeded pairs, pair i being
+    sample(child_seed(master_seed, 2i)) and sample(child_seed(master_seed,
+    2i + 1)); a "witnessed" verdict there means no counterexample was met.
 
-    Sampled pair i is a pure function of child_seed(master_seed, 2i) and
-    child_seed(master_seed, 2i + 1), so the pairs are split into one
+    Pair i is a pure function of i, so the pairs are split into one
     contiguous index range per worker and the counts summed: the report is
     the same for any split.  With cpus = usable_cpus() there are
-    w = max(1, min(len(cpus), sample_count // PAIRS_PER_WORKER)) workers;
-    see _check_pairs_forked.  The exhaustive regime runs in one process.
+    w = max(1, min(len(cpus), pairs // PAIRS_PER_WORKER)) workers; see
+    _check_pairs_forked.
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
     src, tgt = iso.source, iso.target
     inverse = iso.invert()
-    order_match = src.order == tgt.order
-    membership = homomorphism = inverse_failures = 0
-
-    for gen in src.generators():
+    gens = src.generators()
+    membership = 0
+    for gen in gens:
         if not tgt.member(iso.apply(gen)):
             membership += 1
 
-    if src.order <= EXHAUSTIVE_LIMIT:
-        everything = enumerate_quotient(src, EXHAUSTIVE_LIMIT + 1)
-        assert everything is not None
-        elements = sorted(everything, key=_element_key)
-        images = {}
-        for x in elements:
-            fx = iso.apply(x)
-            images[_element_key(x)] = fx
-            if not tgt.member(fx):
-                membership += 1
-            elif inverse._image(fx) != x:
-                inverse_failures += 1
-        for x in elements:
-            for y in elements:
-                fxy = iso.apply(tuple_mul(x, y))
-                if fxy != tuple_mul(images[_element_key(x)], images[_element_key(y)]):
-                    homomorphism += 1
-        if len({_element_key(v) for v in images.values()}) != len(elements):
-            inverse_failures += 1
-        samples_used = len(elements)
-        exhaustive = True
-    else:
-        cpus = usable_cpus()
-        workers = max(1, min(len(cpus), sample_count // PAIRS_PER_WORKER))
-        if workers == 1:
-            counts = _check_pairs(iso, inverse, master_seed, 0, sample_count)
-        else:
-            counts = _check_pairs_forked(iso, inverse, master_seed, sample_count, cpus[:workers])
-        membership += counts[0]
-        homomorphism += counts[1]
-        inverse_failures += counts[2]
-        samples_used = sample_count
-        exhaustive = False
+    exhaustive = src.order <= EXHAUSTIVE_LIMIT
+    if exhaustive:
+        elements = list(enumerate_quotient(src, EXHAUSTIVE_LIMIT + 1))
+        steps = gens or [src.identity()]
+        samples_used, pairs = len(elements), len(elements) * len(steps)
 
+        def pair(i):
+            return elements[i // len(steps)], steps[i % len(steps)]
+
+    else:
+        samples_used = pairs = sample_count
+
+        def pair(i):
+            x = src.sample(child_seed(master_seed, 2 * i))
+            return x, src.sample(child_seed(master_seed, 2 * i + 1))
+
+    cpus = usable_cpus()
+    workers = max(1, min(len(cpus), pairs // PAIRS_PER_WORKER))
+    if workers == 1:
+        counts = _check_pairs(iso, inverse, pair, 0, pairs)
+    else:
+        counts = _check_pairs_forked(iso, inverse, pair, pairs, cpus[:workers])
+    pair_membership, homomorphism, inverse_failures = counts
+    membership += pair_membership
+
+    order_match = src.order == tgt.order
     witnessed = membership == 0 and homomorphism == 0 and inverse_failures == 0 and order_match
     return IsoReport(
         samples_used=samples_used,
@@ -330,14 +319,13 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
     )
 
 
-def _check_pairs(iso, inverse, master_seed, start, stop):
-    """(membership, homomorphism, inverse) failure counts over the sampled
-    pairs start <= i < stop."""
-    src, tgt = iso.source, iso.target
+def _check_pairs(iso, inverse, pair, start, stop):
+    """(membership, homomorphism, inverse) failure counts over the pairs
+    pair(i), start <= i < stop."""
+    tgt = iso.target
     membership = homomorphism = inverse_failures = 0
     for index in range(start, stop):
-        x = src.sample(child_seed(master_seed, 2 * index))
-        y = src.sample(child_seed(master_seed, 2 * index + 1))
+        x, y = pair(index)
         fx = iso.apply(x)
         fy = iso.apply(y)
         ok_fx = tgt.member(fx)
@@ -352,7 +340,7 @@ def _check_pairs(iso, inverse, master_seed, start, stop):
 
 
 # ---------------------------------------------------------------------------
-# sampled pairs on several CPUs
+# pairs on several CPUs
 
 # Fewer pairs than this per worker cost more in fork and start-up than a
 # second CPU saves.
@@ -370,27 +358,27 @@ def usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _check_pairs_forked(iso, inverse, master_seed, sample_count, cpus):
-    """_check_pairs over [0, sample_count) cut into len(cpus) chunks.
+def _check_pairs_forked(iso, inverse, pair, pairs, cpus):
+    """_check_pairs over [0, pairs) cut into len(cpus) chunks.
 
-    Chunk k is [s*k//w, s*(k+1)//w) and runs pinned to cpus[k]: chunk 0 in
-    this process, the others in forked children that send their counts back
-    through a pipe.  An error in a chunk is re-raised here, the lowest chunk's
-    first, as the one-process loop would meet it; a child that sends nothing
-    is an error, never zero failures.  Every child is reaped before return,
-    and killed first when the call fails.
+    Chunk k is [pairs*k//w, pairs*(k+1)//w) and runs pinned to cpus[k]:
+    chunk 0 in this process, the others in forked children that send their
+    counts back through a pipe.  An error in a chunk is re-raised here, the
+    lowest chunk's first, as the one-process loop would meet it; a child that
+    sends nothing is an error, never zero failures.  Every child is reaped
+    before return, and killed first when the call fails.
     """
     w = len(cpus)
-    cut = [sample_count * k // w for k in range(w + 1)]
+    cut = [pairs * k // w for k in range(w + 1)]
     children = []  # (pid, read end, first pair, stop) of children not yet reaped
     try:
         for k in range(1, w):
-            pid, read_end = _fork_chunk(iso, inverse, master_seed, cut[k], cut[k + 1], cpus[k])
+            pid, read_end = _fork_chunk(iso, inverse, pair, cut[k], cut[k + 1], cpus[k])
             children.append((pid, read_end, cut[k], cut[k + 1]))
         mask = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {cpus[0]})
         try:
-            totals = _check_pairs(iso, inverse, master_seed, cut[0], cut[1])
+            totals = _check_pairs(iso, inverse, pair, cut[0], cut[1])
         finally:
             os.sched_setaffinity(0, mask)
         while children:
@@ -401,7 +389,7 @@ def _check_pairs_forked(iso, inverse, master_seed, sample_count, cpus):
             os.close(read_end)
             if status != 0 or not data:
                 raise RuntimeError(
-                    f"the worker for sampled pairs {start}..{stop - 1} ended without a result "
+                    f"the worker for pairs {start}..{stop - 1} ended without a result "
                     f"(wait status {status})"
                 )
             ok, value = pickle.loads(data)
@@ -419,7 +407,7 @@ def _check_pairs_forked(iso, inverse, master_seed, sample_count, cpus):
     return totals
 
 
-def _fork_chunk(iso, inverse, master_seed, start, stop, cpu):
+def _fork_chunk(iso, inverse, pair, start, stop, cpu):
     """Fork a child that checks pairs [start, stop) pinned to `cpu` and
     pickles (True, counts), or (False, the exception that stopped it), into
     a pipe; returns (pid, read end).
@@ -441,7 +429,7 @@ def _fork_chunk(iso, inverse, master_seed, start, stop, cpu):
         os.close(read_end)
         try:
             os.sched_setaffinity(0, {cpu})
-            result = (True, _check_pairs(iso, inverse, master_seed, start, stop))
+            result = (True, _check_pairs(iso, inverse, pair, start, stop))
         except BaseException as exc:
             result = (False, exc)
         with os.fdopen(write_end, "wb") as pipe:

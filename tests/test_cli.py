@@ -90,6 +90,19 @@ def test_unknown_flags_are_rejected():
     assert excinfo.value.code == 2
 
 
+def test_rank_one_pairs_exit_two(tmp_path, capsys):
+    # SL_2 over Z has rank 1, so the superrigidity behind the certificate fails
+    code, out, err = run_cli(
+        capsys, "witness", "method-a", "--n", "2", "--p", "3", "--q", "5", "--level", "1",
+        "--samples", "50",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: SL_2 has rank 1 in method A; the certificate needs rank >= 2\n"
+    doc = bundle_to_json(s16_pair())
+    doc["method"] = "A"
+    assert_rejected(capsys, tmp_path, doc, "SL_2 has rank 1 in method A")
+
+
 def test_verify_and_obstruct_round_trip(tmp_path, capsys):
     path = tmp_path / "bundle.json"
     code, _, _ = run_cli(

@@ -81,13 +81,11 @@ def test_schema_version_constant():
     assert bundle_to_json(s16_pair())["schema_version"] == SCHEMA_VERSION
 
 
-def test_s16_is_method_a_at_three_and_five():
-    s16 = bundle_to_json(s16_pair(7))
-    a = bundle_to_json(method_a_pair(2, 3, 5, 2, 1))
-    assert (s16.pop("method"), a.pop("method")) == ("S16", "A")
-    assert s16.pop("params") == {"p": 7}
-    assert a.pop("params") == {"n": 2, "p": 3, "q": 5, "order": 2, "level": 1}
-    assert s16 == a
+def test_s16_has_rank_two_where_method_a_at_three_and_five_has_rank_one():
+    # SL_2 has rank 2 over Z[1/7] but rank 1 over Z
+    with pytest.raises(InputError, match="rank 1"):
+        method_a_pair(2, 3, 5, 2, 1)
+    assert s16_pair(7).obstruction.holds
 
 
 def test_rejects_graph_twist_without_parabolic_conditions():

@@ -11,7 +11,7 @@ from congwit.quotients import (
     subgroup_spec,
     tuple_mul,
 )
-from congwit.rings import rational_place, unit_of_order
+from congwit.rings import rational_place, split_places, unit_of_order
 from congwit.twists import (
     CentralTransport,
     PlaceSwap,
@@ -250,6 +250,16 @@ def test_exhaustive_verification_for_tiny_quotients():
     assert report.exhaustive
     assert report.samples_used == 2
     assert report.verdict == "witnessed"
+
+
+def test_order_one_quotient_checks_the_identity_edge():
+    # no generators: the one Cayley-graph edge is (identity, identity)
+    p1, p2 = split_places(7, 2)
+    spec = subgroup_spec(2, {p1: Principal(1), p2: Principal(1)}, d=2)
+    q1, q2 = (FiniteQuotientGroup(spec, {p1: 1, p2: 1}) for _ in range(2))
+    assert q1.order == 1 and q1.generators() == []
+    report = verify_iso(PlaceSwap(q1, q2, p1, p2), 10_000, 0)
+    assert report.witnessed and report.exhaustive and report.samples_used == 1
 
 
 def test_child_seed_is_stable_and_split():

@@ -1,4 +1,5 @@
-"""verify_iso's sampled pairs split over forked, pinned workers.
+"""verify_iso's pairs, sampled or Cayley-graph edges, split over forked,
+pinned workers.
 
 Each test patches twists.usable_cpus to one real allowed CPU repeated k
 times, so that k workers run on any host with fork and CPU affinity.
@@ -19,7 +20,9 @@ from congwit import twists
 from congwit.cli import main
 from congwit.errors import InputError
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair
-from congwit.twists import PlaceSwap, verify_iso
+from congwit.quotients import CentralPrincipal, FiniteQuotientGroup, Full, Principal, subgroup_spec
+from congwit.rings import rational_place
+from congwit.twists import CentralTransport, PlaceSwap, verify_iso
 
 pytestmark = pytest.mark.skipif(
     not twists.usable_cpus(), reason="needs os.fork and os.sched_getaffinity"
@@ -103,6 +106,45 @@ def test_refuted_counts_do_not_depend_on_the_worker_count(workers):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def order_48_quotients():
+    """SL_2 quotients of order 24 * 2 * 1: Full at 3 and the central pair at
+    5 and 7, with three generators, so 144 Cayley-graph edges."""
+    v3, v5, v7 = (rational_place(p) for p in (3, 5, 7))
+    level = {v3: 1, v5: 1, v7: 1}
+    specs = (
+        {v3: Full(), v5: CentralPrincipal(2, 1), v7: Principal(1)},
+        {v3: Full(), v5: Principal(1), v7: CentralPrincipal(2, 1)},
+    )
+    q1, q2 = (FiniteQuotientGroup(subgroup_spec(2, spec), level) for spec in specs)
+    assert q1.order == q2.order == 48 and len(q1.generators()) == 3
+    return q1, q2, v5, v7
+
+
+def test_exhaustive_reports_do_not_depend_on_the_worker_count(workers):
+    q1, q2, v5, v7 = order_48_quotients()
+    iso = CentralTransport(q1, q2, v5, v7, 2)
+    reports = []
+    for k in (1, 2, 3):
+        forks = workers(k)
+        reports.append(verify_iso(iso, PAIRS, SEED))
+        assert len(forks) == min(k, 144 // twists.PAIRS_PER_WORKER) - 1
+    assert reports[0].witnessed and reports[0].exhaustive and reports[0].samples_used == 48
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_exhaustive_refuted_counts_do_not_depend_on_the_worker_count(workers):
+    q1, q2, v5, v7 = order_48_quotients()
+    broken = PlaceSwap(q1, q2, v5, v7)
+    reports = []
+    for k in (1, 2, 3):
+        workers(k)
+        reports.append(verify_iso(broken, PAIRS, SEED))
+    assert reports[0].verdict == "refuted" and reports[0].exhaustive
+    # once per generator, then once per edge
+    assert reports[0].samples_used == 48 and reports[0].membership_failures == 3 + 144
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_no_workers_while_other_threads_run():
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -182,7 +224,7 @@ def test_child_without_a_result_fails_the_call(how, workers, monkeypatch):
 
     workers(2)
     failing_child_seed(monkeypatch, {300}, die)
-    with pytest.raises(RuntimeError, match="sampled pairs 200..399 ended without a result"):
+    with pytest.raises(RuntimeError, match="^the worker for pairs 200..399 ended without a result"):
         verify_iso(method_c_pair().iso, PAIRS, SEED)
 
 
@@ -199,5 +241,5 @@ def test_selftest_lines_are_printed_once_through_a_pipe():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     lines = [line.split() for line in run.stdout.splitlines()]
-    assert [words[0] for words in lines] == ["ok"] * 9
-    assert len({words[1] for words in lines}) == 9 and lines[-1][1] == "preset-s16"
+    assert [words[0] for words in lines] == ["ok"] * 7
+    assert len({words[1] for words in lines}) == 7 and lines[-1][1] == "preset-s16"
