@@ -19,6 +19,7 @@ import functools
 import inspect
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import InputError
 from .presets import PRESETS, builder
@@ -29,7 +30,7 @@ from .serialize import (
     bundle_from_json,
     bundle_to_json,
     dumps_canonical,
-    report_to_json,
+    obstruction_to_json,
 )
 from .twists import verify_iso
 
@@ -118,7 +119,7 @@ def _cmd_witness(args) -> int:
         "kind": "witness_run",
         "config": config,
         "bundle": bundle_to_json(bundle),
-        "iso_report": report_to_json(report),
+        "iso_report": asdict(report),
         "obstruction_holds": bundle.obstruction.holds,
     }
     _emit(doc, args.output)
@@ -170,15 +171,13 @@ def _cmd_verify_iso(args) -> int:
             "seed": args.seed,
         },
         "method": bundle.method,
-        "iso_report": report_to_json(report),
+        "iso_report": asdict(report),
     }
     _emit(doc, args.output)
     return 0 if report.witnessed else 1
 
 
 def _cmd_obstruct(args) -> int:
-    from .serialize import obstruction_to_json
-
     bundle = bundle_from_json(_load_json(args.bundle))
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -191,24 +190,22 @@ def _cmd_obstruct(args) -> int:
     return 0 if bundle.obstruction.holds else 1
 
 
+COMMANDS = {
+    "witness": _cmd_witness,
+    "search-primes": _cmd_search_primes,
+    "verify-iso": _cmd_verify_iso,
+    "obstruct": _cmd_obstruct,
+    "selftest": lambda args: run_selftest(args.samples, args.seed, args.inject_fault),
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "witness":
-            return _cmd_witness(args)
-        if args.command == "search-primes":
-            return _cmd_search_primes(args)
-        if args.command == "verify-iso":
-            return _cmd_verify_iso(args)
-        if args.command == "obstruct":
-            return _cmd_obstruct(args)
-        if args.command == "selftest":
-            return run_selftest(args.samples, args.seed, args.inject_fault)
+        return COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def entry():

@@ -23,6 +23,10 @@ w0^(-1) = J * S.  For det g = 1, (g^T)^(-1) = adj(g)^T, and conjugating by
 J reverses both indices, hence
 
     (w0 * (g^T)^(-1) * w0^(-1))[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i].
+
+The inverse is the same formula with s reversed: w0^(-1) * g * w0 =
+D * J * g * J * D for D = diag(s) reversed, whose adjugate is
+D * J * adj(g) * J * D, and the inverse is that adjugate transposed.
 """
 
 from __future__ import annotations
@@ -192,38 +196,27 @@ def graph_automorphism(g: SLMat) -> SLMat:
     """The outer automorphism of SL_n: g -> w0 * (g^T)^(-1) * w0^(-1).
 
     Swaps P_theta and P_{s(theta)} and preserves the standard Borel; works
-    over Z/p^e for every level e.  Computed as the signed, index-reversed
-    adjugate
-
-        out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i]   (s = longest_weyl's row signs),
-
-    which equals the composite because w0 = diag(s) * reversal and
-    (g^T)^(-1) = adj(g)^T at determinant 1 (see the module docstring).
+    over Z/p^e for every level e.  It is the signed, index-reversed adjugate
+    with longest_weyl's row signs (see the module docstring).
     """
+    return _signed_reversed_adjugate(g, _weyl_signs(g.n))
+
+
+def graph_automorphism_inverse(g: SLMat) -> SLMat:
+    """Inverse of graph_automorphism: g -> ((w0^(-1) * g * w0)^T)^(-1), the
+    same adjugate with the signs reversed (see the module docstring)."""
+    return _signed_reversed_adjugate(g, _weyl_signs(g.n)[::-1])
+
+
+def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
+    """out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i], for signs s_i = +-1."""
     n = g.n
     mod = g.ring.modulus
-    s = _weyl_signs(n)
     a = _adj_rows(g.entries, mod)
     rows = tuple(
         tuple(s[i] * s[j] * a[n - 1 - j][n - 1 - i] % mod for j in range(n)) for i in range(n)
     )
     return SLMat(g.ring, rows)
-
-
-def graph_automorphism_inverse(g: SLMat) -> SLMat:
-    """Inverse of graph_automorphism: g -> ((w0^(-1) * g * w0)^T)^(-1).
-
-    With B = w0^(-1) * g * w0, i.e. B[i][j] = s_(n-1-i) * s_(n-1-j) *
-    g[n-1-i][n-1-j], the result is adj(B)^T.
-    """
-    n = g.n
-    h = g.entries
-    s = _weyl_signs(n)
-    b = [
-        [s[n - 1 - i] * s[n - 1 - j] * h[n - 1 - i][n - 1 - j] for j in range(n)]
-        for i in range(n)
-    ]
-    return SLMat(g.ring, tuple(zip(*_adj_rows(b, g.ring.modulus))))
 
 
 def _kernel(cols, p: int) -> list[list[int]]:

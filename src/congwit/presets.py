@@ -57,17 +57,19 @@ class WitnessBundle:
 
     method: str
     params: dict
-    n: int
-    d: int | None
     places: tuple[PrimePlace, ...]
-    level: tuple
     spec1: SubgroupSpec
     spec2: SubgroupSpec
-    quotient1: FiniteQuotientGroup
-    quotient2: FiniteQuotientGroup
     iso: QuotientIso
     separating_element: tuple[SLMat, ...]
     obstruction: ObstructionReport
+
+    # read from spec 1 and the twist, never stored
+    n = property(lambda self: self.spec1.n)
+    d = property(lambda self: self.spec1.d)
+    level = property(lambda self: self.iso.source.level)
+    quotient1 = property(lambda self: self.iso.source)
+    quotient2 = property(lambda self: self.iso.target)
 
 
 # CLI name -> help text.  A preset's builder is <name>_pair (see builder); its
@@ -233,21 +235,7 @@ def _bundle(method, params, places, spec1, spec2, iso, sep) -> WitnessBundle:
     rank = (n - 1) * (1 if spec1.d is None and method != "S16" else 2)
     if rank < 2:
         raise InputError(f"SL_{n} has rank {rank} in method {method}; the certificate needs rank >= 2")
-    bundle = WitnessBundle(
-        method=method,
-        params=params,
-        n=n,
-        d=spec1.d,
-        places=places,
-        level=iso.source.level,
-        spec1=spec1,
-        spec2=spec2,
-        quotient1=iso.source,
-        quotient2=iso.target,
-        iso=iso,
-        separating_element=tuple(sep),
-        obstruction=None,
-    )
+    bundle = WitnessBundle(method, params, places, spec1, spec2, iso, tuple(sep), None)
     bundle.obstruction = obstruction_report(bundle)
     return bundle
 
@@ -262,64 +250,76 @@ def _need_prime(p: int):
 
 
 def obstruction_report(bundle: WitnessBundle) -> ObstructionReport:
-    """Recompute the method's certificate from scratch.
+    """Recompute the certificate of the bundle's twist class from scratch.
 
     Nothing is read back from caches: presence bits, fixed-line counts and
     conjugation tables are evaluated directly against the bundle's
-    specifications.
+    specifications.  Every certificate also needs the separating element to
+    lie in quotient 1 and not in quotient 2, and no global twist to carry
+    spec 1 onto spec 2.
     """
-    if isinstance(bundle.iso, CentralTransport):
-        return _central_obstruction(bundle)
-    if isinstance(bundle.iso, GraphAutomorphism):
-        return _parabolic_obstruction(bundle)
-    return _galois_obstruction(bundle)
+    kind, data, holds, lead = CERTIFICATE_OF_TWIST[type(bundle.iso)](bundle)
+    q1, q2, sep = bundle.quotient1, bundle.quotient2, bundle.separating_element
+    separation = {"quotient1": q1.member(sep), "quotient2": q2.member(sep)}
+    data["separating_element_in"] = separation
+    holds = holds and separation["quotient1"] and not separation["quotient2"]
+    holds = holds and not _globally_conjugate(bundle.spec1, bundle.spec2)
+    return ObstructionReport(kind, data, bool(holds), (lead,) + _NARRATIVE_SHARED)
 
 
-def _separation(bundle) -> dict:
-    return {
-        "quotient1": bundle.quotient1.member(bundle.separating_element),
-        "quotient2": bundle.quotient2.member(bundle.separating_element),
-    }
+def _globally_conjugate(spec1: SubgroupSpec, spec2: SubgroupSpec) -> bool:
+    """Whether a global twist carries spec 1 onto spec 2 at every place.
+
+    The global twists are the diagram symmetry or not, times the ring
+    conjugation or not.  The symmetry maps Parabolic(theta) to
+    Parabolic(theta*) and fixes the other conditions; the conjugation moves
+    the condition at each place to the conjugate place, and fixes every
+    place over Z.  Such a twist makes the two subgroups isomorphic, so no
+    certificate may hold.
+    """
+    support = {v for v, _ in spec1.conditions + spec2.conditions}
+    domain = support | {conj_place(v, support) for v in support}
+    return any(
+        all(
+            spec2.condition_at(conj_place(v, support) if conj else v)
+            == _graph_image(spec1.condition_at(v), graph)
+            for v in domain
+        )
+        for conj in (False, True)
+        for graph in (False, True)
+    )
 
 
-def _central_obstruction(bundle) -> ObstructionReport:
+def _graph_image(cond, graph: bool):
+    if graph and isinstance(cond, Parabolic):
+        return Parabolic(cond.theta.symmetric_image())
+    return cond
+
+
+def _central_obstruction(bundle) -> tuple:
     m = bundle.iso.scalar_order
     vp, vq = bundle.iso.from_place, bundle.iso.to_place
     presence = {
-        "quotient1": {
-            vp.label: central_presence(bundle.quotient1, vp, m),
-            vq.label: central_presence(bundle.quotient1, vq, m),
-        },
-        "quotient2": {
-            vp.label: central_presence(bundle.quotient2, vp, m),
-            vq.label: central_presence(bundle.quotient2, vq, m),
-        },
+        key: {v.label: central_presence(q, v, m) for v in (vp, vq)}
+        for key, q in (("quotient1", bundle.quotient1), ("quotient2", bundle.quotient2))
     }
-    separation = _separation(bundle)
     holds = (
         presence["quotient1"][vp.label]
         and not presence["quotient2"][vp.label]
         and not presence["quotient1"][vq.label]
         and presence["quotient2"][vq.label]
-        and separation["quotient1"]
-        and not separation["quotient2"]
     )
-    narrative = (
+    lead = (
         f"Quotient 1 contains the order-{m} central scalar at place {vp.label} and "
         f"quotient 2 does not; the roles are reversed at {vq.label}.  Central "
         "presence at a fixed place is preserved by inner, diagonal and graph "
         "twists, and a field twist cannot move a place over one rational prime "
-        "to a place over another.",
-    ) + _NARRATIVE_SHARED
-    return ObstructionReport(
-        kind="central_presence",
-        data={"scalar_order": m, "central_presence": presence, "separating_element_in": separation},
-        holds=bool(holds),
-        narrative=narrative,
+        "to a place over another."
     )
+    return "central_presence", {"scalar_order": m, "central_presence": presence}, holds, lead
 
 
-def _parabolic_obstruction(bundle) -> ObstructionReport:
+def _parabolic_obstruction(bundle) -> tuple:
     vq = bundle.iso.place
     conds = (bundle.spec1.condition_at(vq), bundle.spec2.condition_at(vq))
     if any(not isinstance(cond, Parabolic) for cond in conds):
@@ -347,7 +347,6 @@ def _parabolic_obstruction(bundle) -> ObstructionReport:
     others = {place for place, _ in spec1.conditions + spec2.conditions} - {vq}
     agree_elsewhere = all(spec1.condition_at(v) == spec2.condition_at(v) for v in others)
     anchored = any(v != vq and cond == conds[0] for v, cond in spec1.conditions)
-    separation = _separation(bundle)
     holds = (
         not symmetric
         and image_matches
@@ -355,32 +354,25 @@ def _parabolic_obstruction(bundle) -> ObstructionReport:
         and anchored
         and all(v["theta"] != v["theta_image"] for v in lines.values())
         and all(v["theta"] == v["theta_image"] for v in orders.values())
-        and separation["quotient1"]
-        and not separation["quotient2"]
     )
-    narrative = (
+    lead = (
         "The two parabolic conditions at the twisted place differ by the diagram "
         "symmetry, and the symmetry moves the chosen root subset.  The number of "
         "projective lines fixed by a subgroup is a conjugation invariant; the "
         "unequal counts certify that no inner twist identifies the two conditions, "
-        "while the diagram symmetry itself exchanges them.",
-    ) + _NARRATIVE_SHARED
-    return ObstructionReport(
-        kind="parabolic_fixed_lines",
-        data={
-            "theta": sorted(theta.members),
-            "theta_image": sorted(theta_image.members),
-            "theta_symmetric": symmetric,
-            "fixed_lines": lines,
-            "parabolic_orders": orders,
-            "separating_element_in": separation,
-        },
-        holds=bool(holds),
-        narrative=narrative,
+        "while the diagram symmetry itself exchanges them."
     )
+    data = {
+        "theta": sorted(theta.members),
+        "theta_image": sorted(theta_image.members),
+        "theta_symmetric": symmetric,
+        "fixed_lines": lines,
+        "parabolic_orders": orders,
+    }
+    return "parabolic_fixed_lines", data, holds, lead
 
 
-def _galois_obstruction(bundle) -> ObstructionReport:
+def _galois_obstruction(bundle) -> tuple:
     places = bundle.places
     image = {place: conj_place(place, places) for place in places}
     # a conjugate outside the bundle has no label there, and shows as null
@@ -394,33 +386,28 @@ def _galois_obstruction(bundle) -> ObstructionReport:
     ]
     shared_moved = all(conj_place(place, places) != place for place in shared)
     swap_matches = conj_place(swap_a, places) == swap_b
-    separation = _separation(bundle)
-    holds = (
-        involution
-        and swap_matches
-        and shared_moved
-        and bool(shared)
-        and separation["quotient1"]
-        and not separation["quotient2"]
-    )
-    narrative = (
+    holds = involution and swap_matches and shared_moved and bool(shared)
+    lead = (
         "The only nontrivial automorphism of the quadratic ring is the "
         "conjugation sending sqrt(d) to -sqrt(d); it exchanges the two places "
         "over each split prime.  It does swap the two places over p, matching "
         "the twist, but it also moves the shared constrained place over q, so "
         "no field twist fixes one specification while relabeling the other; "
-        "place-preserving twists cannot change the support at all.",
-    ) + _NARRATIVE_SHARED
-    return ObstructionReport(
-        kind="galois_orbit",
-        data={
-            "conjugation": table,
-            "involution": involution,
-            "swap_pair_matches_conjugation": swap_matches,
-            "shared_places": [place.label for place in shared],
-            "shared_places_moved": shared_moved,
-            "separating_element_in": separation,
-        },
-        holds=bool(holds),
-        narrative=narrative,
+        "place-preserving twists cannot change the support at all."
     )
+    data = {
+        "conjugation": table,
+        "involution": involution,
+        "swap_pair_matches_conjugation": swap_matches,
+        "shared_places": [place.label for place in shared],
+        "shared_places_moved": shared_moved,
+    }
+    return "galois_orbit", data, holds, lead
+
+
+# twist class -> its certificate: (kind, data, holds, lead sentence)
+CERTIFICATE_OF_TWIST = {
+    CentralTransport: _central_obstruction,
+    GraphAutomorphism: _parabolic_obstruction,
+    PlaceSwap: _galois_obstruction,
+}

@@ -192,9 +192,8 @@ class CentralPrincipal(LocalCondition):
         return from_rows([[v * scalar for v in row] for row in rows], c.ring)
 
     def generators(self, c) -> list[SLMat]:
-        n, z = c.n, c.unit
-        scalar = from_rows([[z if i == j else 0 for j in range(n)] for i in range(n)], c.ring)
-        return _principal_generators(n, c.ring, c.place.p, self.depth, c.e) + [scalar]
+        scalar = central_scalar(c.n, c.ring, self.order)
+        return _principal_generators(c.n, c.ring, c.place.p, self.depth, c.e) + [scalar]
 
 
 @dataclass(frozen=True)

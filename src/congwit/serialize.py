@@ -16,7 +16,7 @@ from .matrices import SLMat, from_rows
 from .presets import TWIST_OF_METHOD, ObstructionReport, WitnessBundle, _bundle
 from .quotients import CONDITION_OF_KIND, FiniteQuotientGroup, SubgroupSpec, subgroup_spec
 from .rings import MAX_MODULUS, PrimePlace, is_prime, is_squarefree
-from .twists import IsoReport, _place
+from .twists import _place
 
 SCHEMA_VERSION = "1"
 
@@ -82,19 +82,6 @@ def place_from_json(doc, d: int | None) -> PrimePlace:
 
 def _conditions_to_json(spec: SubgroupSpec) -> dict:
     return {place.label: cond.to_json() for place, cond in spec.conditions}
-
-
-def report_to_json(r: IsoReport) -> dict:
-    return {
-        "samples_used": r.samples_used,
-        "homomorphism_failures": r.homomorphism_failures,
-        "membership_failures": r.membership_failures,
-        "inverse_failures": r.inverse_failures,
-        "order_match": r.order_match,
-        "verdict": r.verdict,
-        "exhaustive": r.exhaustive,
-        "master_seed": r.master_seed,
-    }
 
 
 def obstruction_to_json(o: ObstructionReport) -> dict:

@@ -24,7 +24,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import InputError, json_int
 from .matrices import scalar_mul
@@ -51,8 +51,10 @@ def child_seed(master_seed: int, index: int) -> int:
 class QuotientIso:
     """A declared isomorphism between two finite-level quotients.
 
-    One subclass per twist kind supplies the image of a member (`_image`),
-    the inverse twist (`invert`) and the JSON form (`to_json`, `from_json`).
+    One subclass per twist kind supplies the image of a member (`_image`)
+    and the inverse twist (`invert`).  The JSON form is the kind plus each
+    field after source and target that has no default: a place by its
+    label, an integer as it is.
     """
 
     source: FiniteQuotientGroup
@@ -63,6 +65,27 @@ class QuotientIso:
         if not self.source.member(g):
             raise InputError("apply needs a member of the source quotient")
         return self._image(g)
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.kind}
+        for f in _json_fields(type(self)):
+            value = getattr(self, f.name)
+            doc[f.name] = value.label if f.type == "PrimePlace" else value
+        return doc
+
+    @classmethod
+    def from_json(cls, doc: dict, source, target, places: dict) -> QuotientIso:
+        """The twist a JSON form names, between the given quotients; places
+        are looked up by label in `places`."""
+        args = (
+            _place(places, doc.get(f.name)) if f.type == "PrimePlace" else json_int(doc, f.name)
+            for f in _json_fields(cls)
+        )
+        return cls(source, target, *args)
+
+
+def _json_fields(cls) -> list:
+    return [f for f in fields(cls)[2:] if f.default is MISSING]
 
 
 def _place(places: dict, label) -> PrimePlace:
@@ -123,24 +146,6 @@ class CentralTransport(QuotientIso):
             self.target, self.source, self.to_place, self.from_place, self.scalar_order
         )
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "from_place": self.from_place.label,
-            "to_place": self.to_place.label,
-            "scalar_order": self.scalar_order,
-        }
-
-    @classmethod
-    def from_json(cls, doc, source, target, places) -> "CentralTransport":
-        return cls(
-            source,
-            target,
-            _place(places, doc.get("from_place")),
-            _place(places, doc.get("to_place")),
-            json_int(doc, "scalar_order"),
-        )
-
 
 def _scale(mat, c):
     return mat if c == 1 else scalar_mul(c, mat)
@@ -171,22 +176,6 @@ class PlaceSwap(QuotientIso):
         """The inverse twist: the same swap from the target back."""
         return PlaceSwap(self.target, self.source, self.from_place, self.to_place)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "from_place": self.from_place.label,
-            "to_place": self.to_place.label,
-        }
-
-    @classmethod
-    def from_json(cls, doc, source, target, places) -> "PlaceSwap":
-        return cls(
-            source,
-            target,
-            _place(places, doc.get("from_place")),
-            _place(places, doc.get("to_place")),
-        )
-
 
 @dataclass(eq=False)
 class GraphAutomorphism(QuotientIso):
@@ -215,13 +204,6 @@ class GraphAutomorphism(QuotientIso):
             self.target, self.source, self.place, not self.reversed_graph
         )
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "place": self.place.label}
-
-    @classmethod
-    def from_json(cls, doc, source, target, places) -> "GraphAutomorphism":
-        return cls(source, target, _place(places, doc.get("place")))
-
 
 # ---------------------------------------------------------------------------
 # verification
@@ -230,7 +212,8 @@ class GraphAutomorphism(QuotientIso):
 @dataclass
 class IsoReport:
     """Outcome of one verification run; verdict is witnessed only when every
-    failure count is zero and the orders match."""
+    failure count is zero and the orders match.  The fields are the keys of
+    the report's JSON form (dataclasses.asdict)."""
 
     samples_used: int
     homomorphism_failures: int

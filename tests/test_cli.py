@@ -551,17 +551,36 @@ def test_inert_and_ramified_places_have_no_ring(kind, p, conditioned, tmp_path, 
     assert_rejected(capsys, tmp_path, doc, f"place {label}: a place over Z[sqrt(3)] needs a root in (0, {p})")
 
 
-@pytest.mark.parametrize(
-    "p5", [{"kind": "parabolic", "theta": [1, 2]}, None], ids=["graph-image-at-p5", "full-at-p5"]
-)
-def test_method_b_certificate_fails_for_globally_conjugate_specs(p5, tmp_path, capsys):
-    # Spec 2 becomes the image of spec 1 under the diagram symmetry at every
-    # place, so the subgroups are isomorphic and no certificate may hold.
-    doc = bundle_to_json(method_b_pair())
-    if p5 is None:
-        del doc["conditions1"]["p5"], doc["conditions2"]["p5"]
-    else:
-        doc["conditions2"]["p5"] = p5
+# case -> (preset, mutation making spec 2 the image of spec 1 under a
+# global twist at every place)
+GLOBALLY_CONJUGATE = {
+    # the diagram symmetry
+    "graph-image-at-p5": (
+        "method-b",
+        lambda b: b["conditions2"].update(p5={"kind": "parabolic", "theta": [1, 2]}),
+    ),
+    "full-at-p5": ("method-b", lambda b: [b["conditions1"].pop("p5"), b["conditions2"].pop("p5")]),
+    # the ring conjugation: p7a <-> p7b and p17a <-> p17b
+    "conjugation-image-with-p17b": (
+        "method-c",
+        lambda b: [
+            b[key].update(p17b={"kind": "principal", "depth": 1}) for key in ("conditions1", "conditions2")
+        ],
+    ),
+    # an explicit full condition at p17a constrains nothing there
+    "conjugation-image-full-at-p17a": (
+        "method-c",
+        lambda b: [b[key].update(p17a={"kind": "full"}) for key in ("conditions1", "conditions2")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GLOBALLY_CONJUGATE))
+def test_certificate_fails_for_globally_conjugate_specs(case, tmp_path, capsys):
+    # The subgroups are isomorphic, so no certificate may hold.
+    preset, mutate = GLOBALLY_CONJUGATE[case]
+    doc = bundle_to_json(presets.builder(preset)())
+    mutate(doc)
     path = tmp_path / "conjugate.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "obstruct", str(path))

@@ -1,4 +1,9 @@
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congwit.errors import InputError
 from congwit.matrices import elementary, from_rows, identity, scalar_mul
@@ -14,6 +19,7 @@ from congwit.quotients import (
 from congwit.rings import rational_place, split_places, unit_of_order
 from congwit.twists import (
     CentralTransport,
+    GraphAutomorphism,
     PlaceSwap,
     child_seed,
     verify_iso,
@@ -191,6 +197,55 @@ def test_twist_fields_survive_json_and_double_inverse(bundle_fn):
     for copy in (rebuilt, iso.invert().invert()):
         assert type(copy) is type(iso)
         assert vars(copy) == vars(iso)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 6),
+    primes=st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19]), min_size=2, max_size=2, unique=True),
+    e=st.integers(1, 3),
+    kind=st.sampled_from(["central_transport", "place_swap", "graph_automorphism"]),
+)
+def test_twist_json_round_trips_at_random_n_p_e(n, primes, e, kind):
+    vp, vq = (rational_place(p) for p in primes)
+    m = math.gcd(n, vp.p - 1, vq.p - 1)
+    spec1 = subgroup_spec(n, {vp: CentralPrincipal(m, 1), vq: Principal(1)})
+    spec2 = subgroup_spec(n, {vp: Principal(1), vq: CentralPrincipal(m, 1)})
+    q1 = FiniteQuotientGroup(spec1, {vp: e, vq: e})
+    q2 = FiniteQuotientGroup(spec2, {vp: e, vq: e})
+    iso, expected = {
+        "central_transport": (
+            CentralTransport(q1, q2, vp, vq, m),
+            {"from_place": vp.label, "to_place": vq.label, "scalar_order": m},
+        ),
+        "place_swap": (PlaceSwap(q1, q2, vp, vq), {"from_place": vp.label, "to_place": vq.label}),
+        "graph_automorphism": (GraphAutomorphism(q1, q2, vq), {"place": vq.label}),
+    }[kind]
+    doc = json.loads(json.dumps(iso.to_json()))
+    assert doc == {"kind": kind, **expected}
+    rebuilt = type(iso).from_json(doc, q1, q2, {v.label: v for v in (vp, vq)})
+    assert type(rebuilt) is type(iso)
+    assert vars(rebuilt) == vars(iso)
+    assert rebuilt.to_json() == doc
+
+
+@pytest.mark.parametrize(
+    "bundle_fn,key,value,message",
+    [
+        (method_a_pair, "from_place", "p11", "unknown place label 'p11'"),
+        (method_a_pair, "to_place", None, "unknown place label None"),
+        (method_a_pair, "scalar_order", 2.0, "scalar_order must be an integer, not 2.0"),
+        (method_a_pair, "scalar_order", True, "scalar_order must be an integer, not True"),
+        (method_b_pair, "place", 7, "unknown place label 7"),
+        (method_c_pair, "to_place", "p7", "unknown place label 'p7'"),
+    ],
+)
+def test_twist_json_rejects_unknown_labels_and_non_integers(bundle_fn, key, value, message):
+    iso = bundle_fn().iso
+    places = {v.label: v for v in iso.source.places}
+    with pytest.raises(InputError) as info:
+        type(iso).from_json({**iso.to_json(), key: value}, iso.source, iso.target, places)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bundle_fn", [method_a_pair, method_b_pair, method_c_pair, s16_pair])
