@@ -94,16 +94,18 @@ class ParabolicSpec:
 
 
 def parabolic_membership(g: SLMat, spec: ParabolicSpec) -> bool:
-    """True iff every entry below the block diagonal vanishes.
+    """True iff g mod p lies in P_theta: every entry below the block diagonal
+    vanishes mod p.
 
-    Entry (r, c) lies below the block diagonal when the block holding
-    position r comes after the block holding position c; spec lists those
-    positions once, at construction.
+    g may live over any ring Z/p^e; its entries are read mod p, with no
+    reduced matrix built.  Entry (r, c) lies below the block diagonal when
+    the block holding position r comes after the block holding position c;
+    spec lists those positions once, at construction.
     """
-    if g.n != spec.n or g.ring.modulus != spec.p:
-        raise InputError("membership is tested mod p at matching dimension")
-    e = g.entries
-    return not any(e[r][c] for r, c in spec._below_block)
+    if g.n != spec.n or g.ring.p != spec.p:
+        raise InputError("membership is tested over a ring over p at matching dimension")
+    e, p = g.entries, spec.p
+    return not any(e[r][c] % p for r, c in spec._below_block)
 
 
 def gl_order(m: int, p: int) -> int:

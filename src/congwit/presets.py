@@ -112,23 +112,14 @@ def method_a_pair(
     the central scalar of the given order at p, the other at q, and `level`
     is the exponent at both places.  The transport twist moves the central
     factor between the places, and central presence at a fixed place
-    separates the two quotients.
+    separates the two quotients.  The constructors it calls refuse a p or q
+    that is not prime, an order not dividing gcd(n, p - 1) and gcd(n, q - 1),
+    and a level below 1.
     """
-    _need_prime(p), _need_prime(q)
     if p == q:
         raise InputError("p and q must be distinct")
-    if 2 in (p, q):
-        raise InputError("p = 2 is out of scope")
     if order < 2:
         raise InputError("the central order m must be at least 2")
-    for r in (p, q):
-        if n % order != 0 or (r - 1) % order != 0:
-            raise InputError(
-                f"m={order} does not divide gcd(n, p-1)=gcd({n}, {r - 1}); central elements "
-                f"of the same order must exist at both places"
-            )
-    if level < 1:
-        raise InputError("level must be >= 1")
     params = {"n": n, "p": p, "q": q, "order": order, "level": level}
     return _central_pair("A", params, n, p, q, order, level)
 
@@ -143,7 +134,8 @@ def s16_pair(p: int = 7) -> WitnessBundle:
     n = 2.  Every level used here is coprime to p, so p enters the record
     and the rank but not the computation.
     """
-    _need_prime(p)
+    if not is_prime(p):
+        raise InputError(f"{p} is not prime")
     if p in (2, 3, 5):
         raise InputError("p must avoid 2, 3 and 5")
     return _central_pair("S16", {"p": p}, 2, 3, 5, 2, 1)
@@ -168,7 +160,7 @@ def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
     The twist applies the diagram symmetry at the place q; the fixed-line
     counts certify that the two parabolic conditions are not conjugate.
     """
-    _need_prime(p), _need_prime(q)
+    vp, vq, v3 = rational_place(p), rational_place(q), rational_place(3)
     if p == q:
         raise InputError("p and q must be distinct")
     if p in (2, 3) or q in (2, 3):
@@ -176,9 +168,6 @@ def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
     n = 4
     theta = root_subset(n, {2, 3})
     theta_image = theta.symmetric_image()
-    if theta == theta_image:
-        raise InputError("the root subset must move under the diagram symmetry")
-    vp, vq, v3 = rational_place(p), rational_place(q), rational_place(3)
     spec1 = subgroup_spec(n, {vp: Parabolic(theta), vq: Parabolic(theta), v3: Principal(1)})
     spec2 = subgroup_spec(n, {vp: Parabolic(theta), vq: Parabolic(theta_image), v3: Principal(1)})
     level = {vp: 1, vq: 1, v3: 1}
@@ -201,12 +190,11 @@ def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
     """
     if d < 2 or not is_squarefree(d):
         raise InputError(f"d={d} must be squarefree and >= 2")
-    _need_prime(p), _need_prime(q)
+    p1, p2 = split_places(p, d)
+    q1_place, q2_place = split_places(q, d)
     if p == q:
         raise InputError("p and q must be distinct")
     n = 2
-    p1, p2 = split_places(p, d)
-    q1_place, q2_place = split_places(q, d)
     spec1 = subgroup_spec(n, {p1: Principal(1), q1_place: Principal(1)}, d=d)
     spec2 = subgroup_spec(n, {p2: Principal(1), q1_place: Principal(1)}, d=d)
     level = {p1: 1, p2: 1, q1_place: 1, q2_place: 1}
@@ -238,11 +226,6 @@ def _bundle(method, params, places, spec1, spec2, iso, sep) -> WitnessBundle:
     bundle = WitnessBundle(method, params, places, spec1, spec2, iso, tuple(sep), None)
     bundle.obstruction = obstruction_report(bundle)
     return bundle
-
-
-def _need_prime(p: int):
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .matrices import (
     identity,
     mat_inv,
     mat_mul,
-    reduce_mat,
+    scalar_mul,
     sl_order,
 )
 from .parabolics import (
@@ -192,7 +192,7 @@ class CentralPrincipal(LocalCondition):
         return from_rows([[v * scalar for v in row] for row in rows], c.ring)
 
     def generators(self, c) -> list[SLMat]:
-        scalar = central_scalar(c.n, c.ring, self.order)
+        scalar = scalar_mul(c.unit, c.identity)
         return _principal_generators(c.n, c.ring, c.place.p, self.depth, c.e) + [scalar]
 
 
@@ -213,11 +213,10 @@ class Parabolic(LocalCondition):
 
     def setup(self, c):
         c.parabolic = ParabolicSpec(c.n, c.place.p, self.theta)
-        c.level1 = residue_ring(c.place.p, 1)
         c.ops = None
 
     def member(self, c, g) -> bool:
-        return parabolic_membership(reduce_mat(g, c.level1), c.parabolic)
+        return parabolic_membership(g, c.parabolic)
 
     def local_order(self, c) -> int:
         return parabolic_order(c.parabolic) * c.place.p ** ((c.n * c.n - 1) * (c.e - 1))
@@ -278,8 +277,15 @@ class SubgroupSpec:
 
 
 def subgroup_spec(n: int, conditions: dict, d: int | None = None) -> SubgroupSpec:
-    """Build a SubgroupSpec from a place -> condition mapping."""
-    items = sorted(conditions.items(), key=lambda pc: pc[0].sort_key)
+    """Build a SubgroupSpec from a place -> condition mapping.
+
+    A Full entry constrains nothing and is dropped, as if it were absent, so
+    specs that differ only in Full entries are equal.
+    """
+    items = sorted(
+        ((v, c) for v, c in conditions.items() if not isinstance(c, Full)),
+        key=lambda pc: pc[0].sort_key,
+    )
     return SubgroupSpec(n, d, tuple(items))
 
 

@@ -30,7 +30,7 @@ from .errors import InputError, json_int
 from .matrices import scalar_mul
 from .parabolics import graph_automorphism, graph_automorphism_inverse
 from .quotients import CentralPrincipal, FiniteQuotientGroup, enumerate_quotient, tuple_mul
-from .rings import PrimePlace, unit_of_order
+from .rings import PrimePlace
 
 # Quotients at most this large are verified exhaustively: every element
 # against every generator, an edge of the Cayley graph.
@@ -115,20 +115,17 @@ class CentralTransport(QuotientIso):
         # Resolved once for _image: the two component indices, the exponent
         # k of the central part read mod p^depth at from_place (the first k
         # wins), and the scalars that move z^k from one place to the other.
-        src = self.source
-        i = src.place_index(self.from_place)
-        j = src.place_index(self.to_place)
-        ring_i, ring_j = src.rings[i], src.rings[j]
-        z_i = unit_of_order(m, ring_i.p, ring_i.e)
-        z_j = unit_of_order(m, ring_j.p, ring_j.e)
-        depth_mod = ring_i.p ** src.conditions[i].depth
-        mod_i, mod_j = ring_i.modulus, ring_j.modulus
-        self._i, self._j, self._depth_mod = i, j, depth_mod
+        # The central components' setup holds each place's unit z and p^depth.
+        self._i = self.source.place_index(self.from_place)
+        self._j = self.target.place_index(self.to_place)
+        c_i = self.source.components[self._i]
+        c_j = self.target.components[self._j]
+        self._depth_mod = c_i.mod
         self._exponent_of = {}
         for k in range(m):
-            self._exponent_of.setdefault(pow(z_i, k, depth_mod), k)
-        self._scalar_i = [pow(z_i, m - k, mod_i) if k else 1 for k in range(m)]
-        self._scalar_j = [pow(z_j, k, mod_j) for k in range(m)]
+            self._exponent_of.setdefault(pow(c_i.unit, k, c_i.mod), k)
+        self._scalar_i = [pow(c_i.unit, m - k, c_i.ring.modulus) if k else 1 for k in range(m)]
+        self._scalar_j = [pow(c_j.unit, k, c_j.ring.modulus) for k in range(m)]
 
     def _image(self, g):
         i, j = self._i, self._j
@@ -233,8 +230,9 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
     """Check a declared twist on generators, then pair by pair.
 
     Pair (x, y) checks (a) membership: apply(x) belongs to the target;
-    (b) homomorphism: apply(x*y) equals apply(x)*apply(y); (c) inverse: the
-    declared inverse takes apply(x) back to x.  The exact orders must agree.
+    (b) homomorphism: the image of x*y equals apply(x)*apply(y); (c) inverse:
+    the declared inverse takes apply(x) back to x, whenever apply(x) is a
+    member.  The exact orders must agree.
 
     A quotient of order at most EXHAUSTIVE_LIMIT is checked on every edge
     (x, s) of its Cayley graph: x runs over every element and s over the
@@ -304,20 +302,21 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
 
 def _check_pairs(iso, inverse, pair, start, stop):
     """(membership, homomorphism, inverse) failure counts over the pairs
-    pair(i), start <= i < stop."""
+    pair(i), start <= i < stop, with two source membership tests (apply on
+    x and y) and one target test (of f(x)) per pair."""
     tgt = iso.target
     membership = homomorphism = inverse_failures = 0
     for index in range(start, stop):
         x, y = pair(index)
         fx = iso.apply(x)
         fy = iso.apply(y)
-        ok_fx = tgt.member(fx)
-        if not ok_fx:
-            membership += 1
-        if iso.apply(tuple_mul(x, y)) != tuple_mul(fx, fy):
+        # x*y is a product of two members just tested, so a member itself
+        if iso._image(tuple_mul(x, y)) != tuple_mul(fx, fy):
             homomorphism += 1
-        # ok_fx is the inverse's source membership test, done once
-        if ok_fx and tgt.member(fy) and inverse._image(fx) != x:
+        # the one target test, which also admits fx to the inverse
+        if not tgt.member(fx):
+            membership += 1
+        elif inverse._image(fx) != x:
             inverse_failures += 1
     return membership, homomorphism, inverse_failures
 

@@ -48,11 +48,31 @@ def test_witness_method_a_success(capsys):
     assert doc["bundle"]["orders"]["quotient1"] == 2 * 5**15 * 7**15
 
 
-def test_witness_method_b_rejects_equal_primes(capsys):
-    code, out, err = run_cli(capsys, "witness", "method-b", "--p", "5", "--q", "5")
-    assert code == 2
-    assert out == ""
-    assert "distinct" in err
+# Witness inputs refused by a constructor the builder calls: the prime
+# tests of rational_place and split_places, the central-order test of
+# CentralPrincipal.setup and the depth test of FiniteQuotientGroup (equal
+# primes are the builder's own check).  Each exits 2 with no output and one
+# error line holding the fragment.
+BUILDER_REFUSALS = [
+    (("method-b", "--p", "5", "--q", "5"), "distinct"),
+    (("method-a", "--p", "2"), ""),
+    (("method-a", "--order", "3"), "3 does not divide gcd(n, p-1)"),
+    (("method-a", "--order", "4"), "4 does not divide gcd(n, p-1)"),
+    (("method-a", "--level", "0"), "level"),
+    (("method-a", "--n", "1"), "2 does not divide gcd(n, p-1)"),
+    (("method-a", "--p", "9"), "9 is not prime"),
+    (("method-b", "--p", "9"), "9 is not prime"),
+    (("method-c", "--q", "15"), "15 is not prime"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fragment", BUILDER_REFUSALS, ids=["".join(argv).replace("--", "-") for argv, _ in BUILDER_REFUSALS]
+)
+def test_witness_method_b_rejects_equal_primes(argv, fragment, capsys):
+    code, out, err = run_cli(capsys, "witness", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
 
 
 def test_witness_method_c_reports_splitting_evidence(capsys):
@@ -586,6 +606,31 @@ def test_certificate_fails_for_globally_conjugate_specs(case, tmp_path, capsys):
     code, out, err = run_cli(capsys, "obstruct", str(path))
     assert (code, err) == (1, "")
     assert json.loads(out)["obstruction"]["holds"] is False
+
+
+def test_explicit_full_condition_is_no_condition(tmp_path, capsys):
+    # p17a full in both specs of method-c: spec 1 is principal at p7a alone
+    # and spec 2 at p7b alone, so no constrained place is shared
+    doc = bundle_to_json(presets.method_c_pair())
+    for key in ("conditions1", "conditions2"):
+        doc[key]["p17a"] = {"kind": "full"}
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "obstruct", str(path))
+    assert (code, err) == (1, "")
+    obstruction = json.loads(out)["obstruction"]
+    assert obstruction["holds"] is False
+    assert obstruction["data"]["shared_places"] == []
+    # a full entry needs no level entry, as no entry needs none
+    doc = bundle_to_json(presets.method_a_pair())
+    doc["places"].append({"label": "p11", "p": 11, "kind": "rational", "root": None})
+    outputs = []
+    for full in (False, True):
+        if full:
+            doc["conditions1"]["p11"] = {"kind": "full"}
+        path.write_text(json.dumps(doc))
+        outputs.append(run_cli(capsys, "obstruct", str(path)))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def _relabel(value, names):

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from congwit.errors import InputError
 from congwit.matrices import elementary, from_rows, identity, scalar_mul
-from congwit.parabolics import longest_weyl
+from congwit.parabolics import longest_weyl, root_subset
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     CentralPrincipal,
     FiniteQuotientGroup,
+    Parabolic,
     Principal,
     subgroup_spec,
     tuple_mul,
@@ -21,6 +22,7 @@ from congwit.twists import (
     CentralTransport,
     GraphAutomorphism,
     PlaceSwap,
+    QuotientIso,
     child_seed,
     verify_iso,
 )
@@ -158,9 +160,44 @@ def test_sampled_pair_tests_target_membership_once(bundle_fn, monkeypatch):
         return sum(q is iso.source for q in calls), sum(q is iso.target for q in calls)
 
     (src10, tgt10), (src20, tgt20) = per_quotient(10), per_quotient(20)
-    # apply on x, y and x*y tests the source; fx and fy are tested once in
-    # the target, and the inverse round trip reuses the test on fx
-    assert (src20 - src10, tgt20 - tgt10) == (10 * 3, 10 * 2)
+    # apply tests x and y in the source, and their product is not re-tested;
+    # fx is tested once in the target, and that test also gates the inverse
+    # round trip, so fy is never tested there
+    assert (src20 - src10, tgt20 - tgt10) == (10 * 2, 10 * 1)
+
+
+class _Inclusion:
+    """g -> g, declared with an inverse that loses every element; a twist
+    to verify_iso, kept out of QuotientIso's subclasses."""
+
+    apply = QuotientIso.apply
+
+    def __init__(self, source, target):
+        self.source, self.target = source, target
+
+    def _image(self, g):
+        return g
+
+    def invert(self):
+        return _Lost()
+
+
+class _Lost:
+    def _image(self, g):
+        return None
+
+
+def test_inverse_failures_count_pairs_whose_second_image_leaves_the_target():
+    v3 = rational_place(3)
+    full = FiniteQuotientGroup(subgroup_spec(2, {}), {v3: 1})
+    borel = FiniteQuotientGroup(subgroup_spec(2, {v3: Parabolic(root_subset(2, ()))}), {v3: 1})
+    report = verify_iso(_Inclusion(full, borel), 50, 0)
+    # 24 elements x 2 generators, E_01 in the Borel and E_10 not: every edge
+    # from one of the Borel's 6 elements fails its round trip, whether or
+    # not f(E_10) is a member; the other 18 x 2 edges and E_10 leave it
+    assert (report.exhaustive, report.samples_used) == (True, 24)
+    assert report.inverse_failures == 6 * 2
+    assert report.membership_failures == 1 + 18 * 2
 
 
 def test_invert_kinds():
