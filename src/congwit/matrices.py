@@ -1,9 +1,10 @@
 """Exact matrix arithmetic over residue rings with determinant-1 certification.
 
-SLMat values are immutable, canonically reduced, and checked to have
-determinant 1 at construction, so a matrix that is not in SL_n cannot be
-built through the public surface.  Also here: the scalar central elements
-and group orders of SL_n(Z/p^e).
+SLMat values are immutable, canonically reduced and of determinant 1.
+SLMat(...) and from_rows certify their rows, so nothing outside SL_n enters
+through the public surface; mat_mul, mat_inv and the diagram symmetry are
+closed on certified operands, and scalar_mul checks c^n = det(c * x) = 1.
+Also here: the scalar central elements and group orders of SL_n(Z/p^e).
 """
 
 from __future__ import annotations
@@ -161,9 +162,9 @@ def _adj_rows(e, mod):
 class SLMat:
     """A square matrix over a residue ring with determinant 1.
 
-    Every construction is certified, internal results included: products,
-    inverses and twist images pass the same square-shape, canonical-reduction
-    and determinant checks as matrices read from untrusted input.
+    SLMat(...) runs the square-shape, canonical-reduction and determinant
+    checks on every matrix built from rows, untrusted input included; only
+    mat_mul, mat_inv, scalar_mul and the diagram symmetry use _closed.
     """
 
     ring: ResidueRing
@@ -181,6 +182,13 @@ class SLMat:
         if _det_int(entries) % mod != 1:
             raise InputError("determinant is not 1 in the ring")
 
+    @classmethod
+    def _closed(cls, ring: ResidueRing, entries) -> "SLMat":
+        """Reduced entries already known to have determinant 1; not checked."""
+        m = object.__new__(cls)
+        m.__dict__.update(ring=ring, entries=entries)  # the frozen fields, set once
+        return m
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -193,7 +201,7 @@ class SLMat:
 def from_rows(rows, ring: ResidueRing) -> SLMat:
     """Build an SLMat from integer rows, reducing entries into the ring."""
     mod = ring.modulus
-    return SLMat(ring, tuple(tuple(x % mod for x in r) for r in rows))
+    return SLMat(ring, tuple([tuple([x % mod for x in r]) for r in rows]))
 
 
 def identity(n: int, ring: ResidueRing) -> SLMat:
@@ -203,7 +211,7 @@ def identity(n: int, ring: ResidueRing) -> SLMat:
 def mat_mul(x: SLMat, y: SLMat) -> SLMat:
     if (x.ring is not y.ring and x.ring != y.ring) or x.n != y.n:
         raise InputError("matrix product needs matching ring and dimension")
-    return SLMat(x.ring, _mul_rows(x.entries, y.entries, x.ring.modulus))
+    return SLMat._closed(x.ring, _mul_rows(x.entries, y.entries, x.ring.modulus))
 
 
 def transpose(x: SLMat) -> SLMat:
@@ -212,13 +220,15 @@ def transpose(x: SLMat) -> SLMat:
 
 def mat_inv(x: SLMat) -> SLMat:
     """Inverse matrix: the adjugate, which determinant 1 makes the inverse."""
-    return SLMat(x.ring, _adj_rows(x.entries, x.ring.modulus))
+    return SLMat._closed(x.ring, _adj_rows(x.entries, x.ring.modulus))
 
 
 def scalar_mul(c: int, x: SLMat) -> SLMat:
-    """c * x for a scalar with c^n = 1 (anything else fails the det check)."""
+    """c * x for a scalar with c^n = 1, the determinant of c * x."""
     mod = x.ring.modulus
-    return SLMat(x.ring, tuple(tuple(c * v % mod for v in r) for r in x.entries))
+    if pow(c, len(x.entries), mod) != 1:
+        raise InputError("determinant is not 1 in the ring")
+    return SLMat._closed(x.ring, tuple([tuple([c * v % mod for v in r]) for r in x.entries]))
 
 
 def reduce_mat(x: SLMat, ring: ResidueRing) -> SLMat:

@@ -211,14 +211,14 @@ def graph_automorphism_inverse(g: SLMat) -> SLMat:
 
 
 def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
-    """out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i], for signs s_i = +-1."""
+    """out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i]; s and the reversal enter twice: det 1."""
     n = g.n
     mod = g.ring.modulus
     a = _adj_rows(g.entries, mod)
     rows = tuple(
         tuple(s[i] * s[j] * a[n - 1 - j][n - 1 - i] % mod for j in range(n)) for i in range(n)
     )
-    return SLMat(g.ring, rows)
+    return SLMat._closed(g.ring, rows)
 
 
 def _kernel(cols, p: int) -> list[list[int]]:

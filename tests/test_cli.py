@@ -313,6 +313,17 @@ def test_malformed_nested_bundle_field_is_rejected(case, method_a_doc, tmp_path,
     assert_rejected(capsys, tmp_path, doc, message)
 
 
+def test_separating_element_off_determinant_one_is_rejected(tmp_path, capsys):
+    # reduced and square, so only the determinant check of from_rows fires
+    path = tmp_path / "method-b.json"
+    assert main(["witness", "method-b", "--samples", "5", "--output", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["bundle"]["separating_element"]["p7"]["rows"] = [
+        [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]
+    ]
+    assert_rejected(capsys, tmp_path, doc, "determinant is not 1 in the ring")
+
+
 def test_boolean_list_entries_are_rejected(tmp_path, capsys):
     # JSON true and false are not integers, not even inside a list
     doc = bundle_to_json(method_b_pair())

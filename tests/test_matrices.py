@@ -22,7 +22,8 @@ from congwit.matrices import (
     sl_order,
     sl_order_mod,
 )
-from congwit.rings import residue_ring
+from congwit.parabolics import graph_automorphism, graph_automorphism_inverse
+from congwit.rings import residue_ring, unit_of_order
 
 from conftest import KERNEL_RINGS, random_sl
 from oracles import minus_identity
@@ -135,6 +136,41 @@ def test_det_certification():
     with pytest.raises(InputError, match="determinant"):
         SLMat(R5, ((2, 4), (0, 1)))
     assert from_rows([[6, 0], [0, 6]], R5).entries == ((1, 0), (0, 1))
+    # closed operations keep their contracts: det(c * 1) = c^n, and
+    # 2^2 = 4 mod 5, 2^4 = 2 mod 7, while 4^2 = 1 mod 5
+    for x in (identity(2, R5), identity(4, R7)):
+        with pytest.raises(InputError, match="determinant is not 1 in the ring"):
+            scalar_mul(2, x)
+    assert scalar_mul(4, identity(2, R5)) == from_rows([[4, 0], [0, 4]], R5)
+    with pytest.raises(InputError, match="matching ring"):
+        mat_mul(identity(2, R5), identity(2, R7))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.integers(2, 5),
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 11),
+)
+def test_closed_operations_recertify(n, p, e, seed, pick):
+    # the proof obligation of SLMat._closed: each closed operation on
+    # certified operands yields what SLMat(...) itself would certify
+    ring = residue_ring(p, e)
+    rng = random.Random(seed)
+    x = SLMat(ring, random_sl(n, ring, rng).entries)
+    y = SLMat(ring, random_sl(n, ring, rng).entries)
+    orders = [m for m in range(1, n + 1) if n % m == 0 and (p - 1) % m == 0]
+    u = unit_of_order(orders[pick % len(orders)], p, e)
+    for out in (
+        mat_mul(x, y),
+        mat_inv(x),
+        graph_automorphism(x),
+        graph_automorphism_inverse(x),
+        scalar_mul(u, x),
+    ):
+        assert SLMat(out.ring, out.entries) == out
 
 
 def test_sl_order_formula_vs_enumeration():

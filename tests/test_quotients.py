@@ -21,7 +21,7 @@ from congwit.matrices import (
     sl_order,
 )
 from congwit.parabolics import ParabolicSpec, longest_weyl, parabolic_order, root_subset
-from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
+from congwit.presets import PRESETS, builder, method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     FULL_WORD_MAX,
     PARABOLIC_WORD_MAX,
@@ -305,10 +305,12 @@ def test_generators_are_members():
     spec1, _ = method_a_specs()
     theta = root_subset(4, {2, 3})
     spec_b = subgroup_spec(4, {V5: Parabolic(theta), V3: Principal(1)})
-    for q in (
+    # verify_iso images each preset source's generators without a source test
+    for q in [
         FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
         FiniteQuotientGroup(spec_b, {V5: 1, V3: 2}),
-    ):
+    ] + [builder(name)().iso.source for name in sorted(PRESETS)]:
+        assert q.generators()
         for g in q.generators():
             assert q.member(g)
 

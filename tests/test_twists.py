@@ -164,6 +164,8 @@ def test_sampled_pair_tests_target_membership_once(bundle_fn, monkeypatch):
     # fx is tested once in the target, and that test also gates the inverse
     # round trip, so fy is never tested there
     assert (src20 - src10, tgt20 - tgt10) == (10 * 2, 10 * 1)
+    # the generators are imaged without a source re-test
+    assert src10 == 10 * 2
 
 
 class _Inclusion:
