@@ -214,10 +214,6 @@ def mat_mul(x: SLMat, y: SLMat) -> SLMat:
     return SLMat._closed(x.ring, _mul_rows(x.entries, y.entries, x.ring.modulus))
 
 
-def transpose(x: SLMat) -> SLMat:
-    return SLMat(x.ring, tuple(zip(*x.entries)))
-
-
 def mat_inv(x: SLMat) -> SLMat:
     """Inverse matrix: the adjugate, which determinant 1 makes the inverse."""
     return SLMat._closed(x.ring, _adj_rows(x.entries, x.ring.modulus))
@@ -229,19 +225,6 @@ def scalar_mul(c: int, x: SLMat) -> SLMat:
     if pow(c, len(x.entries), mod) != 1:
         raise InputError("determinant is not 1 in the ring")
     return SLMat._closed(x.ring, tuple([tuple([c * v % mod for v in r]) for r in x.entries]))
-
-
-def reduce_mat(x: SLMat, ring: ResidueRing) -> SLMat:
-    """Entrywise reduction into a ring whose modulus divides the source's.
-
-    Reducing into the matrix's own ring is the identity and returns x itself.
-    """
-    if ring is x.ring or ring == x.ring:
-        return x
-    mod = ring.modulus
-    if x.ring.modulus % mod != 0:
-        raise InputError("target modulus must divide the source modulus")
-    return SLMat(ring, tuple(tuple(v % mod for v in r) for r in x.entries))
 
 
 def elementary(n: int, i: int, j: int, t: int, ring: ResidueRing) -> SLMat:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .matrices import SLMat, _adj_rows, from_rows
+from .matrices import SLMat, _adj_rows
 from .rings import ResidueRing, is_prime, residue_ring, smallest_primitive_root
 
 
@@ -178,20 +178,8 @@ def _generator_rows(spec: ParabolicSpec, ring: ResidueRing) -> list[tuple]:
 
 
 def _weyl_signs(n: int) -> tuple[int, ...]:
-    """Row signs of longest_weyl: -1 on row 0 iff the reversal is odd."""
+    """Row signs S of w0 = S * J: -1 on row 0 iff the reversal J is odd."""
     return (-1 if (n * (n - 1) // 2) % 2 == 1 else 1,) + (1,) * (n - 1)
-
-
-def longest_weyl(n: int, ring: ResidueRing) -> SLMat:
-    """The reversal permutation matrix, sign-fixed to determinant 1.
-
-    The reversal has sign (-1)^(n(n-1)/2); when that is -1 the (0, n-1)
-    entry is negated.  Any determinant-1 representative works, but the
-    convention must stay fixed so witnesses are byte-stable.
-    """
-    s = _weyl_signs(n)
-    rows = [[s[i] if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
-    return from_rows(rows, ring)
 
 
 def graph_automorphism(g: SLMat) -> SLMat:
@@ -199,7 +187,7 @@ def graph_automorphism(g: SLMat) -> SLMat:
 
     Swaps P_theta and P_{s(theta)} and preserves the standard Borel; works
     over Z/p^e for every level e.  It is the signed, index-reversed adjugate
-    with longest_weyl's row signs (see the module docstring).
+    with w0's row signs (see the module docstring).
     """
     return _signed_reversed_adjugate(g, _weyl_signs(g.n))
 
@@ -211,13 +199,17 @@ def graph_automorphism_inverse(g: SLMat) -> SLMat:
 
 
 def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
-    """out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i]; s and the reversal enter twice: det 1."""
-    n = g.n
+    """out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i]; s and the reversal enter twice: det 1.
+
+    The reversed transpose is two slices of the reduced adjugate; the sign
+    pass runs only when a sign is -1, that is when n(n-1)/2 is odd.
+    """
     mod = g.ring.modulus
-    a = _adj_rows(g.entries, mod)
-    rows = tuple(
-        tuple(s[i] * s[j] * a[n - 1 - j][n - 1 - i] % mod for j in range(n)) for i in range(n)
-    )
+    rows = tuple(zip(*_adj_rows(g.entries, mod)[::-1]))[::-1]
+    if -1 in s:
+        rows = tuple(
+            [tuple([si * sj * v % mod for sj, v in zip(s, row)]) for si, row in zip(s, rows)]
+        )
     return SLMat._closed(g.ring, rows)
 
 

@@ -444,8 +444,29 @@ def _random_elementary_word(rng, n, ring, max_len):
     # the three draws per factor are _below(n), _below(n - 1), _below(mod)
     mod = ring.modulus
     bits = rng.getrandbits
+    kt = mod.bit_length()
+    if n == 2:
+        # rows (a, b), (c, d); j is the column i is not, but its _below(1)
+        # draw (one bit per try until a 0) still runs
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(1 + _below(bits, max_len)):
+            i = bits(2)
+            while i >= 2:
+                i = bits(2)
+            while bits(1):
+                pass
+            t = bits(kt)
+            while t >= mod:
+                t = bits(kt)
+            if i:
+                a = (a + t * b) % mod
+                c = (c + t * d) % mod
+            else:
+                b = (b + t * a) % mod
+                d = (d + t * c) % mod
+        return from_rows(((a, b), (c, d)), ring)
     m = n - 1
-    kn, km, kt = n.bit_length(), m.bit_length(), mod.bit_length()
+    kn, km = n.bit_length(), m.bit_length()
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     for _ in range(1 + _below(bits, max_len)):
         i = bits(kn)
@@ -521,6 +542,9 @@ def _principal_rows(rng, c: Component, depth):
 
     det is affine in the (0, 0) entry with unit cofactor, so a single
     correction lands the determinant on 1 without leaving the kernel shape.
+    The n^2 draws of X are row-major _below(span) draws, inlined.  For n = 4
+    the determinant (Laplace along rows 0-1, as in matrices._det_int) and the
+    (0, 0) cofactor share the six 2x2 minors c_k of rows 2-3.
     """
     n, mod, p, e = c.n, c.ring.modulus, c.place.p, c.e
     if e == depth:
@@ -528,10 +552,42 @@ def _principal_rows(rng, c: Component, depth):
     step = p**depth
     span = p ** (e - depth)
     bits = rng.getrandbits
-    rows = [
-        [(1 if i == j else 0) + step * _below(bits, span) for j in range(n)]
-        for i in range(n)
-    ]
+    k = span.bit_length()
+    flat = []
+    for _ in range(n * n):
+        r = bits(k)
+        while r >= span:
+            r = bits(k)
+        flat.append(step * r)
+    if n == 4:
+        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = flat
+        a00, a11, a22, a33 = a00 + 1, a11 + 1, a22 + 1, a33 + 1
+        c0 = a20 * a31 - a30 * a21
+        c1 = a20 * a32 - a30 * a22
+        c2 = a20 * a33 - a30 * a23
+        c3 = a21 * a32 - a31 * a22
+        c4 = a21 * a33 - a31 * a23
+        c5 = a22 * a33 - a32 * a23
+        cof = a11 * c5 - a12 * c4 + a13 * c3
+        det = (
+            (a00 * a11 - a10 * a01) * c5
+            - (a00 * a12 - a10 * a02) * c4
+            + (a00 * a13 - a10 * a03) * c3
+            + (a01 * a12 - a11 * a02) * c2
+            - (a01 * a13 - a11 * a03) * c1
+            + (a02 * a13 - a12 * a03) * c0
+        ) % mod
+        if det != 1:
+            a00 = (a00 + (1 - det) * pow(cof, -1, mod)) % mod
+        return [
+            [a00, a01, a02, a03],
+            [a10, a11, a12, a13],
+            [a20, a21, a22, a23],
+            [a30, a31, a32, a33],
+        ]
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    for i in range(n):
+        rows[i][i] += 1
     det = _det_int(rows) % mod
     if det != 1:
         cof = _det_int(_minor(rows, 0, 0)) % mod
@@ -544,11 +600,16 @@ def central_element(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> tuple[
 
     Materializing it requires m to divide gcd(n, p - 1); asymmetric
     membership of this element between two quotients is the centre
-    obstruction.
+    obstruction.  A CentralPrincipal component of order m already holds
+    the unit.
     """
     idx = q.place_index(place)
     out = list(q.identity())
-    out[idx] = central_scalar(q.n, q.rings[idx], m)
+    cond, c = q.conditions[idx], q.components[idx]
+    if isinstance(cond, CentralPrincipal) and cond.order == m:
+        out[idx] = scalar_mul(c.unit, c.identity)
+    else:
+        out[idx] = central_scalar(q.n, q.rings[idx], m)
     return tuple(out)
 
 

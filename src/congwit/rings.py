@@ -1,7 +1,7 @@
 """Exact arithmetic in Z and in real quadratic rings Z[sqrt(d)].
 
 The building blocks here are deliberately small: labeled finite places,
-square-root lifting modulo prime powers, and the residue rings Z/p^e.  A
+square roots modulo a prime, and the residue rings Z/p^e.  A
 place is a rational prime p and, over Z[sqrt(d)], the root of x^2 = d mod p
 that names one of the two places over a split prime; its kind (rational,
 split_first, split_second) follows from the root.  Every place has the
@@ -235,30 +235,6 @@ def find_split_primes(d, count, exclude=(), congruence=None):
     raise AssertionError("unreachable")
 
 
-def hensel_lift_sqrt(d: int, p: int, r: int, e: int) -> int:
-    """The unique lift of the square root r of d mod p to a root mod p^e.
-
-    One linear Newton step per exponent increment: with f(x) = x^2 - d the
-    update is x -> x - f(x) / (2x), and 2x is a unit because p is odd and
-    r is nonzero mod p.
-    """
-    if p == 2 or not is_prime(p):
-        raise InputError("p must be an odd prime")
-    if e < 1:
-        raise InputError("e must be >= 1")
-    r %= p
-    if (r * r - d) % p != 0:
-        raise InputError(f"{r} is not a square root of {d} mod {p}")
-    if r == 0:
-        raise InputError("root 0 mod p cannot be lifted (p divides d)")
-    _guarded_modulus(p, e)  # before the e steps
-    x = r
-    for k in range(2, e + 1):
-        mod = p**k
-        x = (x - (x * x - d) * pow(2 * x, -1, mod)) % mod
-    return x
-
-
 def _guarded_modulus(p: int, e: int) -> int:
     """p^e below MAX_MODULUS, e >= 1; p >= 2, so e >= 32 is refused unbuilt."""
     if e < 1:
@@ -302,28 +278,6 @@ def residue_ring(p: int, e: int) -> ResidueRing:
     quotients at the same prime and exponent share it.  Bad arguments raise
     on every call (exceptions are not cached)."""
     return ResidueRing(p, e)
-
-
-def _coprime(moduli) -> int:
-    """The product of pairwise coprime positive moduli; anything else raises."""
-    mod = math.prod(moduli)
-    if not moduli or min(moduli) < 1 or math.lcm(*moduli) != mod:
-        raise InputError(f"CRT moduli must be positive and pairwise coprime, not {list(moduli)}")
-    return mod
-
-
-def crt_split(x: int, moduli) -> tuple[int, ...]:
-    """The residues of x modulo pairwise coprime moduli."""
-    _coprime(moduli)
-    return tuple([x % m for m in moduli])
-
-
-def crt_join(parts, moduli) -> int:
-    """Inverse of crt_split: the x modulo the product with those residues."""
-    mod = _coprime(moduli)
-    if len(parts) != len(moduli):
-        raise InputError("component count does not match the moduli")
-    return sum([c * (mod // m) * pow(mod // m, -1, m) for c, m in zip(parts, moduli)]) % mod
 
 
 # ---------------------------------------------------------------------------

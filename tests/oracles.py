@@ -2,8 +2,9 @@
 
 None of these is used by the package itself.  They build elements and
 counts by independent routes (quadratic integers and their residue maps,
-the Weyl conjugator, integral SL_2 words, tuple inverses) that the tests
-compare with the package's own results.
+CRT and Hensel lifting, the longest Weyl element and its conjugator,
+transposes and reductions, integral SL_2 words, tuple inverses) that the
+tests compare with the package's own results.
 """
 
 from __future__ import annotations
@@ -12,18 +13,10 @@ import math
 from dataclasses import dataclass
 
 from congwit.errors import InputError
-from congwit.matrices import SLMat, from_rows, identity, mat_inv, mat_mul, scalar_mul, transpose
-from congwit.parabolics import ParabolicSpec, longest_weyl, root_subset
+from congwit.matrices import SLMat, from_rows, identity, mat_inv, mat_mul, scalar_mul
+from congwit.parabolics import ParabolicSpec, root_subset
 from congwit.quotients import closure
-from congwit.rings import (
-    PrimePlace,
-    ResidueRing,
-    factorize,
-    hensel_lift_sqrt,
-    is_prime,
-    is_squarefree,
-    residue_ring,
-)
+from congwit.rings import PrimePlace, ResidueRing, factorize, is_prime, is_squarefree, residue_ring
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +71,52 @@ def galois_conj(x: QuadInt) -> QuadInt:
     return QuadInt(x.a, -x.b, x.d)
 
 
+def _coprime(moduli) -> int:
+    """The product of pairwise coprime positive moduli; anything else raises."""
+    mod = math.prod(moduli)
+    if not moduli or min(moduli) < 1 or math.lcm(*moduli) != mod:
+        raise InputError(f"CRT moduli must be positive and pairwise coprime, not {list(moduli)}")
+    return mod
+
+
+def crt_split(x: int, moduli) -> tuple[int, ...]:
+    """The residues of x modulo pairwise coprime moduli."""
+    _coprime(moduli)
+    return tuple([x % m for m in moduli])
+
+
+def crt_join(parts, moduli) -> int:
+    """Inverse of crt_split: the x modulo the product with those residues."""
+    mod = _coprime(moduli)
+    if len(parts) != len(moduli):
+        raise InputError("component count does not match the moduli")
+    return sum([c * (mod // m) * pow(mod // m, -1, m) for c, m in zip(parts, moduli)]) % mod
+
+
+def hensel_lift_sqrt(d: int, p: int, r: int, e: int) -> int:
+    """The unique lift of the square root r of d mod p to a root mod p^e.
+
+    One linear Newton step per exponent increment: with f(x) = x^2 - d the
+    update is x -> x - f(x) / (2x), and 2x is a unit because p is odd and
+    r is nonzero mod p.
+    """
+    if p == 2 or not is_prime(p):
+        raise InputError("p must be an odd prime")
+    if e < 1:
+        raise InputError("e must be >= 1")
+    r %= p
+    if (r * r - d) % p != 0:
+        raise InputError(f"{r} is not a square root of {d} mod {p}")
+    if r == 0:
+        raise InputError("root 0 mod p cannot be lifted (p divides d)")
+    residue_ring(p, e)  # the modulus guard, before the e steps
+    x = r
+    for k in range(2, e + 1):
+        mod = p**k
+        x = (x - (x * x - d) * pow(2 * x, -1, mod)) % mod
+    return x
+
+
 def residue_map(x, place: PrimePlace, e: int) -> int:
     """Reduce an element of the base ring into Z/p^e at a place.
 
@@ -123,6 +162,36 @@ def minus_identity(n: int, ring: ResidueRing) -> SLMat:
         raise InputError(f"-identity has determinant -1 for n={n}; use central_scalar for odd n")
     mod = ring.modulus
     return scalar_mul(mod - 1, identity(n, ring))
+
+
+def transpose(x: SLMat) -> SLMat:
+    return SLMat(x.ring, tuple(zip(*x.entries)))
+
+
+def reduce_mat(x: SLMat, ring: ResidueRing) -> SLMat:
+    """Entrywise reduction into a ring whose modulus divides the source's.
+
+    Reducing into the matrix's own ring is the identity and returns x itself.
+    """
+    if ring is x.ring or ring == x.ring:
+        return x
+    mod = ring.modulus
+    if x.ring.modulus % mod != 0:
+        raise InputError("target modulus must divide the source modulus")
+    return SLMat(ring, tuple(tuple(v % mod for v in r) for r in x.entries))
+
+
+def longest_weyl(n: int, ring: ResidueRing) -> SLMat:
+    """The reversal permutation matrix, sign-fixed to determinant 1.
+
+    The reversal has sign (-1)^(n(n-1)/2); when that is -1 the (0, n-1)
+    entry is negated.  This is the w0 = S * J whose conjugation
+    graph_automorphism computes as a signed adjugate.
+    """
+    rows = [[int(j == n - 1 - i) for j in range(n)] for i in range(n)]
+    if (n * (n - 1) // 2) % 2 == 1:
+        rows[0][n - 1] = -1
+    return from_rows(rows, ring)
 
 
 def weyl_conjugator(n: int, ring: ResidueRing) -> SLMat:

@@ -22,16 +22,11 @@ from congwit.parabolics import (
     root_subset,
 )
 from congwit.presets import method_a_pair
-from congwit.rings import (
-    crt_join,
-    crt_split,
-    factorize,
-    hensel_lift_sqrt,
-    residue_ring,
-    splitting_type,
-)
+from congwit.rings import factorize, residue_ring, splitting_type
 from congwit.selftest import run_selftest
 from congwit.twists import PlaceSwap, verify_iso
+
+from oracles import crt_join, crt_split, hensel_lift_sqrt
 
 WITNESS_COMMANDS = {
     "method-a": [

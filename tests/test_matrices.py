@@ -17,7 +17,6 @@ from congwit.matrices import (
     identity,
     mat_inv,
     mat_mul,
-    reduce_mat,
     scalar_mul,
     sl_order,
     sl_order_mod,
@@ -26,7 +25,7 @@ from congwit.parabolics import graph_automorphism, graph_automorphism_inverse
 from congwit.rings import residue_ring, unit_of_order
 
 from conftest import KERNEL_RINGS, random_sl
-from oracles import minus_identity
+from oracles import minus_identity, reduce_mat
 from projective import ProjPoint, act, lines_of_projective_space
 
 R5 = residue_ring(5, 1)

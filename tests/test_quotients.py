@@ -16,11 +16,10 @@ from congwit.matrices import (
     identity,
     mat_inv,
     mat_mul,
-    reduce_mat,
     scalar_mul,
     sl_order,
 )
-from congwit.parabolics import ParabolicSpec, longest_weyl, parabolic_order, root_subset
+from congwit.parabolics import ParabolicSpec, parabolic_order, root_subset
 from congwit.presets import PRESETS, builder, method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     FULL_WORD_MAX,
@@ -50,7 +49,7 @@ from congwit.rings import (
 )
 from congwit.serialize import bundle_from_json, bundle_to_json
 
-from oracles import minus_identity, sl2_word_image_order, tuple_inv
+from oracles import longest_weyl, minus_identity, reduce_mat, sl2_word_image_order, tuple_inv
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -385,7 +384,10 @@ def _ref_principal_sample(rng, n, ring, depth):
 
 
 def _ref_sample(q, seed):
-    rng = random.Random(seed)
+    return _ref_components(q, random.Random(seed))
+
+
+def _ref_components(q, rng):
     n = q.n
     out = []
     for ring, cond, (place, e), c in zip(q.rings, q.conditions, q.level, q.components):
@@ -441,6 +443,41 @@ def test_samples_match_the_randrange_reference():
     for q in _preset_quotients() + [deep_parabolic]:
         for seed in range(200):
             assert q.sample(seed) == _ref_sample(q, seed)
+
+
+def _sampler_cases():
+    """(n, p, e, condition) beyond the preset shapes: Full, every
+    Principal(d <= e), every CentralPrincipal(m > 1 dividing gcd(n, p - 1))
+    and two Parabolic root subsets, over n in 2..5, p in {3, 5, 7} and
+    e in 1..4; n = 2 and 4 reach the specialised sampler branches.
+
+    e = 4 is needed at depth 1: an error of p^(2 depth) in the (0, 0)
+    cofactor moves the repaired entry only by a multiple of p^(3 depth)."""
+    for n in (2, 3, 4, 5):
+        for p in (3, 5, 7):
+            for e in (1, 2, 3, 4):
+                yield n, p, e, Full()
+                for d in range(1, e + 1):
+                    yield n, p, e, Principal(d)
+                    for m in range(2, n + 1):
+                        if n % m == 0 and (p - 1) % m == 0:
+                            yield n, p, e, CentralPrincipal(m, d)
+                yield n, p, e, Parabolic(root_subset(n, ()))
+                yield n, p, e, Parabolic(root_subset(n, range(2, n)))
+
+
+def test_component_samplers_are_draw_identical_beyond_the_presets():
+    kinds = set()
+    for n, p, e, cond in _sampler_cases():
+        place = rational_place(p)
+        q = FiniteQuotientGroup(subgroup_spec(n, {place: cond}), {place: e})
+        c = q.components[0]
+        kinds.add((n, type(cond).__name__))
+        for seed in range(12):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert (cond.sample(c, ours),) == _ref_components(q, theirs), (n, p, e, cond, seed)
+            assert ours.getstate() == theirs.getstate(), (n, p, e, cond, seed)
+    assert {(n, "CentralPrincipal") for n in (2, 3, 4)} <= kinds
 
 
 def _sampler_gen_sets():

@@ -8,10 +8,7 @@ from congwit.rings import (
     PrimePlace,
     ResidueRing,
     conj_place,
-    crt_join,
-    crt_split,
     find_split_primes,
-    hensel_lift_sqrt,
     rational_place,
     residue_ring,
     smallest_primitive_root,
@@ -20,7 +17,15 @@ from congwit.rings import (
     unit_of_order,
 )
 
-from oracles import QuadInt, galois_conj, residue_map, roots_of_unity_order
+from oracles import (
+    QuadInt,
+    crt_join,
+    crt_split,
+    galois_conj,
+    hensel_lift_sqrt,
+    residue_map,
+    roots_of_unity_order,
+)
 
 
 def squares_mod(p):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from congwit.errors import InputError
 from congwit.matrices import elementary, from_rows, identity, scalar_mul
-from congwit.parabolics import longest_weyl, root_subset
+from congwit.parabolics import root_subset
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     CentralPrincipal,
@@ -27,7 +27,7 @@ from congwit.twists import (
     verify_iso,
 )
 
-from oracles import minus_identity
+from oracles import longest_weyl, minus_identity
 
 V5 = rational_place(5)
 V7 = rational_place(7)

@@ -8,10 +8,12 @@ and its own empty working directory, and compares exit codes, stdout,
 stderr and the files each run writes.  Every run that differs is printed
 with its differences; the exit code is 1 if any run differs, else 0.
 
-The set is the 28 runs used to compare a change with its parent:
+The set is the 30 runs used to compare a change with its parent:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
   - six non-default parameter sets;
+  - method-a at n = 3 and n = 5, which reach the generic-n matrix and
+    sampler branches, at --samples 200 --seed 3;
   - `search-primes` three times;
   - `selftest` with each --inject-fault mode;
   - `verify-iso` and `obstruct` on the four saved documents;
@@ -71,6 +73,12 @@ def runs() -> list[tuple[str, list[str], object]]:
         ["s16", "--p", "11"],
     ):
         out.append(("witness " + " ".join(flags), ["witness", *flags, "--samples", "50"], None))
+    for flags in (
+        ["method-a", "--n", "3", "--order", "3", "--p", "7", "--q", "13"],
+        ["method-a", "--n", "5", "--order", "5", "--p", "11", "--q", "31"],
+    ):
+        argv = ["witness", *flags, "--samples", "200", "--seed", "3"]
+        out.append(("witness " + " ".join(flags), argv, None))
     for flags in (
         ["--d", "2", "--count", "3"],
         ["--full-center", "4", "--count", "2"],
