@@ -75,25 +75,47 @@ def _minor(rows, i, j):
 
 
 def _mul_rows(xe, ye, mod):
-    """Entries of the product of two row tuples, reduced mod `mod`."""
+    """Entries of the product of two row tuples, reduced mod `mod`.
+
+    n = 2 and n = 4 are written out in full: up to Python 3.11 every
+    comprehension runs in a function frame of its own.
+    """
     n = len(xe)
     if n == 4:
+        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = xe
         (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = ye
-        return tuple(
-            [
-                (
-                    (a0 * b00 + a1 * b10 + a2 * b20 + a3 * b30) % mod,
-                    (a0 * b01 + a1 * b11 + a2 * b21 + a3 * b31) % mod,
-                    (a0 * b02 + a1 * b12 + a2 * b22 + a3 * b32) % mod,
-                    (a0 * b03 + a1 * b13 + a2 * b23 + a3 * b33) % mod,
-                )
-                for a0, a1, a2, a3 in xe
-            ]
+        return (
+            (
+                (a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30) % mod,
+                (a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31) % mod,
+                (a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32) % mod,
+                (a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33) % mod,
+            ),
+            (
+                (a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30) % mod,
+                (a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31) % mod,
+                (a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32) % mod,
+                (a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33) % mod,
+            ),
+            (
+                (a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30) % mod,
+                (a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31) % mod,
+                (a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32) % mod,
+                (a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33) % mod,
+            ),
+            (
+                (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30) % mod,
+                (a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31) % mod,
+                (a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32) % mod,
+                (a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33) % mod,
+            ),
         )
     if n == 2:
+        (a00, a01), (a10, a11) = xe
         (b00, b01), (b10, b11) = ye
-        return tuple(
-            [((a0 * b00 + a1 * b10) % mod, (a0 * b01 + a1 * b11) % mod) for a0, a1 in xe]
+        return (
+            ((a00 * b00 + a01 * b10) % mod, (a00 * b01 + a01 * b11) % mod),
+            ((a10 * b00 + a11 * b10) % mod, (a10 * b01 + a11 * b11) % mod),
         )
     cols = tuple(zip(*ye))
     return tuple(
@@ -158,13 +180,26 @@ def _adj_rows(e, mod):
     )
 
 
+def _check_square(entries) -> None:
+    n = len(entries)
+    if n < 1 or any(len(r) != n for r in entries):
+        raise InputError("entries must form a square matrix")
+
+
+def _check_det_one(entries, mod: int) -> None:
+    if _det_int(entries) % mod != 1:
+        raise InputError("determinant is not 1 in the ring")
+
+
 @dataclass(frozen=True)
 class SLMat:
     """A square matrix over a residue ring with determinant 1.
 
     SLMat(...) runs the square-shape, canonical-reduction and determinant
-    checks on every matrix built from rows, untrusted input included; only
-    mat_mul, mat_inv, scalar_mul and the diagram symmetry use _closed.
+    checks on every matrix built from rows, untrusted input included.
+    from_rows reduces its rows itself and runs the shape and determinant
+    checks; only mat_mul, mat_inv, scalar_mul and the diagram symmetry use
+    _closed unchecked.
     """
 
     ring: ResidueRing
@@ -172,15 +207,12 @@ class SLMat:
 
     def __post_init__(self):
         entries = self.entries
-        n = len(entries)
         mod = self.ring.modulus
-        if n < 1 or any(len(r) != n for r in entries):
-            raise InputError("entries must form a square matrix")
+        _check_square(entries)
         flat = sum(entries, ())  # rows are tuples, so this flattens in C
         if min(flat) < 0 or max(flat) >= mod:
             raise InputError("entries must be canonically reduced")
-        if _det_int(entries) % mod != 1:
-            raise InputError("determinant is not 1 in the ring")
+        _check_det_one(entries, mod)
 
     @classmethod
     def _closed(cls, ring: ResidueRing, entries) -> "SLMat":
@@ -199,9 +231,16 @@ class SLMat:
 
 
 def from_rows(rows, ring: ResidueRing) -> SLMat:
-    """Build an SLMat from integer rows, reducing entries into the ring."""
+    """Build an SLMat from integer rows, reducing entries into the ring.
+
+    The reduction puts every entry in [0, modulus), so of SLMat's checks
+    only the shape and the determinant are left to run.
+    """
     mod = ring.modulus
-    return SLMat(ring, tuple([tuple([x % mod for x in r]) for r in rows]))
+    entries = tuple([tuple([x % mod for x in r]) for r in rows])
+    _check_square(entries)
+    _check_det_one(entries, mod)
+    return SLMat._closed(ring, entries)
 
 
 def identity(n: int, ring: ResidueRing) -> SLMat:

@@ -105,7 +105,10 @@ def parabolic_membership(g: SLMat, spec: ParabolicSpec) -> bool:
     if g.n != spec.n or g.ring.p != spec.p:
         raise InputError("membership is tested over a ring over p at matching dimension")
     e, p = g.entries, spec.p
-    return not any(e[r][c] % p for r, c in spec._below_block)
+    for r, c in spec._below_block:
+        if e[r][c] % p:
+            return False
+    return True
 
 
 def gl_order(m: int, p: int) -> int:

@@ -374,6 +374,13 @@ class FiniteQuotientGroup:
 
     # -- sampling ---------------------------------------------------------
 
+    @functools.cached_property
+    def _rng(self) -> random.Random:
+        """The generator every sample reseeds, built at the first sample:
+        Random() seeds itself from the OS, which quotients never sampled
+        need not pay."""
+        return random.Random()
+
     def sample(self, seed: int) -> tuple[SLMat, ...]:
         """A member of the quotient, deterministic in the seed.
 
@@ -382,8 +389,14 @@ class FiniteQuotientGroup:
         sample on Random(seed).getrandbits(n.bit_length()) (see _below), so
         the members depend only on getrandbits and not on the private
         algorithm behind random.randrange.
+
+        The draws come from one generator per quotient, reseeded here:
+        seed(seed) leaves the state a fresh Random(seed) has, without
+        building one per sample.  So two threads must not sample one
+        quotient at once; verify_iso samples in one thread per process.
         """
-        rng = random.Random(seed)
+        rng = self._rng
+        rng.seed(seed)
         return tuple(cond.sample(c, rng) for cond, c in zip(self.conditions, self.components))
 
     # -- generators --------------------------------------------------------
@@ -508,32 +521,52 @@ def _column_ops(g: SLMat) -> tuple:
 def _random_word(rng, ops, n, ring):
     """A product of 1 to PARABOLIC_WORD_MAX generators, certified once.
 
-    `ops` holds each generator's _column_ops.  The word is kept as a list of
-    reduced columns starting from the identity; each factor recomputes only
-    the columns its generator moves, all from the columns before it, which
-    gives exactly the reduced dense product.  Columns built from one or two
-    others take the short forms.  The draws are _below(PARABOLIC_WORD_MAX)
-    for the length, then _below(len(ops)) per factor, and the result is
-    certified by from_rows.
+    `ops` holds each generator's _column_ops.  The word starts from the
+    identity and is kept as n packed columns, one integer each: row r of a
+    column sits in bits [r*w, (r+1)*w) for w = PARABOLIC_WORD_MAX *
+    (n * mod).bit_length().  A factor recomputes only the columns its
+    generator moves, all from the columns before it, as sum_k a_k * C[k],
+    which is one multiply-add of whole integers per term and acts on every
+    field at once.  Nothing is reduced until the end: the word is unpacked
+    and reduced once by from_rows, which gives exactly the reduced dense
+    product.
+
+    Fields never carry or borrow.  The coefficients a_k are reduced entries,
+    in [0, mod), and at most n of them make a column, so each factor
+    multiplies the largest entry by less than n * mod; the identity's
+    entries are at most 1, so after at most PARABOLIC_WORD_MAX factors every
+    entry is a nonnegative integer below (n * mod)^PARABOLIC_WORD_MAX
+    <= 2^w.
+
+    The draws are _below(PARABOLIC_WORD_MAX) for the length, then
+    _below(len(ops)) per factor, inlined.
     """
-    mod = ring.modulus
     bits = rng.getrandbits
     count = len(ops)
-    cols = [[int(r == c) for r in range(n)] for c in range(n)]
-    for _ in range(1 + _below(bits, PARABOLIC_WORD_MAX)):
-        new = []
-        for c, terms in ops[_below(bits, count)]:
-            if len(terms) == 1:
-                ((k, a),) = terms
-                new.append((c, [a * x % mod for x in cols[k]]))
-            elif len(terms) == 2:
+    kl, kc = PARABOLIC_WORD_MAX.bit_length(), count.bit_length()
+    w = PARABOLIC_WORD_MAX * (n * ring.modulus).bit_length()
+    cols = [1 << (c * w) for c in range(n)]
+    length = bits(kl)
+    while length >= PARABOLIC_WORD_MAX:
+        length = bits(kl)
+    for _ in range(length + 1):
+        g = bits(kc)
+        while g >= count:
+            g = bits(kc)
+        op = ops[g]
+        # a generator that moves several columns reads them all before it
+        old = cols if len(op) == 1 else cols[:]
+        for c, terms in op:
+            if len(terms) == 2:
                 (k, a), (l, b) = terms
-                new.append((c, [(a * x + b * y) % mod for x, y in zip(cols[k], cols[l])]))
+                cols[c] = a * old[k] + b * old[l]
+            elif len(terms) == 1:
+                ((k, a),) = terms
+                cols[c] = a * old[k]
             else:
-                new.append((c, [sum(a * cols[k][r] for k, a in terms) % mod for r in range(n)]))
-        for c, col in new:
-            cols[c] = col
-    return from_rows(zip(*cols), ring)
+                cols[c] = sum(a * old[k] for k, a in terms)
+    mask = (1 << w) - 1
+    return from_rows([[col >> s & mask for col in cols] for s in range(0, n * w, w)], ring)
 
 
 def _principal_rows(rng, c: Component, depth):
@@ -621,7 +654,7 @@ def central_presence(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> bool:
 
 
 def tuple_mul(x, y):
-    return tuple(mat_mul(a, b) for a, b in zip(x, y))
+    return tuple(map(mat_mul, x, y))
 
 
 def closure(generators, ident, limit: int):

@@ -241,6 +241,8 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
     apply(x*s) = apply(x)*apply(s) for all x and s gives apply(x*y) =
     apply(x)*apply(y) for all x and y, and round trips on every element with
     equal orders give a bijection: a "witnessed" verdict is then a proof.
+    The generators must close on exactly src.order elements, or a
+    RuntimeError is raised before any pair is checked.
     Larger quotients are checked on sample_count seeded pairs, pair i being
     sample(child_seed(master_seed, 2i)) and sample(child_seed(master_seed,
     2i + 1)); a "witnessed" verdict there means no counterexample was met.
@@ -264,7 +266,14 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
 
     exhaustive = src.order <= EXHAUSTIVE_LIMIT
     if exhaustive:
-        elements = list(enumerate_quotient(src, EXHAUSTIVE_LIMIT + 1))
+        # the Cayley-graph edges prove the verdict only if S generates
+        closed = enumerate_quotient(src, EXHAUSTIVE_LIMIT + 1)
+        if closed is None or len(closed) != src.order:
+            size = f"more than {EXHAUSTIVE_LIMIT + 1}" if closed is None else len(closed)
+            raise RuntimeError(
+                f"generators of the source close on {size} elements, not its order {src.order}"
+            )
+        elements = list(closed)
         steps = gens or [src.identity()]
         samples_used, pairs = len(elements), len(elements) * len(steps)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -41,6 +42,7 @@ from congwit.quotients import (
     tuple_mul,
 )
 from congwit.rings import (
+    MAX_MODULUS,
     ResidueRing,
     rational_place,
     residue_ring,
@@ -48,6 +50,7 @@ from congwit.rings import (
     unit_of_order,
 )
 from congwit.serialize import bundle_from_json, bundle_to_json
+from congwit.twists import child_seed
 
 from oracles import longest_weyl, minus_identity, reduce_mat, sl2_word_image_order, tuple_inv
 
@@ -445,6 +448,23 @@ def test_samples_match_the_randrange_reference():
             assert q.sample(seed) == _ref_sample(q, seed)
 
 
+def test_sample_stream_is_pinned():
+    # the witness hashes carry only zero counts, so they cannot see the draws
+    digest = hashlib.sha256()
+    for q in _preset_quotients():
+        for i in range(300):
+            for m in q.sample(child_seed(0, i)):
+                digest.update(repr(m.entries).encode())
+        # each sample reseeds the quotient's one generator
+        s1, s2 = child_seed(1, 0), child_seed(1, 1)
+        first = q.sample(s1)
+        q.sample(s2)
+        assert q.sample(s1) == first
+    assert digest.hexdigest() == (
+        "21eeac7f0635ee34118f79942309ca5b34042f7e1faf132c6dd44c5fce819018"
+    )
+
+
 def _sampler_cases():
     """(n, p, e, condition) beyond the preset shapes: Full, every
     Principal(d <= e), every CentralPrincipal(m > 1 dividing gcd(n, p - 1))
@@ -521,6 +541,24 @@ def test_random_word_matches_the_dense_product():
             ours, theirs = random.Random(seed), random.Random(seed)
             assert _random_word(ours, ops, n, ring) == _ref_word(theirs, gens, n, ring), label
             assert ours.getstate() == theirs.getstate()
+    # the packing width at its bound: words of PARABOLIC_WORD_MAX factors
+    # (a first draw of 11), modulus 2^31 - 1 (prime), and a dense factor with
+    # every off-diagonal entry mod - 1, the diagonal mod - 2 and (0, 0)
+    # repaired to det 1; a matrix of all mod - 1 would have rank 1
+    mod, n = MAX_MODULUS - 1, 4
+    ring = residue_ring(mod, 1)
+    rows = [[mod - 1 - (i == j) for j in range(n)] for i in range(n)]
+    det, cof = _det_int(rows) % mod, _det_int(_minor(rows, 0, 0)) % mod
+    rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
+    dense = from_rows(rows, ring)
+    gens = [dense, mat_inv(dense)]
+    ops = [_column_ops(g) for g in gens]
+    seeds = [s for s in range(1000) if random.Random(s).getrandbits(4) == PARABOLIC_WORD_MAX - 1]
+    assert len(seeds) == 49
+    for seed in seeds:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _random_word(ours, ops, n, ring) == _ref_word(theirs, gens, n, ring), seed
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_sampler_ops_are_derived_from_the_dense_generators():

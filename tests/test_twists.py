@@ -346,6 +346,18 @@ def test_exhaustive_verification_for_tiny_quotients():
     assert report.verdict == "witnessed"
 
 
+def test_exhaustive_run_refuses_generators_that_miss_the_order(monkeypatch):
+    v3 = rational_place(3)
+    full = FiniteQuotientGroup(subgroup_spec(2, {}), {v3: 1})
+    # E_01 alone closes on its 3 powers, not on the 24 elements of SL_2(F_3)
+    monkeypatch.setattr(full, "generators", lambda: FiniteQuotientGroup.generators(full)[:1])
+    iso = _Inclusion(full, full)
+    monkeypatch.setattr(iso, "apply", lambda g: pytest.fail("a pair was checked"))
+    message = "^generators of the source close on 3 elements, not its order 24$"
+    with pytest.raises(RuntimeError, match=message):
+        verify_iso(iso, 50, 0)
+
+
 def test_order_one_quotient_checks_the_identity_edge():
     # no generators: the one Cayley-graph edge is (identity, identity)
     p1, p2 = split_places(7, 2)
