@@ -4,7 +4,8 @@ Commands: witness {method-a|method-b|method-c|s16}, search-primes,
 verify-iso, obstruct, selftest.  All reports are canonical JSON on stdout
 (or --output); identical configuration and seed give byte-identical bytes.
 Exit codes: 0 every recomputed certificate holds and the verdict is
-witnessed, 1 a check refuted something, 2 invalid input.
+witnessed, 1 a check refuted something, 2 invalid input, 3 an internal
+error (a RuntimeError, such as a worker that ended without a result).
 
 The argument parser is built once per process: the witness flags are read
 from the preset builders' signatures then.  The builders and verify_iso
@@ -206,6 +207,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -5,16 +5,11 @@ parabolic P_theta of block-upper-triangular matrices whose block sizes are
 cut at the complement of theta: theta = everything gives the whole group,
 theta = empty set gives the Borel.  The type A diagram symmetry
 s(theta) = {n - i} is realized on matrices by transpose-inverse conjugated
-with the longest Weyl permutation, and non-conjugacy of P_theta and
-P_{s(theta)} is certified by the conjugation-invariant count of projective
-lines fixed by the subgroup.
-
-That count is taken by linear algebra over F_p, not by testing lines: the
-fixed lines are the common eigenlines of the generators, found by
-intersecting eigenspaces ker(g - lambda) one generator at a time.
-Eigenspaces of one g for distinct lambda meet only in 0, so each fixed line
-is counted once, and the cost is O(|S| * p * n^3) for |S| generators
-instead of one test per line of P^(n-1)(F_p) (see fixed_lines).
+with the longest Weyl permutation, and P_theta and P_{s(theta)} are told
+apart by the number of projective lines each fixes, a count invariant under
+conjugation in SL_n(F_p).  That count is read off the first block: P_theta
+fixes the line <e_1> when the first block has size 1 and no line otherwise
+(see fixed_lines).
 
 On matrices the symmetry is computed in one pass as a sign-permuted
 adjugate.  The longest Weyl element is w0 = S * J, with J the reversal and
@@ -150,30 +145,18 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
     """
     if ring is None:
         ring = residue_ring(spec.p, 1)
-    return [SLMat(ring, rows) for rows in _generator_rows(spec, ring)]
-
-
-def _generator_rows(spec: ParabolicSpec, ring: ResidueRing) -> list[tuple]:
-    """The entries of parabolic_generators(spec, ring), reduced, as row tuples."""
-    n = spec.n
     if ring.p != spec.p:
         raise InputError("the ring must sit over the parabolic's prime")
-    mod = ring.modulus
+    n, mod = spec.n, ring.modulus
     u = smallest_primitive_root(spec.p, ring.e) % mod
-    u_inv = pow(u, -1, mod)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and (i, j) not in spec._below_block:
-                rows = [[int(r == c) for c in range(n)] for r in range(n)]
-                rows[i][j] = 1
-                out.append(rows)
-    for i in range(n - 1):
-        rows = [[int(r == c) for c in range(n)] for r in range(n)]
-        rows[i][i] = u
-        rows[i + 1][i + 1] = u_inv
-        out.append(rows)
-    return [tuple(map(tuple, rows)) for rows in out]
+
+    def gen(changed):  # the identity with the given entries changed
+        rows = tuple(tuple(changed.get((r, c), int(r == c)) for c in range(n)) for r in range(n))
+        return SLMat(ring, rows)
+
+    roots = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in spec._below_block]
+    torus = [{(i, i): u, (i + 1, i + 1): pow(u, -1, mod)} for i in range(n - 1)]
+    return [gen({ij: 1}) for ij in roots] + [gen(changed) for changed in torus]
 
 
 # ---------------------------------------------------------------------------
@@ -216,97 +199,18 @@ def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
     return SLMat._closed(g.ring, rows)
 
 
-def _kernel(cols, p: int) -> list[list[int]]:
-    """Basis of {c : sum_i c[i] * cols[i] = 0 mod p}, by one elimination.
-
-    The vectors cols[i] are the columns of an n x k matrix over F_p; it is
-    brought to reduced row echelon form and each free column gives one
-    kernel vector.
-    """
-    k = len(cols)
-    rows = [list(r) for r in zip(*cols)]
-    pivots = []
-    for c in range(k):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        top = rows[r] = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
-        pivots.append(c)
-    basis = []
-    for free in (c for c in range(k) if c not in pivots):
-        v = [0] * k
-        v[free] = 1
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free] % p
-        basis.append(v)
-    return basis
-
-
-def count_fixed_lines(mats, n: int, p: int) -> int:
-    """Number of lines of F_p^n fixed by every matrix in mats (rows mod p).
-
-    The eigenspace recursion described at fixed_lines, over any list of
-    n x n matrices; an empty list counts every line.
-    """
-
-    def walk(basis, depth):
-        if depth == len(mats):
-            return (p ** len(basis) - 1) // (p - 1)
-        g = mats[depth]
-        images = [[sum(a * x for a, x in zip(row, b)) for row in g] for b in basis]
-        if len(basis) == 1:
-            # one line <b>: the only candidate lambda is read off b's first
-            # nonzero entry, so the other p - 2 eliminations are skipped
-            (b,), (w,) = basis, images
-            lead = next(i for i, x in enumerate(b) if x)
-            lam = w[lead] * pow(b[lead], -1, p) % p
-            fixed = lam and all((x - lam * y) % p == 0 for x, y in zip(w, b))
-            return walk(basis, depth + 1) if fixed else 0
-        total = 0
-        for lam in range(1, p):
-            kernel = _kernel(
-                [[(w - lam * x) % p for w, x in zip(img, b)] for img, b in zip(images, basis)], p
-            )
-            if kernel:
-                sub = [
-                    [sum(c * b[i] for c, b in zip(coef, basis)) % p for i in range(n)]
-                    for coef in kernel
-                ]
-                total += walk(sub, depth + 1)
-        return total
-
-    return walk([[int(i == j) for j in range(n)] for i in range(n)], 0)
-
-
 def fixed_lines(spec: ParabolicSpec) -> int:
-    """Number of projective lines fixed by every generator of P_theta.
+    """Number of projective lines of F_p^n fixed by P_theta: 1 if its first
+    block has size 1, else 0.
 
-    A line fixed by all generators is fixed by the whole subgroup, and the
-    count is invariant under conjugation; unequal counts therefore certify
-    that two parabolics are not conjugate.
+    The upper elementaries are unipotent, so the only line they all fix is
+    <e_1>.  <e_1> is fixed by the diagonal generators, and unless the first
+    block has size 1 a lower elementary inside it moves <e_1>.
 
-    A line <v> is fixed by g iff g v = lambda v for some lambda in F_p^x, so
-    the lines fixed by every generator are the common eigenlines.  Starting
-    from W = F_p^n, each generator g in turn replaces W by the intersections
-    W cap ker(g - lambda), one per lambda in F_p^x; each is the kernel of
-    (g - lambda) * basis(W), found by one Gaussian elimination over F_p, and
-    empty intersections are dropped.  A subspace of dimension k that
-    survives every generator holds (p^k - 1)/(p - 1) lines.  Eigenspaces of
-    one g for distinct lambda meet only in 0, so every fixed line lies in
-    exactly one surviving subspace and the sum counts it once.  Each
-    generator keeps at most n subspaces alive and each costs p - 1
-    eliminations, so the count costs O(|S| * p * n^3) for |S| generators; it
-    does not grow with the (p^n - 1)/(p - 1) lines of P^(n-1)(F_p).
+    The count is invariant under conjugation in SL_n(F_p), so unequal counts
+    show that two parabolics are not conjugate there.
     """
-    rows = _generator_rows(spec, residue_ring(spec.p, 1))
-    return count_fixed_lines(rows, spec.n, spec.p)
+    return int(spec.blocks[0] == 1)
 
 
 def borel(n: int, p: int) -> ParabolicSpec:

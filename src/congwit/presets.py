@@ -8,7 +8,8 @@ the other:
   method A    the order-m central condition sits at different places; the
               central-presence matrix is asymmetric
   method B    the parabolic conditions at one place differ by the diagram
-              symmetry; unequal fixed-line counts certify non-conjugacy
+              symmetry; unequal fixed-line counts separate them up to
+              SL_n(F_p)-conjugacy only (a known defect: see method_b_pair)
   method C    over a real quadratic ring, the constrained split place over p
               differs; ring conjugation moves the shared place over q
   s16         the quotients of method A at (n, p, q, order, level) =
@@ -157,8 +158,11 @@ def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
     at both p and q versus the same at p and its diagram image (3,1) at q,
     rigidified by the principal level-3 condition.
 
-    The twist applies the diagram symmetry at the place q; the fixed-line
-    counts certify that the two parabolic conditions are not conjugate.
+    The twist applies the diagram symmetry at the place q.  The fixed-line
+    counts show that the two parabolic conditions are not conjugate in
+    SL_4(F_q), and no more: conjugation by gamma * diag(q, 1, 1, 1), for a
+    gamma in SL_4(Z), carries the first subgroup onto the second, so the
+    certificate's claim of non-isomorphism is false.
     """
     vp, vq, v3 = rational_place(p), rational_place(q), rational_place(3)
     if p == q:

@@ -1,8 +1,8 @@
 """Projective lines over F_p and the left action of SL_n on them.
 
-Test-only oracle: the fixed-line certificate in congwit.parabolics counts
-common eigenlines by linear algebra, and these functions count the same
-lines by enumerating every line of P^(n-1)(F_p).
+Test-only oracle: the fixed-line certificate in congwit.parabolics reads
+its count off the first block of the parabolic, and these functions count
+the same lines by enumerating every line of P^(n-1)(F_p).
 """
 
 from __future__ import annotations

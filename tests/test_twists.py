@@ -1,10 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congwit import presets
+from congwit.cli import main
 from congwit.errors import InputError
 from congwit.matrices import elementary, from_rows, identity, scalar_mul
 from congwit.parabolics import root_subset
@@ -346,16 +349,34 @@ def test_exhaustive_verification_for_tiny_quotients():
     assert report.verdict == "witnessed"
 
 
-def test_exhaustive_run_refuses_generators_that_miss_the_order(monkeypatch):
+def _short_closure_iso(monkeypatch):
+    """An inclusion of SL_2(F_3) whose source generators miss its order."""
     v3 = rational_place(3)
     full = FiniteQuotientGroup(subgroup_spec(2, {}), {v3: 1})
     # E_01 alone closes on its 3 powers, not on the 24 elements of SL_2(F_3)
     monkeypatch.setattr(full, "generators", lambda: FiniteQuotientGroup.generators(full)[:1])
     iso = _Inclusion(full, full)
     monkeypatch.setattr(iso, "apply", lambda g: pytest.fail("a pair was checked"))
+    return iso
+
+
+def test_exhaustive_run_refuses_generators_that_miss_the_order(monkeypatch):
+    iso = _short_closure_iso(monkeypatch)
     message = "^generators of the source close on 3 elements, not its order 24$"
     with pytest.raises(RuntimeError, match=message):
         verify_iso(iso, 50, 0)
+
+
+def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
+    # the closure shortfall reached through the CLI: exit 3, not 1 ("refuted")
+    iso = _short_closure_iso(monkeypatch)
+    monkeypatch.setattr(presets, "s16_pair", lambda p=7: SimpleNamespace(iso=iso))
+    assert main(["witness", "s16", "--samples", "50"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: generators of the source close on 3 elements, not its order 24\n"
+    )
 
 
 def test_order_one_quotient_checks_the_identity_edge():

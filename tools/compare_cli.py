@@ -8,12 +8,15 @@ and its own empty working directory, and compares exit codes, stdout,
 stderr and the files each run writes.  Every run that differs is printed
 with its differences; the exit code is 1 if any run differs, else 0.
 
-The set is the 30 runs used to compare a change with its parent:
+The set is 41 runs.  Thirty-one compare a change with its parent on
+ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
   - six non-default parameter sets;
   - method-a at n = 3 and n = 5, which reach the generic-n matrix and
     sampler branches, at --samples 200 --seed 3;
+  - method-b at the large primes p = 101, q = 103, whose certificate
+    counts fixed lines over F_101 and F_103;
   - `search-primes` three times;
   - `selftest` with each --inject-fault mode;
   - `verify-iso` and `obstruct` on the four saved documents;
@@ -79,6 +82,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     ):
         argv = ["witness", *flags, "--samples", "200", "--seed", "3"]
         out.append(("witness " + " ".join(flags), argv, None))
+    flags = ["method-b", "--p", "101", "--q", "103"]
+    out.append(("witness " + " ".join(flags), ["witness", *flags, "--samples", "50"], None))
     for flags in (
         ["--d", "2", "--count", "3"],
         ["--full-center", "4", "--count", "2"],
