@@ -3,13 +3,14 @@
 A subset theta of the simple roots {1, ..., n-1} determines the standard
 parabolic P_theta of block-upper-triangular matrices whose block sizes are
 cut at the complement of theta: theta = everything gives the whole group,
-theta = empty set gives the Borel.  The type A diagram symmetry
-s(theta) = {n - i} is realized on matrices by transpose-inverse conjugated
-with the longest Weyl permutation, and P_theta and P_{s(theta)} are told
-apart by the number of projective lines each fixes, a count invariant under
-conjugation in SL_n(F_p).  That count is read off the first block: P_theta
-fixes the line <e_1> when the first block has size 1 and no line otherwise
-(see fixed_lines).
+theta = empty set gives the Borel.  A parabolic is its root subset; the
+prime comes from the ring of the matrices at hand, or is passed where there
+are none.  The type A diagram symmetry s(theta) = {n - i} is realized on
+matrices by transpose-inverse conjugated with the longest Weyl permutation,
+and P_theta and P_{s(theta)} are told apart by the number of projective
+lines each fixes, a count invariant under conjugation in SL_n(F_p).  That
+count is read off the first block: P_theta fixes the line <e_1> when the
+first block has size 1 and no line otherwise (see fixed_lines).
 
 On matrices the symmetry is computed in one pass as a sign-permuted
 adjugate.  The longest Weyl element is w0 = S * J, with J the reversal and
@@ -26,11 +27,12 @@ D * J * adj(g) * J * D, and the inverse is that adjugate transposed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError
 from .matrices import SLMat, _adj_rows
-from .rings import ResidueRing, is_prime, residue_ring, smallest_primitive_root
+from .rings import ResidueRing, smallest_primitive_root
 
 
 @dataclass(frozen=True)
@@ -56,51 +58,29 @@ class RootSubset:
         bounds = [0] + cuts + [self.n]
         return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
+    @functools.cached_property
+    def below_block(self) -> tuple[tuple[int, int], ...]:
+        """The (row, column) positions below P_theta's block diagonal, computed
+        at the first membership test; blk[r] is the block holding position r."""
+        blk = [k for k, b in enumerate(self.block_sizes()) for _ in range(b)]
+        return tuple((r, c) for r in range(self.n) for c in range(self.n) if blk[r] > blk[c])
+
 
 def root_subset(n: int, members) -> RootSubset:
     return RootSubset(n, frozenset(members))
 
 
-@dataclass(frozen=True)
-class ParabolicSpec:
-    """The standard parabolic of SL_n(F_p) attached to a root subset."""
-
-    n: int
-    p: int
-    theta: RootSubset
-
-    def __post_init__(self):
-        if self.theta.n != self.n:
-            raise InputError("root subset rank does not match n")
-        if not is_prime(self.p):
-            raise InputError(f"{self.p} is not prime")
-        # Computed once: the (row, column) positions below the block
-        # diagonal, read on every membership test.  blk[r] is the block
-        # holding position r.
-        blk = [k for k, b in enumerate(self.blocks) for _ in range(b)]
-        below = tuple(
-            (r, c) for r in range(self.n) for c in range(self.n) if blk[r] > blk[c]
-        )
-        object.__setattr__(self, "_below_block", below)
-
-    @property
-    def blocks(self) -> tuple[int, ...]:
-        return self.theta.block_sizes()
-
-
-def parabolic_membership(g: SLMat, spec: ParabolicSpec) -> bool:
-    """True iff g mod p lies in P_theta: every entry below the block diagonal
-    vanishes mod p.
+def parabolic_membership(g: SLMat, theta: RootSubset) -> bool:
+    """True iff g mod p lies in P_theta, p the prime of g's ring: every entry
+    below the block diagonal vanishes mod p.
 
     g may live over any ring Z/p^e; its entries are read mod p, with no
     reduced matrix built.  Entry (r, c) lies below the block diagonal when
     the block holding position r comes after the block holding position c;
-    spec lists those positions once, at construction.
+    theta lists those positions once (RootSubset.below_block).
     """
-    if g.n != spec.n or g.ring.p != spec.p:
-        raise InputError("membership is tested over a ring over p at matching dimension")
-    e, p = g.entries, spec.p
-    for r, c in spec._below_block:
+    e, p = g.entries, g.ring.p
+    for r, c in theta.below_block:
         if e[r][c] % p:
             return False
     return True
@@ -114,15 +94,14 @@ def gl_order(m: int, p: int) -> int:
     return order
 
 
-def parabolic_order(spec: ParabolicSpec) -> int:
+def parabolic_order(theta: RootSubset, p: int) -> int:
     """|P_theta| from the Levi-unipotent factorization.
 
     The unipotent radical contributes p per entry above the block diagonal;
     the Levi contributes the block-diagonal GL product cut down to total
     determinant 1, i.e. divided by the (p - 1) determinant choices.
     """
-    blocks = spec.blocks
-    p = spec.p
+    blocks = theta.block_sizes()
     above = 0
     for i, bi in enumerate(blocks):
         for bj in blocks[i + 1 :]:
@@ -133,7 +112,7 @@ def parabolic_order(spec: ParabolicSpec) -> int:
     return p**above * (levi // (p - 1))
 
 
-def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -> list[SLMat]:
+def parabolic_generators(theta: RootSubset, ring: ResidueRing) -> list[SLMat]:
     """A generating set of P_theta, lifted entrywise into the given ring.
 
     Root elements: every upper elementary, plus the lower elementaries
@@ -143,18 +122,14 @@ def parabolic_generators(spec: ParabolicSpec, ring: ResidueRing | None = None) -
     the determinant-1 diagonal, which a single balancing element cannot do
     once there are three or more blocks.
     """
-    if ring is None:
-        ring = residue_ring(spec.p, 1)
-    if ring.p != spec.p:
-        raise InputError("the ring must sit over the parabolic's prime")
-    n, mod = spec.n, ring.modulus
-    u = smallest_primitive_root(spec.p, ring.e) % mod
+    n, mod = theta.n, ring.modulus
+    u = smallest_primitive_root(ring.p, ring.e) % mod
 
     def gen(changed):  # the identity with the given entries changed
         rows = tuple(tuple(changed.get((r, c), int(r == c)) for c in range(n)) for r in range(n))
         return SLMat(ring, rows)
 
-    roots = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in spec._below_block]
+    roots = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in theta.below_block]
     torus = [{(i, i): u, (i + 1, i + 1): pow(u, -1, mod)} for i in range(n - 1)]
     return [gen({ij: 1}) for ij in roots] + [gen(changed) for changed in torus]
 
@@ -199,7 +174,7 @@ def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
     return SLMat._closed(g.ring, rows)
 
 
-def fixed_lines(spec: ParabolicSpec) -> int:
+def fixed_lines(theta: RootSubset) -> int:
     """Number of projective lines of F_p^n fixed by P_theta: 1 if its first
     block has size 1, else 0.
 
@@ -210,8 +185,4 @@ def fixed_lines(spec: ParabolicSpec) -> int:
     The count is invariant under conjugation in SL_n(F_p), so unequal counts
     show that two parabolics are not conjugate there.
     """
-    return int(spec.blocks[0] == 1)
-
-
-def borel(n: int, p: int) -> ParabolicSpec:
-    return ParabolicSpec(n, p, root_subset(n, ()))
+    return int(theta.block_sizes()[0] == 1)

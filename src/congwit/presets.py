@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .matrices import SLMat, elementary
-from .parabolics import ParabolicSpec, fixed_lines, parabolic_order, root_subset
+from .parabolics import fixed_lines, parabolic_order, root_subset
 from .quotients import (
     CentralPrincipal,
     FiniteQuotientGroup,
@@ -320,12 +320,10 @@ def _parabolic_obstruction(bundle) -> tuple:
     lines = {}
     orders = {}
     for place in parabolic_places:
-        spec_a = ParabolicSpec(bundle.n, place.p, theta)
-        spec_b = ParabolicSpec(bundle.n, place.p, theta_image)
-        lines[place.label] = {"theta": fixed_lines(spec_a), "theta_image": fixed_lines(spec_b)}
+        lines[place.label] = {"theta": fixed_lines(theta), "theta_image": fixed_lines(theta_image)}
         orders[place.label] = {
-            "theta": parabolic_order(spec_a),
-            "theta_image": parabolic_order(spec_b),
+            "theta": parabolic_order(theta, place.p),
+            "theta_image": parabolic_order(theta_image, place.p),
         }
     # The twist acts at vq alone, and a global automorphism acts alike at
     # every place: the specs must agree away from vq, and another place must

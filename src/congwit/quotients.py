@@ -40,7 +40,6 @@ from .matrices import (
     sl_order,
 )
 from .parabolics import (
-    ParabolicSpec,
     RootSubset,
     parabolic_generators,
     parabolic_membership,
@@ -140,7 +139,7 @@ class Principal(LocalCondition):
         return from_rows(_principal_rows(rng, c, self.depth), c.ring)
 
     def generators(self, c) -> list[SLMat]:
-        return _principal_generators(c.n, c.ring, c.place.p, self.depth, c.e)
+        return _principal_generators(c.n, c.ring, self.depth)
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,7 @@ class CentralPrincipal(LocalCondition):
 
     def generators(self, c) -> list[SLMat]:
         scalar = scalar_mul(c.unit, c.identity)
-        return _principal_generators(c.n, c.ring, c.place.p, self.depth, c.e) + [scalar]
+        return _principal_generators(c.n, c.ring, self.depth) + [scalar]
 
 
 @dataclass(frozen=True)
@@ -212,18 +211,17 @@ class Parabolic(LocalCondition):
         return cls(root_subset(n, json_int_list(doc.get("theta"), "theta")))
 
     def setup(self, c):
-        c.parabolic = ParabolicSpec(c.n, c.place.p, self.theta)
         c.ops = None
 
     def member(self, c, g) -> bool:
-        return parabolic_membership(g, c.parabolic)
+        return parabolic_membership(g, self.theta)
 
     def local_order(self, c) -> int:
-        return parabolic_order(c.parabolic) * c.place.p ** ((c.n * c.n - 1) * (c.e - 1))
+        return parabolic_order(self.theta, c.place.p) * c.place.p ** ((c.n * c.n - 1) * (c.e - 1))
 
     def sampler_gens(self, c) -> list[SLMat]:
         """P_theta's generators in the component's ring, then their inverses."""
-        gens = parabolic_generators(c.parabolic, c.ring)
+        gens = parabolic_generators(self.theta, c.ring)
         return gens + [mat_inv(g) for g in gens]
 
     def sampler_ops(self, c) -> list[tuple]:
@@ -240,9 +238,9 @@ class Parabolic(LocalCondition):
         return out
 
     def generators(self, c) -> list[SLMat]:
-        gens = parabolic_generators(c.parabolic, c.ring)
+        gens = parabolic_generators(self.theta, c.ring)
         if c.e > 1:
-            gens = gens + _principal_generators(c.n, c.ring, c.place.p, 1, c.e)
+            gens = gens + _principal_generators(c.n, c.ring, 1)
         return gens
 
 
@@ -416,17 +414,17 @@ class FiniteQuotientGroup:
         return self._gens
 
 
-def _principal_generators(n, ring, p, depth, e):
-    """Generators of the level-depth principal kernel inside SL_n(Z/p^e).
+def _principal_generators(n, ring, depth):
+    """Generators of the level-depth principal kernel inside SL_n of the ring Z/p^e.
 
     Off-diagonal one-parameter pieces 1 + p^depth * E_ij together with the
     adjacent diagonal pieces diag(u, u^(-1)) for u = 1 + p^depth; closure
     enumeration against the order formula backs this up in the small cases.
     """
-    if e == depth:
+    if ring.e == depth:
         return []
     mod = ring.modulus
-    step = p**depth
+    step = ring.p**depth
     gens = [elementary(n, i, j, step, ring) for i in range(n) for j in range(n) if i != j]
     u = 1 + step
     u_inv = pow(u, -1, mod)

@@ -15,14 +15,7 @@ import sys
 import time
 
 from .matrices import _det_int, enumerate_sl2_order, mat_mul, sl_order_mod
-from .parabolics import (
-    ParabolicSpec,
-    _weyl_signs,
-    borel,
-    fixed_lines,
-    graph_automorphism,
-    root_subset,
-)
+from .parabolics import _weyl_signs, fixed_lines, graph_automorphism, root_subset
 from .presets import PRESETS, builder
 from .quotients import FULL_WORD_MAX, _random_elementary_word
 from .rings import residue_ring
@@ -77,18 +70,18 @@ def check_graph_automorphism_determinant(corrupt_sign: bool = False):
 
 def check_fixed_line_baselines():
     cases = (
-        (ParabolicSpec(4, 5, root_subset(4, {2, 3})), 1),
-        (ParabolicSpec(4, 5, root_subset(4, {1, 2})), 0),
-        (ParabolicSpec(4, 7, root_subset(4, {2, 3})), 1),
-        (ParabolicSpec(4, 7, root_subset(4, {1, 2})), 0),
-        (borel(2, 3), 1),
+        (root_subset(4, {2, 3}), 5, 1),
+        (root_subset(4, {1, 2}), 5, 0),
+        (root_subset(4, {2, 3}), 7, 1),
+        (root_subset(4, {1, 2}), 7, 0),
+        (root_subset(2, ()), 3, 1),
     )
-    for spec, expected in cases:
-        got = fixed_lines(spec)
+    for theta, p, expected in cases:
+        got = fixed_lines(theta)
         if got != expected:
             raise CheckFailure(
                 "fixed-line-baselines",
-                f"blocks {spec.blocks} mod {spec.p}: counted {got}, expected {expected}",
+                f"blocks {theta.block_sizes()} mod {p}: counted {got}, expected {expected}",
             )
 
 

@@ -313,13 +313,17 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
 def _check_pairs(iso, inverse, pair, start, stop):
     """(membership, homomorphism, inverse) failure counts over the pairs
     pair(i), start <= i < stop, with two source membership tests (apply on
-    x and y) and one target test (of f(x)) per pair."""
+    x and y) and one target test (of f(x)) per pair.  A pair outside the
+    source is a fault of the sampler, not of the input: RuntimeError."""
     tgt = iso.target
     membership = homomorphism = inverse_failures = 0
     for index in range(start, stop):
         x, y = pair(index)
-        fx = iso.apply(x)
-        fy = iso.apply(y)
+        try:
+            fx = iso.apply(x)
+            fy = iso.apply(y)
+        except InputError as exc:
+            raise RuntimeError(f"pair {index}: {exc}") from None
         # x*y is a product of two members just tested, so a member itself
         if iso._image(tuple_mul(x, y)) != tuple_mul(fx, fy):
             homomorphism += 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from congwit.errors import InputError
 from congwit.matrices import SLMat, from_rows, identity, mat_inv, mat_mul, scalar_mul
-from congwit.parabolics import ParabolicSpec, root_subset
+from congwit.parabolics import RootSubset, root_subset
 from congwit.quotients import closure
 from congwit.rings import PrimePlace, ResidueRing, factorize, is_prime, is_squarefree, residue_ring
 
@@ -200,9 +200,14 @@ def weyl_conjugator(n: int, ring: ResidueRing) -> SLMat:
     return mat_mul(w0, mat_inv(transpose(w0)))
 
 
-def parabolic_full(n: int, p: int) -> ParabolicSpec:
+def borel(n: int) -> RootSubset:
+    """theta = the empty set: the upper triangular Borel."""
+    return root_subset(n, ())
+
+
+def parabolic_full(n: int) -> RootSubset:
     """theta = all simple roots: the whole group as a degenerate parabolic."""
-    return ParabolicSpec(n, p, root_subset(n, range(1, n)))
+    return root_subset(n, range(1, n))
 
 
 def tuple_inv(x):

@@ -15,7 +15,6 @@ import pytest
 from congwit.cli import main
 from congwit.matrices import enumerate_sl2_order, sl_order_mod
 from congwit.parabolics import (
-    ParabolicSpec,
     graph_automorphism,
     parabolic_generators,
     parabolic_membership,
@@ -133,8 +132,8 @@ def test_criterion_3_method_b_witness(runs):
         theta = root_subset(4, {2, 3})
         image = theta.symmetric_image()
         ring7 = residue_ring(7, 1)
-        for g in parabolic_generators(ParabolicSpec(4, 7, theta), ring7):
-            assert parabolic_membership(graph_automorphism(g), ParabolicSpec(4, 7, image))
+        for g in parabolic_generators(theta, ring7):
+            assert parabolic_membership(graph_automorphism(g), image)
         data = run["doc"]["bundle"]["obstruction"]["data"]
         assert data["fixed_lines"]["p5"] == {"theta": 1, "theta_image": 0}
         assert data["fixed_lines"]["p7"] == {"theta": 1, "theta_image": 0}

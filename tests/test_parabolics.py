@@ -14,8 +14,6 @@ from congwit.matrices import (
     sl_order,
 )
 from congwit.parabolics import (
-    ParabolicSpec,
-    borel,
     fixed_lines,
     graph_automorphism,
     graph_automorphism_inverse,
@@ -28,12 +26,12 @@ from congwit.quotients import closure
 from congwit.rings import residue_ring
 
 from conftest import KERNEL_RINGS, random_sl
-from oracles import longest_weyl, minus_identity, parabolic_full, transpose, weyl_conjugator
+from oracles import borel, longest_weyl, minus_identity, parabolic_full, transpose, weyl_conjugator
 from projective import act, lines_of_projective_space
 
 R5 = residue_ring(5, 1)
-P1 = ParabolicSpec(4, 5, root_subset(4, {2, 3}))
-P2 = ParabolicSpec(4, 5, root_subset(4, {1, 2}))
+P1 = root_subset(4, {2, 3})
+P2 = root_subset(4, {1, 2})
 
 
 def test_root_subset_symmetry():
@@ -58,8 +56,8 @@ def test_block_sizes():
 
 def test_membership_examples():
     upper = elementary(4, 0, 1, 1, R5)
-    for spec in (P1, P2, borel(4, 5), parabolic_full(4, 5)):
-        assert parabolic_membership(upper, spec)
+    for theta in (P1, P2, borel(4), parabolic_full(4)):
+        assert parabolic_membership(upper, theta)
     assert not parabolic_membership(elementary(4, 1, 0, 1, R5), P1)
     assert parabolic_membership(elementary(4, 1, 0, 1, R5), P2)
     assert not parabolic_membership(elementary(4, 3, 2, 1, R5), P2)
@@ -67,42 +65,41 @@ def test_membership_examples():
 
 
 def test_parabolic_order():
-    assert parabolic_order(P1) == 186_000_000
-    assert sl_order(4, 5, 1) // parabolic_order(P1) == 156
-    assert parabolic_order(parabolic_full(4, 5)) == sl_order(4, 5, 1)
+    assert parabolic_order(P1, 5) == 186_000_000
+    assert sl_order(4, 5, 1) // parabolic_order(P1, 5) == 156
+    assert parabolic_order(parabolic_full(4), 5) == sl_order(4, 5, 1)
     for p in (5, 7):
-        a = ParabolicSpec(4, p, root_subset(4, {2, 3}))
-        b = ParabolicSpec(4, p, root_subset(4, {1, 2}))
-        assert parabolic_order(a) == parabolic_order(b)
+        assert parabolic_order(P1, p) == parabolic_order(P2, p)
 
 
 @pytest.mark.parametrize(
     "spec,expected",
     [
-        (borel(2, 5), 20),
-        (borel(2, 3), 6),
-        (parabolic_full(2, 5), 120),
-        (borel(3, 3), 108),
-        (ParabolicSpec(3, 3, root_subset(3, {2})), 432),
-        (ParabolicSpec(3, 5, root_subset(3, {1})), 12_000),
+        ((borel(2), 5), 20),
+        ((borel(2), 3), 6),
+        ((parabolic_full(2), 5), 120),
+        ((borel(3), 3), 108),
+        ((root_subset(3, {2}), 3), 432),
+        ((root_subset(3, {1}), 5), 12_000),
     ],
 )
 def test_parabolic_order_against_closure(spec, expected):
-    assert parabolic_order(spec) == expected
-    gens = [(g,) for g in parabolic_generators(spec)]
-    ident = (identity(spec.n, residue_ring(spec.p, 1)),)
-    assert len(closure(gens, ident, 50_000)) == expected
+    theta, p = spec
+    ring = residue_ring(p, 1)
+    assert parabolic_order(theta, p) == expected
+    gens = [(g,) for g in parabolic_generators(theta, ring)]
+    assert len(closure(gens, (identity(theta.n, ring),), 50_000)) == expected
 
 
 def test_borel_sl2_f5_generators_match_construction():
-    gens = parabolic_generators(borel(2, 5))
+    gens = parabolic_generators(borel(2), R5)
     assert [g.entries for g in gens] == [((1, 1), (0, 1)), ((2, 0), (0, 3))]
 
 
 def test_generators_pass_membership():
-    for spec in (P1, P2, borel(4, 5)):
-        for g in parabolic_generators(spec):
-            assert parabolic_membership(g, spec)
+    for theta in (P1, P2, borel(4)):
+        for g in parabolic_generators(theta, R5):
+            assert parabolic_membership(g, theta)
 
 
 def test_graph_automorphism_examples():
@@ -189,46 +186,41 @@ def test_longest_weyl_determinant_convention():
 def test_graph_automorphism_swaps_parabolics():
     for p in (5, 7):
         ring = residue_ring(p, 1)
-        a = ParabolicSpec(4, p, root_subset(4, {2, 3}))
-        b = ParabolicSpec(4, p, root_subset(4, {1, 2}))
-        for g in parabolic_generators(a, ring):
-            assert parabolic_membership(graph_automorphism(g), b)
-        for g in parabolic_generators(b, ring):
-            assert parabolic_membership(graph_automorphism(g), a)
-        bor = borel(4, p)
-        for g in parabolic_generators(bor, ring):
-            assert parabolic_membership(graph_automorphism(g), bor)
+        for g in parabolic_generators(P1, ring):
+            assert parabolic_membership(graph_automorphism(g), P2)
+        for g in parabolic_generators(P2, ring):
+            assert parabolic_membership(graph_automorphism(g), P1)
+        for g in parabolic_generators(borel(4), ring):
+            assert parabolic_membership(graph_automorphism(g), borel(4))
 
 
 def test_fixed_lines_baselines():
     assert fixed_lines(P1) == 1
     assert fixed_lines(P2) == 0
-    assert fixed_lines(ParabolicSpec(4, 7, root_subset(4, {2, 3}))) == 1
-    assert fixed_lines(ParabolicSpec(4, 7, root_subset(4, {1, 2}))) == 0
-    assert fixed_lines(borel(2, 3)) == 1
-    assert fixed_lines(parabolic_full(2, 5)) == 0
+    assert fixed_lines(borel(2)) == 1
+    assert fixed_lines(parabolic_full(2)) == 0
 
 
 def test_fixed_lines_counts_whole_group_fixers():
     # fixed-by-generators equals fixed-by-group: enumerate the Borel of
     # SL_2(F_3) and check its one counted line against every element
-    spec = borel(2, 3)
+    theta = borel(2)
     ring = residue_ring(3, 1)
-    gens = [(g,) for g in parabolic_generators(spec)]
+    gens = [(g,) for g in parabolic_generators(theta, ring)]
     elements = closure(gens, (identity(2, ring),), 100)
-    assert len(elements) == parabolic_order(spec)
+    assert len(elements) == parabolic_order(theta, 3)
     fixed = [
         line
         for line in lines_of_projective_space(2, 3)
         if all(act(g, line) == line for (g,) in elements)
     ]
-    assert len(fixed) == fixed_lines(spec) == 1
+    assert len(fixed) == fixed_lines(theta) == 1
 
 
 def test_fixed_lines_invariant_under_conjugation(rng):
     lines = lines_of_projective_space(4, 5)
-    for spec, expected in ((P1, 1), (P2, 0)):
-        gens = parabolic_generators(spec)
+    for theta, expected in ((P1, 1), (P2, 0)):
+        gens = parabolic_generators(theta, R5)
         for _ in range(10):
             h = random_sl(4, R5, rng)
             h_inv = mat_inv(h)
@@ -247,23 +239,25 @@ def _root_subsets(n):
     ]
 
 
-def _block_predicate(g, spec):
-    """The per-entry block test parabolic_membership replaced."""
+def _below_blocks(theta):
+    """The positions (r, c) whose block comes after c's, from the block sizes."""
     blk = []
-    for k, b in enumerate(spec.theta.block_sizes()):
+    for k, b in enumerate(theta.block_sizes()):
         blk.extend([k] * b)
-    return all(
-        g.entries[r][c] == 0 for r in range(spec.n) for c in range(spec.n) if blk[r] > blk[c]
-    )
+    return [(r, c) for r in range(theta.n) for c in range(theta.n) if blk[r] > blk[c]]
+
+
+def _block_predicate(g, theta):
+    """The per-entry block test parabolic_membership replaced, read mod p."""
+    return all(g.entries[r][c] % g.ring.p == 0 for r, c in _below_blocks(theta))
 
 
 def test_membership_matches_the_block_predicate(rng):
     for n in (2, 3, 4):
-        for p in (3, 5):
-            ring = residue_ring(p, 1)
+        for ring in (residue_ring(p, e) for e in (1, 2) for p in (3, 5)):
+            p = ring.p
             for theta in _root_subsets(n):
-                spec = ParabolicSpec(n, p, theta)
-                gens = parabolic_generators(spec)
+                gens = parabolic_generators(theta, ring)
                 matrices = []
                 for _ in range(40):
                     member = identity(n, ring)
@@ -271,19 +265,32 @@ def test_membership_matches_the_block_predicate(rng):
                         member = mat_mul(member, rng.choice(gens))
                     matrices += [member, mat_mul(member, random_sl(n, ring, rng, 3))]
                     matrices.append(random_sl(n, ring, rng))
-                verdicts = [parabolic_membership(g, spec) for g in matrices]
-                assert verdicts == [_block_predicate(g, spec) for g in matrices]
+                    if ring.e > 1:
+                        # times 1 + p*t*E_ij, which is 1 mod p: a member whose
+                        # entries below the blocks need not vanish mod p^2
+                        i, j = rng.sample(range(n), 2)
+                        kernel = elementary(n, i, j, p * rng.randrange(1, p), ring)
+                        matrices.append(mat_mul(member, kernel))
+                verdicts = [parabolic_membership(g, theta) for g in matrices]
+                assert verdicts == [_block_predicate(g, theta) for g in matrices]
                 assert any(verdicts)
                 if len(theta.members) < n - 1:
                     assert not all(verdicts)
+                    if ring.e > 1:
+                        # some member has a nonzero multiple of p below the blocks
+                        below = _below_blocks(theta)
+                        assert any(
+                            v and any(g.entries[r][c] for r, c in below)
+                            for v, g in zip(verdicts, matrices)
+                        )
 
 
-def _act_count(spec):
+def _act_count(theta, p):
     """Fixed lines counted through act and normalize_line."""
-    gens = parabolic_generators(spec)
+    gens = parabolic_generators(theta, residue_ring(p, 1))
     return sum(
         1
-        for line in lines_of_projective_space(spec.n, spec.p)
+        for line in lines_of_projective_space(theta.n, p)
         if all(act(g, line) == line for g in gens)
     )
 
@@ -291,5 +298,4 @@ def _act_count(spec):
 @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 4) for p in (3, 5, 7)] + [(5, 3)])
 def test_fixed_lines_matches_the_action_count(n, p):
     for theta in _root_subsets(n):
-        spec = ParabolicSpec(n, p, theta)
-        assert fixed_lines(spec) == _act_count(spec)
+        assert fixed_lines(theta) == _act_count(theta, p)

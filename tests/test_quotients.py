@@ -20,7 +20,7 @@ from congwit.matrices import (
     scalar_mul,
     sl_order,
 )
-from congwit.parabolics import ParabolicSpec, parabolic_order, root_subset
+from congwit.parabolics import parabolic_order, root_subset
 from congwit.presets import PRESETS, builder, method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     FULL_WORD_MAX,
@@ -90,9 +90,7 @@ def test_method_b_order_is_parabolic_product():
         4, {V5: Parabolic(theta), V7: Parabolic(theta), V3: Principal(1)}
     )
     q = FiniteQuotientGroup(spec, {V5: 1, V7: 1, V3: 1})
-    expected = parabolic_order(ParabolicSpec(4, 5, theta)) * parabolic_order(
-        ParabolicSpec(4, 7, theta)
-    )
+    expected = parabolic_order(theta, 5) * parabolic_order(theta, 7)
     assert q.order == expected
 
 

@@ -30,7 +30,7 @@ from congwit.twists import (
     verify_iso,
 )
 
-from oracles import longest_weyl, minus_identity
+from oracles import longest_weyl, minus_identity, reduce_mat
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -306,6 +306,34 @@ def test_apply_preserves_identity(bundle_fn):
     bundle = bundle_fn()
     assert bundle.iso.apply(bundle.quotient1.identity()) == bundle.quotient2.identity()
     assert bundle.iso.invert().apply(bundle.quotient2.identity()) == bundle.quotient1.identity()
+
+
+def _relevelled(bundle, e):
+    """The bundle's twist, rebuilt between its two specs' quotients at level e
+    at every place."""
+    level = {place: e for place, _ in bundle.level}
+    q1, q2 = (FiniteQuotientGroup(spec, level) for spec in (bundle.spec1, bundle.spec2))
+    return type(bundle.iso).from_json(bundle.iso.to_json(), q1, q2, {v.label: v for v in q1.places})
+
+
+def _reduce(x, rings):
+    return tuple(reduce_mat(c, ring) for c, ring in zip(x, rings))
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize(
+    "bundle_fn", [method_a_pair, method_b_pair, method_c_pair], ids=["central", "graph", "swap"]
+)
+def test_twists_form_a_tower(bundle_fn, e):
+    # reduce(f_e(x)) = f_(e-1)(reduce(x)): the twists at levels e - 1 and e
+    # are one map of the tower of quotients
+    bundle = bundle_fn()
+    high, low = _relevelled(bundle, e), _relevelled(bundle, e - 1)
+    for k in range(100):
+        x = high.source.sample(child_seed(0, k))
+        down = _reduce(x, low.source.rings)
+        assert low.source.member(down)
+        assert _reduce(high.apply(x), low.target.rings) == low.apply(down)
 
 
 def test_broken_place_swap_is_refuted():

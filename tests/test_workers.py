@@ -19,6 +19,7 @@ import congwit
 from congwit import twists
 from congwit.cli import main
 from congwit.errors import InputError
+from congwit.matrices import elementary
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair
 from congwit.quotients import CentralPrincipal, FiniteQuotientGroup, Full, Principal, subgroup_spec
 from congwit.rings import rational_place
@@ -209,6 +210,31 @@ def test_child_input_error_exits_two_with_one_line(workers, monkeypatch, tmp_pat
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: sampled pair 300 is bad\n"
+    assert not (tmp_path / "w.json").exists()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sampler_fault_exits_three_with_one_line(k, workers, monkeypatch, tmp_path, capsys):
+    # a sampled non-member is the sampler's fault, not the input's: exit 3, not 2
+    sample = FiniteQuotientGroup.sample
+    bad_seed = twists.child_seed(SEED, 2 * 300)
+    v7 = rational_place(7)
+
+    def faulty(self, seed):
+        out = sample(self, seed)
+        if seed == bad_seed:
+            i = self.place_index(v7)  # P_(1,3) at p7 has no (1, 0) entry
+            out = out[:i] + (elementary(4, 1, 0, 1, self.rings[i]),) + out[i + 1 :]
+        return out
+
+    monkeypatch.setattr(FiniteQuotientGroup, "sample", faulty)
+    forks = workers(k)
+    argv = ["witness", "method-b", "--samples", str(PAIRS), "--seed", str(SEED)]
+    assert main(argv + ["--output", str(tmp_path / "w.json")]) == 3
+    assert len(forks) == k - 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: pair 300: apply needs a member of the source quotient\n"
     assert not (tmp_path / "w.json").exists()
 
 

@@ -8,7 +8,7 @@ and its own empty working directory, and compares exit codes, stdout,
 stderr and the files each run writes.  Every run that differs is printed
 with its differences; the exit code is 1 if any run differs, else 0.
 
-The set is 41 runs.  Thirty-one compare a change with its parent on
+The set is 43 runs.  Thirty-three compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -20,6 +20,9 @@ ordinary inputs:
   - `search-primes` three times;
   - `selftest` with each --inject-fault mode;
   - `verify-iso` and `obstruct` on the four saved documents;
+  - `verify-iso` (--samples 300 --seed 3) and `obstruct` on the saved
+    method-b document re-levelled to 5^2 at p5, the runs in which a
+    parabolic condition sits above level 1;
   - `verify-iso` on a missing file.
 Ten edge runs follow: eight witness inputs that a constructor refuses, and
 `obstruct` on two documents derived from the saved ones that hold an
@@ -59,6 +62,14 @@ def _full_without_level(cwd: Path):
     (cwd / "full-p11.json").write_text(json.dumps(doc))
 
 
+def _method_b_at_25(cwd: Path):
+    """method-b with level 2 at p5, so its parabolic condition there is read mod 25."""
+    doc = json.loads((cwd / "method-b.json").read_text())
+    doc["bundle"]["level"]["p5"] = 2
+    doc["bundle"]["separating_element"]["p5"]["modulus"] = 25
+    (cwd / "method-b-25.json").write_text(json.dumps(doc))
+
+
 def runs() -> list[tuple[str, list[str], object]]:
     """(name, argv, prepare) in run order; prepare(cwd), if any, writes the
     run's input into the side's working directory first."""
@@ -96,6 +107,9 @@ def runs() -> list[tuple[str, list[str], object]]:
         doc = f"{preset}.json"
         out.append((f"verify-iso {doc}", ["verify-iso", doc, "--samples", "50"], None))
         out.append((f"obstruct {doc}", ["obstruct", doc], None))
+    argv = ["verify-iso", "method-b-25.json", "--samples", "300", "--seed", "3"]
+    out.append(("verify-iso method-b-25.json", argv, _method_b_at_25))
+    out.append(("obstruct method-b-25.json", ["obstruct", "method-b-25.json"], _method_b_at_25))
     out.append(("verify-iso missing file", ["verify-iso", "missing.json"], None))
     # edge runs
     for flags in (
