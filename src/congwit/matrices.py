@@ -234,9 +234,28 @@ def from_rows(rows, ring: ResidueRing) -> SLMat:
     """Build an SLMat from integer rows, reducing entries into the ring.
 
     The reduction puts every entry in [0, modulus), so of SLMat's checks
-    only the shape and the determinant are left to run.
+    only the shape and the determinant are left to run.  Square n = 2 and
+    n = 4 rows are reduced by written-out code, as in _mul_rows; any other
+    shape, ragged rows included, takes the generic path and its checks.
     """
     mod = ring.modulus
+    n = len(rows)
+    if n == 4 and len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4:
+        r0, r1, r2, r3 = rows
+        entries = (
+            (r0[0] % mod, r0[1] % mod, r0[2] % mod, r0[3] % mod),
+            (r1[0] % mod, r1[1] % mod, r1[2] % mod, r1[3] % mod),
+            (r2[0] % mod, r2[1] % mod, r2[2] % mod, r2[3] % mod),
+            (r3[0] % mod, r3[1] % mod, r3[2] % mod, r3[3] % mod),
+        )
+        _check_det_one(entries, mod)
+        return SLMat._closed(ring, entries)
+    if n == 2 and len(rows[0]) == len(rows[1]) == 2:
+        (a, b), (c, d) = rows
+        a, b, c, d = a % mod, b % mod, c % mod, d % mod
+        if (a * d - b * c) % mod != 1:
+            raise InputError("determinant is not 1 in the ring")
+        return SLMat._closed(ring, ((a, b), (c, d)))
     entries = tuple([tuple([x % mod for x in r]) for r in rows])
     _check_square(entries)
     _check_det_one(entries, mod)

@@ -208,7 +208,10 @@ class Parabolic(LocalCondition):
 
     @classmethod
     def from_json(cls, doc, n) -> Parabolic:
-        return cls(root_subset(n, json_int_list(doc.get("theta"), "theta")))
+        theta = json_int_list(doc.get("theta"), "theta")
+        if len(set(theta)) != len(theta):
+            raise InputError(f"theta lists a root more than once: {theta}")
+        return cls(root_subset(n, theta))
 
     def setup(self, c):
         c.ops = None
@@ -344,12 +347,17 @@ class FiniteQuotientGroup:
         """Exact evaluation of the local predicates.
 
         Shape or ring mismatches yield False rather than an error, so that
-        ill-formed images of broken twist maps are refuted as data.
+        ill-formed images of broken twist maps are refuted as data.  A
+        component that is its component's cached identity object passes
+        before any predicate runs; an equal copy is tested like any other.
         """
         if len(g) != len(self.places):
             return False
         n = self.spec.n
         for comp, cond, c in zip(g, self.conditions, self.components):
+            # the identity of every subgroup, once built (c.__dict__ holds it)
+            if comp is vars(c).get("identity"):
+                continue
             if not isinstance(comp, SLMat) or comp.n != n:
                 return False
             if comp.ring is not c.ring and comp.ring != c.ring:  # rings are interned
@@ -526,8 +534,8 @@ def _random_word(rng, ops, n, ring):
     generator moves, all from the columns before it, as sum_k a_k * C[k],
     which is one multiply-add of whole integers per term and acts on every
     field at once.  Nothing is reduced until the end: the word is unpacked
-    and reduced once by from_rows, which gives exactly the reduced dense
-    product.
+    (for n = 4 in one written-out pass) and reduced once by from_rows, which
+    gives exactly the reduced dense product.
 
     Fields never carry or borrow.  The coefficients a_k are reduced entries,
     in [0, mod), and at most n of them make a column, so each factor
@@ -564,7 +572,18 @@ def _random_word(rng, ops, n, ring):
             else:
                 cols[c] = sum(a * old[k] for k, a in terms)
     mask = (1 << w) - 1
-    return from_rows([[col >> s & mask for col in cols] for s in range(0, n * w, w)], ring)
+    if n == 4:
+        c0, c1, c2, c3 = cols
+        w2, w3 = 2 * w, 3 * w
+        rows = (
+            (c0 & mask, c1 & mask, c2 & mask, c3 & mask),
+            (c0 >> w & mask, c1 >> w & mask, c2 >> w & mask, c3 >> w & mask),
+            (c0 >> w2 & mask, c1 >> w2 & mask, c2 >> w2 & mask, c3 >> w2 & mask),
+            (c0 >> w3 & mask, c1 >> w3 & mask, c2 >> w3 & mask, c3 >> w3 & mask),
+        )
+    else:
+        rows = [[col >> s & mask for col in cols] for s in range(0, n * w, w)]
+    return from_rows(rows, ring)
 
 
 def _principal_rows(rng, c: Component, depth):

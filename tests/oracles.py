@@ -4,7 +4,8 @@ None of these is used by the package itself.  They build elements and
 counts by independent routes (quadratic integers and their residue maps,
 CRT and Hensel lifting, the longest Weyl element and its conjugator,
 transposes and reductions, integral SL_2 words, tuple inverses) that the
-tests compare with the package's own results.
+tests compare with the package's own results, and the pair loop of the
+verifier recomputed in full.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from congwit.errors import InputError
 from congwit.matrices import SLMat, from_rows, identity, mat_inv, mat_mul, scalar_mul
 from congwit.parabolics import RootSubset, root_subset
-from congwit.quotients import closure
+from congwit.quotients import closure, tuple_mul
 from congwit.rings import PrimePlace, ResidueRing, factorize, is_prime, is_squarefree, residue_ring
 
 
@@ -230,3 +231,38 @@ def sl2_word_image_order(m: int, limit: int = 10**5) -> int:
     if out is None:
         raise InputError(f"SL_2(Z/{m}) closure exceeded {limit}")
     return len(out)
+
+
+# ---------------------------------------------------------------------------
+# the verifier's pair loop, recomputed in full
+
+
+def reference_member(q, g) -> bool:
+    """q.member(g) with no identity pass: after the shape and ring checks,
+    the predicate of every component runs, the identity's included."""
+    if len(g) != len(q.places):
+        return False
+    for comp, c in zip(g, q.components):
+        if not isinstance(comp, SLMat) or comp.n != q.n or comp.ring != c.ring:
+            return False
+    return all([cond.member(c, comp) for comp, cond, c in zip(g, q.conditions, q.components)])
+
+
+def reference_check_pairs(iso, inverse, pair, start, stop):
+    """The (membership, homomorphism, inverse) failure counts of
+    twists._check_pairs, with f(x)*f(y) multiplied out in full by
+    tuple_mul and every membership test run by reference_member."""
+    src, tgt = iso.source, iso.target
+    membership = homomorphism = inverse_failures = 0
+    for index in range(start, stop):
+        x, y = pair(index)
+        if not (reference_member(src, x) and reference_member(src, y)):
+            raise AssertionError(f"pair {index} is not in the source")
+        fx, fy = iso._image(x), iso._image(y)
+        if iso._image(tuple_mul(x, y)) != tuple_mul(fx, fy):
+            homomorphism += 1
+        if not reference_member(tgt, fx):
+            membership += 1
+        elif inverse._image(fx) != x:
+            inverse_failures += 1
+    return membership, homomorphism, inverse_failures

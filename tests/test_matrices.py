@@ -145,6 +145,29 @@ def test_det_certification():
         mat_mul(identity(2, R5), identity(2, R7))
 
 
+def test_written_out_from_rows_keeps_both_checks():
+    # square n = 2 and n = 4 rows take written-out paths; ragged rows fall
+    # through to the generic path and its message
+    for rows in (
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]],
+        [[1, 0], [0, 1, 0]],
+        [[1, 0, 0], [0, 1]],
+    ):
+        with pytest.raises(InputError, match="^entries must form a square matrix$"):
+            from_rows(rows, R5)
+    for rows in ([[2, 0], [0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]):
+        with pytest.raises(InputError, match="determinant is not 1 in the ring"):
+            from_rows(rows, R5)
+    # every entry is reduced into [0, modulus), as the generic path does
+    for rows in (
+        [[-4, 5, 0, 10], [0, 6, 0, 0], [0, 0, 1, -5], [7, 0, 0, 1]],
+        [[-4, 12], [0, 6]],
+        [[1, 5, -5], [0, 6, 0], [0, 0, 1]],
+    ):
+        reduced = tuple(tuple(x % 5 for x in r) for r in rows)
+        assert from_rows(rows, R5) == SLMat(R5, reduced)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(
     st.integers(2, 5),

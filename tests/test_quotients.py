@@ -27,6 +27,7 @@ from congwit.quotients import (
     PARABOLIC_WORD_MAX,
     CONDITION_OF_KIND,
     CentralPrincipal,
+    Component,
     FiniteQuotientGroup,
     Full,
     Parabolic,
@@ -520,6 +521,18 @@ def _sampler_gen_sets():
     return out
 
 
+def test_random_word_still_certifies_its_word():
+    # a generator of determinant 2 mod 25, which only _closed can build; 2
+    # has order 20 mod 25, so no word of at most PARABOLIC_WORD_MAX factors
+    # has determinant 1, and the unpacked word is refused by from_rows
+    ring = residue_ring(5, 2)
+    bad = SLMat._closed(ring, ((2, 1, 0, 0), (0, 1, 0, 3), (0, 4, 1, 0), (0, 0, 0, 1)))
+    assert _det_int(bad.entries) % 25 == 2
+    for seed in range(20):
+        with pytest.raises(InputError, match="determinant is not 1 in the ring"):
+            _random_word(random.Random(seed), [_column_ops(bad)], 4, ring)
+
+
 def test_column_ops_list_the_moved_columns():
     ring = residue_ring(5, 1)
     assert _column_ops(identity(4, ring)) == ()
@@ -670,3 +683,43 @@ def test_member_accepts_an_equal_ring_held_by_another_object():
         assert q1.member(copy)
     sep = rehome(bundle.separating_element)
     assert q1.member(sep) and not q2.member(sep)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_identity_is_a_member_under_every_condition(e):
+    # member's identity pass skips the predicate, which is sound only while
+    # every local condition holds at the identity
+    ring = residue_ring(5, e)
+    conds = [
+        Full(),
+        CentralPrincipal(2, 1),
+        CentralPrincipal(4, e),
+        Parabolic(root_subset(4, [])),
+        Parabolic(root_subset(4, [2])),
+    ]
+    if e > 1:
+        conds.append(Principal(1))
+    for cond in conds:
+        c = Component(4, V5, ring)
+        cond.setup(c)
+        assert cond.member(c, c.identity), cond
+
+
+def test_identity_pass_is_by_object(monkeypatch):
+    v3 = rational_place(3)
+    spec = subgroup_spec(4, {v3: Principal(1), V5: Parabolic(root_subset(4, [2, 3]))})
+    q = FiniteQuotientGroup(spec, {v3: 1, V5: 1})
+    tested = []
+    member = Principal.member
+    monkeypatch.setattr(Principal, "member", lambda self, c, g: tested.append(g) or member(self, c, g))
+    x = q.sample(0)
+    # the trivial place samples its cached identity, which skips the predicate
+    assert x[0] is q.components[0].identity
+    assert q.member(x) and tested == []
+    # an equal identity that is another object is tested, and passes
+    copy = identity(4, q.rings[0])
+    assert copy == x[0] and copy is not x[0]
+    assert q.member((copy, x[1])) and tested == [copy]
+    # and a non-identity matrix at the trivial place is refused
+    off = elementary(4, 0, 1, 1, q.rings[0])
+    assert not q.member((off, x[1])) and tested == [copy, off]

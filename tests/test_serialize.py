@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from congwit.cli import main
 from congwit.errors import InputError
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.serialize import (
@@ -93,3 +94,17 @@ def test_rejects_graph_twist_without_parabolic_conditions():
     doc["conditions2"]["p7"] = {"kind": "full"}
     with pytest.raises(InputError, match="needs parabolic conditions"):
         bundle_from_json(doc)
+
+
+def test_theta_that_repeats_a_root_is_refused(tmp_path, capsys):
+    # [2, 2] was read as theta = {2}, and both commands exited 1 (refuted)
+    path = tmp_path / "method-b.json"
+    assert main(["witness", "method-b", "--samples", "5", "--output", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["bundle"]["conditions1"]["p5"]["theta"] = [2, 2]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["obstruct", str(path)], ["verify-iso", str(path), "--samples", "3"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: theta lists a root more than once: [2, 2]\n"), argv

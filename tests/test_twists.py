@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from congwit import presets
 from congwit.cli import main
 from congwit.errors import InputError
-from congwit.matrices import elementary, from_rows, identity, scalar_mul
-from congwit.parabolics import root_subset
+from congwit.matrices import SLMat, elementary, from_rows, identity, scalar_mul
+from congwit.parabolics import graph_automorphism, root_subset
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     CentralPrincipal,
@@ -26,11 +26,12 @@ from congwit.twists import (
     GraphAutomorphism,
     PlaceSwap,
     QuotientIso,
+    _check_pairs,
     child_seed,
     verify_iso,
 )
 
-from oracles import longest_weyl, minus_identity, reduce_mat
+from oracles import longest_weyl, minus_identity, reduce_mat, reference_check_pairs
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -205,6 +206,70 @@ def test_inverse_failures_count_pairs_whose_second_image_leaves_the_target():
     assert report.membership_failures == 1 + 18 * 2
 
 
+class _Rewritten:
+    """A declared twist whose image is rewritten after the fact, with the
+    twist's own inverse; kept out of QuotientIso's subclasses."""
+
+    apply = QuotientIso.apply
+
+    def __init__(self, iso, rewrite):
+        self.source, self.target = iso.source, iso.target
+        self._iso, self._rewrite = iso, rewrite
+
+    def _image(self, g):
+        return self._rewrite(self._iso._image(g))
+
+    def invert(self):
+        return self._iso.invert()
+
+
+def _symmetry_at_p5_too(image):
+    # method-b's places are p3, p5, p7: the twist moves p7 and passes p5 through
+    return image[:1] + (graph_automorphism(image[1]),) + image[2:]
+
+
+def _equal_copies(image):
+    return tuple(SLMat._closed(m.ring, m.entries) for m in image)
+
+
+def _swap_across_unequal_rings():
+    # Z/49 at p7a and Z/7 at p7b: the swapped components sit in the wrong rings
+    c = method_c_pair()
+    level = dict(c.level)
+    level[c.iso.from_place] = 2
+    q1, q2 = (FiniteQuotientGroup(spec, level) for spec in (c.spec1, c.spec2))
+    return PlaceSwap(q1, q2, c.iso.from_place, c.iso.to_place)
+
+
+@pytest.mark.parametrize(
+    "make,failing",
+    [
+        # p5's images leave P_theta, and members' round trips miss at p5
+        (lambda: _Rewritten(method_b_pair().iso, _symmetry_at_p5_too), {0, 2}),
+        # the witnessed twist, with nothing passed through by identity
+        (lambda: _Rewritten(method_c_pair().iso, _equal_copies), set()),
+        # every image holds a component in the wrong ring
+        (_swap_across_unequal_rings, {0}),
+    ],
+    ids=["graph-rewrites-p5", "swap-equal-copies", "swap-unequal-rings"],
+)
+def test_pair_loop_matches_the_full_reference(make, failing):
+    # _check_pairs reuses x*y where a twist passes components through by
+    # identity, and skips the predicate for a place's own identity object;
+    # the reference multiplies f(x)*f(y) out and runs every predicate
+    iso = make()
+    inverse = iso.invert()
+    src = iso.source
+    pairs = [
+        (src.sample(child_seed(0, 2 * i)), src.sample(child_seed(0, 2 * i + 1)))
+        for i in range(200)
+    ]
+    counts = _check_pairs(iso, inverse, pairs.__getitem__, 0, 200)
+    assert counts == reference_check_pairs(iso, inverse, pairs.__getitem__, 0, 200)
+    # (membership, homomorphism, inverse): each twist is a homomorphism
+    assert {k for k, v in enumerate(counts) if v} == failing
+
+
 def test_invert_kinds():
     a = method_a_pair()
     inv = a.iso.invert()
@@ -359,12 +424,7 @@ def test_place_swap_keeps_the_shared_ring():
 
 
 def test_place_swap_between_exponents_is_refuted():
-    # Z/49 at p7a and Z/7 at p7b: the swapped components sit in the wrong rings
-    c = method_c_pair()
-    level = dict(c.level)
-    level[c.iso.from_place] = 2
-    q1, q2 = (FiniteQuotientGroup(spec, level) for spec in (c.spec1, c.spec2))
-    report = verify_iso(PlaceSwap(q1, q2, c.iso.from_place, c.iso.to_place), 100, 0)
+    report = verify_iso(_swap_across_unequal_rings(), 100, 0)
     assert report.verdict == "refuted"
     assert report.membership_failures > 0
 
