@@ -1,0 +1,154 @@
+"""Straight-line matrix kernels, written as Python source for each n and
+compiled at first use.  A kernel keeps every entry in a local, a{r}{c} or
+b{r}{c} with one digit per index, and unrolls every loop: up to Python 3.11
+each comprehension runs in a frame of its own."""
+
+from __future__ import annotations
+
+from .errors import InputError
+
+GENERATED_MAX_N = 8
+
+
+class Kernels(dict):
+    """One kind's kernels by n: for 1 <= n <= GENERATED_MAX_N, the parameters
+    and body emit(n) writes, compiled at the first lookup of n with `names`
+    in its globals; for any other n, `generic`, which takes the same
+    parameters and is the tests' oracle.  (An adjugate at n = 9 runs to 1,500 lines.)"""
+
+    def __init__(self, emit, generic, **names):
+        super().__init__()
+        self.emit, self.generic, self.names = emit, generic, names
+
+    def __missing__(self, n):
+        kernel = self.generic
+        if 0 < n <= GENERATED_MAX_N:  # an empty determinant would read as 1
+            params, body = self.emit(n)
+            name = f"{self.emit.__name__.removeprefix('emit_')}_{n}"
+            source = "\n    ".join([f"def {name}({params}):", *body])
+            namespace = {"InputError": InputError, **self.names}
+            exec(compile(source, "<generated>", "exec"), namespace)
+            kernel = namespace[name]
+        self[n] = kernel
+        return kernel
+
+
+class Minors:
+    """Laplace expansions for one kernel.  det() names each minor of two or
+    more rows once, as m0, m1, ..., and appends its line to `lines` after
+    the lines of the minors it reads; one set of rows and columns gets one
+    name whether it was reached along first rows or along last rows."""
+
+    def __init__(self):
+        self.lines, self.memo = [], {}
+
+    def det(self, rows, cols, last=False) -> str:
+        if len(rows) < 2:
+            return f"a{rows[0]}{cols[0]}" if rows else "1"
+        if (rows, cols) not in self.memo:
+            expr = self.expand(rows, cols, last)
+            self.memo[rows, cols] = f"m{len(self.memo)}"
+            self.lines.append(f"{self.memo[rows, cols]} = {expr}")
+        return self.memo[rows, cols]
+
+    def expand(self, rows, cols, last=False, sign=1) -> str:
+        """sign * det(rows x cols) along its first (or `last`) row, and so on."""
+        if not rows:
+            return str(sign)
+        r, rest = (rows[-1], rows[:-1]) if last else (rows[0], rows[1:])
+        terms = []
+        for k, c in enumerate(cols):
+            minor = self.det(rest, cols[:k] + cols[k + 1 :], last)
+            # the entry in row i and column k of the submatrix has sign (-1)^(i + k)
+            negative = (k + last * (len(rows) - 1)) % 2 != (sign < 0)
+            terms.append((negative, f"a{r}{c}" if minor == "1" else f"a{r}{c} * {minor}"))
+        terms.sort(key=lambda t: t[0])  # a positive term first saves a negation
+        expr = "".join((" - " if negative else " + ") + term for negative, term in terms)
+        return expr[3:] if expr[1] == "+" else "-" + expr[3:]
+
+
+def _names(n, prefix="a"):
+    return [[f"{prefix}{r}{c}" for c in range(n)] for r in range(n)]
+
+
+def _rows(rows, tuples=False):
+    """Source for rows of names: lists, or tuples when `tuples`."""
+    o, c = ("(", ",)") if tuples else ("[", "]")
+    return o + ", ".join(o + ", ".join(row) + c for row in rows) + c
+
+
+def _determinant(n):
+    """The minors' lines, det and (0, 0) cofactor of a first-row expansion."""
+    m, every = Minors(), tuple(range(n))
+    det = m.expand(every, every)
+    return m.lines, det, m.det(every[1:], every[1:])
+
+
+def emit_det(n):
+    """det(rows): the exact integer determinant."""
+    minors, det, _ = _determinant(n)
+    return "rows", [f"{_rows(_names(n))} = rows", *minors, f"return {det}"]
+
+
+def emit_mul(n):
+    """mul(xe, ye, mod): the rows of the product, reduced."""
+    a, b, idx = _names(n), _names(n, "b"), range(n)
+    out = [[f"({' + '.join(f'{a[i][k]} * {b[k][j]}' for k in idx)}) % mod" for j in idx] for i in idx]
+    return "xe, ye, mod", [f"{_rows(a)} = xe", f"{_rows(b)} = ye", f"return {_rows(out, True)}"]
+
+
+def emit_adj(n):
+    """adj(e, mod): the rows of the adjugate, reduced; the inverse when det = 1.
+    adj[i][j] = (-1)^(i+j) det(e without row j and column i) expands along
+    first rows if j is in the upper half, else along last rows, so each
+    half's cofactors share the minors of the other half's rows."""
+    m, every = Minors(), tuple(range(n))
+    drop = [every[:k] + every[k + 1 :] for k in every]
+    out = [[f"({m.expand(drop[j], drop[i], 2 * j >= n, (-1) ** (i + j))}) % mod" for j in every]
+           for i in every]
+    return "e, mod", [f"{_rows(_names(n))} = e", *m.lines, f"return {_rows(out, True)}"]
+
+
+def emit_reduce(n):
+    """reduce(rows, ring): closed(ring, the rows reduced into the ring),
+    refused with SLMat's messages unless square and of determinant 1."""
+    a, (minors, det, _) = _names(n), _determinant(n)
+    flat = [x for row in a for x in row]
+    return "rows, ring", [
+        "mod = ring.modulus",
+        "try:",
+        f"    {_rows(a)} = rows",
+        "except ValueError:",
+        '    raise InputError("entries must form a square matrix") from None',
+        f"{', '.join(flat)} = {', '.join(x + ' % mod' for x in flat)}",
+        *minors,
+        f"if ({det}) % mod != 1:",
+        '    raise InputError("determinant is not 1 in the ring")',
+        f"return closed(ring, {_rows(a, True)})",
+    ]
+
+
+def emit_principal(n):
+    """principal(flat, mod): the rows of 1 + X for X's entries `flat`, row
+    by row, with the (0, 0) entry moved so that the determinant is 1 mod
+    `mod`; det is affine in that entry, with its cofactor as slope."""
+    a, (minors, det, cofactor) = _names(n), _determinant(n)
+    diag = [a[i][i] for i in range(n)]
+    return "flat, mod", [
+        f"[{', '.join(x for row in a for x in row)}] = flat",
+        f"{', '.join(diag)} = {', '.join(x + ' + 1' for x in diag)}",
+        *minors,
+        f"det = ({det}) % mod",
+        "if det != 1:",
+        f"    a00 = (a00 + (1 - det) * pow({cofactor}, -1, mod)) % mod",
+        f"return {_rows(a)}",
+    ]
+
+
+def emit_unpack(n):
+    """unpack(cols, w, mask): the rows of n columns packed w bits per entry,
+    row r of a column in bits [r*w, (r+1)*w)."""
+    cols = [f"c{k}" for k in range(n)]
+    out = [[f"{c} >> w{r} & mask" if r else f"{c} & mask" for c in cols] for r in range(n)]
+    shifts = [f"w{r} = {r} * w" for r in range(1, n)]
+    return "cols, w, mask", [f"[{', '.join(cols)}] = cols", *shifts, f"return {_rows(out, True)}"]

@@ -12,41 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
+from .kernels import Kernels, emit_adj, emit_det, emit_mul, emit_reduce
 from .rings import ResidueRing, factorize, is_prime, unit_of_order
 
 
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _det3(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def _det_int(rows) -> int:
-    """Exact integer determinant; cofactor expansion for n <= 4, Bareiss above."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return _det2(rows)
-    if n == 3:
-        return _det3(rows)
-    if n == 4:
-        # Laplace expansion along the first two rows: each 2x2 minor s_k of
-        # rows 0-1 pairs with its complementary minor c_(5-k) of rows 2-3.
-        (a00, a01, a02, a03), (a10, a11, a12, a13) = rows[0], rows[1]
-        (a20, a21, a22, a23), (a30, a31, a32, a33) = rows[2], rows[3]
-        return (
-            (a00 * a11 - a10 * a01) * (a22 * a33 - a32 * a23)
-            - (a00 * a12 - a10 * a02) * (a21 * a33 - a31 * a23)
-            + (a00 * a13 - a10 * a03) * (a21 * a32 - a31 * a22)
-            + (a01 * a12 - a11 * a02) * (a20 * a33 - a30 * a23)
-            - (a01 * a13 - a11 * a03) * (a20 * a32 - a30 * a22)
-            + (a02 * a13 - a12 * a03) * (a20 * a31 - a30 * a21)
-        )
-    return _bareiss(rows)
+    """Exact integer determinant: Laplace up to GENERATED_MAX_N, else Bareiss."""
+    return _DET[len(rows)](rows)
 
 
 def _bareiss(rows) -> int:
@@ -75,48 +47,7 @@ def _minor(rows, i, j):
 
 
 def _mul_rows(xe, ye, mod):
-    """Entries of the product of two row tuples, reduced mod `mod`.
-
-    n = 2 and n = 4 are written out in full: up to Python 3.11 every
-    comprehension runs in a function frame of its own.
-    """
-    n = len(xe)
-    if n == 4:
-        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = xe
-        (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = ye
-        return (
-            (
-                (a00 * b00 + a01 * b10 + a02 * b20 + a03 * b30) % mod,
-                (a00 * b01 + a01 * b11 + a02 * b21 + a03 * b31) % mod,
-                (a00 * b02 + a01 * b12 + a02 * b22 + a03 * b32) % mod,
-                (a00 * b03 + a01 * b13 + a02 * b23 + a03 * b33) % mod,
-            ),
-            (
-                (a10 * b00 + a11 * b10 + a12 * b20 + a13 * b30) % mod,
-                (a10 * b01 + a11 * b11 + a12 * b21 + a13 * b31) % mod,
-                (a10 * b02 + a11 * b12 + a12 * b22 + a13 * b32) % mod,
-                (a10 * b03 + a11 * b13 + a12 * b23 + a13 * b33) % mod,
-            ),
-            (
-                (a20 * b00 + a21 * b10 + a22 * b20 + a23 * b30) % mod,
-                (a20 * b01 + a21 * b11 + a22 * b21 + a23 * b31) % mod,
-                (a20 * b02 + a21 * b12 + a22 * b22 + a23 * b32) % mod,
-                (a20 * b03 + a21 * b13 + a22 * b23 + a23 * b33) % mod,
-            ),
-            (
-                (a30 * b00 + a31 * b10 + a32 * b20 + a33 * b30) % mod,
-                (a30 * b01 + a31 * b11 + a32 * b21 + a33 * b31) % mod,
-                (a30 * b02 + a31 * b12 + a32 * b22 + a33 * b32) % mod,
-                (a30 * b03 + a31 * b13 + a32 * b23 + a33 * b33) % mod,
-            ),
-        )
-    if n == 2:
-        (a00, a01), (a10, a11) = xe
-        (b00, b01), (b10, b11) = ye
-        return (
-            ((a00 * b00 + a01 * b10) % mod, (a00 * b01 + a01 * b11) % mod),
-            ((a10 * b00 + a11 * b10) % mod, (a10 * b01 + a11 * b11) % mod),
-        )
+    """Entries of the product of two row tuples, reduced mod `mod`."""
     cols = tuple(zip(*ye))
     return tuple(
         tuple(sum(a * b for a, b in zip(row, col)) % mod for col in cols) for row in xe
@@ -124,71 +55,12 @@ def _mul_rows(xe, ye, mod):
 
 
 def _adj_rows(e, mod):
-    """Adjugate of integer rows, reduced mod `mod`; the inverse when det = 1.
-
-    For n = 4 every cofactor is assembled from the six 2x2 minors s_k of
-    rows 0-1 and the six c_k of rows 2-3 instead of sixteen 3x3 minors.
-    """
-    n = len(e)
-    if n == 4:
-        (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = e
-        s0 = a00 * a11 - a10 * a01
-        s1 = a00 * a12 - a10 * a02
-        s2 = a00 * a13 - a10 * a03
-        s3 = a01 * a12 - a11 * a02
-        s4 = a01 * a13 - a11 * a03
-        s5 = a02 * a13 - a12 * a03
-        c0 = a20 * a31 - a30 * a21
-        c1 = a20 * a32 - a30 * a22
-        c2 = a20 * a33 - a30 * a23
-        c3 = a21 * a32 - a31 * a22
-        c4 = a21 * a33 - a31 * a23
-        c5 = a22 * a33 - a32 * a23
-        return (
-            (
-                (a11 * c5 - a12 * c4 + a13 * c3) % mod,
-                (-a01 * c5 + a02 * c4 - a03 * c3) % mod,
-                (a31 * s5 - a32 * s4 + a33 * s3) % mod,
-                (-a21 * s5 + a22 * s4 - a23 * s3) % mod,
-            ),
-            (
-                (-a10 * c5 + a12 * c2 - a13 * c1) % mod,
-                (a00 * c5 - a02 * c2 + a03 * c1) % mod,
-                (-a30 * s5 + a32 * s2 - a33 * s1) % mod,
-                (a20 * s5 - a22 * s2 + a23 * s1) % mod,
-            ),
-            (
-                (a10 * c4 - a11 * c2 + a13 * c0) % mod,
-                (-a00 * c4 + a01 * c2 - a03 * c0) % mod,
-                (a30 * s4 - a31 * s2 + a33 * s0) % mod,
-                (-a20 * s4 + a21 * s2 - a23 * s0) % mod,
-            ),
-            (
-                (-a10 * c3 + a11 * c1 - a12 * c0) % mod,
-                (a00 * c3 - a01 * c1 + a02 * c0) % mod,
-                (-a30 * s3 + a31 * s1 - a32 * s0) % mod,
-                (a20 * s3 - a21 * s1 + a22 * s0) % mod,
-            ),
-        )
-    if n == 2:
-        (a, b), (c, d) = e
-        return ((d % mod, -b % mod), (-c % mod, a % mod))
+    """Adjugate of integer rows, reduced mod `mod`, by Bareiss cofactors."""
     rows = [list(r) for r in e]
     return tuple(
-        tuple((-1) ** (i + j) * _det_int(_minor(rows, j, i)) % mod for j in range(n))
-        for i in range(n)
+        tuple((-1) ** (i + j) * _bareiss(_minor(rows, j, i)) % mod for j in range(len(e)))
+        for i in range(len(e))
     )
-
-
-def _check_square(entries) -> None:
-    n = len(entries)
-    if n < 1 or any(len(r) != n for r in entries):
-        raise InputError("entries must form a square matrix")
-
-
-def _check_det_one(entries, mod: int) -> None:
-    if _det_int(entries) % mod != 1:
-        raise InputError("determinant is not 1 in the ring")
 
 
 @dataclass(frozen=True)
@@ -196,10 +68,11 @@ class SLMat:
     """A square matrix over a residue ring with determinant 1.
 
     SLMat(...) runs the square-shape, canonical-reduction and determinant
-    checks on every matrix built from rows, untrusted input included.
-    from_rows reduces its rows itself and runs the shape and determinant
-    checks; only mat_mul, mat_inv, scalar_mul and the diagram symmetry use
-    _closed unchecked.
+    checks on every matrix built from rows, untrusted input included; the
+    determinant is the generated kernel for n up to GENERATED_MAX_N (see
+    the kernels module).  from_rows reduces its rows itself and runs the
+    shape and determinant checks in one generated kernel; only mat_mul,
+    mat_inv, scalar_mul and the diagram symmetry use _closed unchecked.
     """
 
     ring: ResidueRing
@@ -208,11 +81,14 @@ class SLMat:
     def __post_init__(self):
         entries = self.entries
         mod = self.ring.modulus
-        _check_square(entries)
+        n = len(entries)
+        if n < 1 or any(len(r) != n for r in entries):
+            raise InputError("entries must form a square matrix")
         flat = sum(entries, ())  # rows are tuples, so this flattens in C
         if min(flat) < 0 or max(flat) >= mod:
             raise InputError("entries must be canonically reduced")
-        _check_det_one(entries, mod)
+        if _DET[n](entries) % mod != 1:
+            raise InputError("determinant is not 1 in the ring")
 
     @classmethod
     def _closed(cls, ring: ResidueRing, entries) -> "SLMat":
@@ -230,36 +106,27 @@ class SLMat:
         return f"[{body}] mod {self.ring.modulus}"
 
 
+def _reduce_rows(rows, ring: ResidueRing) -> SLMat:
+    """from_rows for any n without a kernel: SLMat checks the reduced rows."""
+    mod = ring.modulus
+    return SLMat(ring, tuple([tuple([x % mod for x in r]) for r in rows]))
+
+
+# the matrix kernels by n, generated up to GENERATED_MAX_N (see kernels)
+_DET = Kernels(emit_det, _bareiss)
+_MUL = Kernels(emit_mul, _mul_rows)
+_ADJ = Kernels(emit_adj, _adj_rows)
+_REDUCE = Kernels(emit_reduce, _reduce_rows, closed=SLMat._closed)
+
+
 def from_rows(rows, ring: ResidueRing) -> SLMat:
     """Build an SLMat from integer rows, reducing entries into the ring.
 
     The reduction puts every entry in [0, modulus), so of SLMat's checks
-    only the shape and the determinant are left to run.  Square n = 2 and
-    n = 4 rows are reduced by written-out code, as in _mul_rows; any other
-    shape, ragged rows included, takes the generic path and its checks.
+    only the shape and the determinant are left to run; the kernel for the
+    number of rows (see _REDUCE) runs them, with SLMat's messages.
     """
-    mod = ring.modulus
-    n = len(rows)
-    if n == 4 and len(rows[0]) == len(rows[1]) == len(rows[2]) == len(rows[3]) == 4:
-        r0, r1, r2, r3 = rows
-        entries = (
-            (r0[0] % mod, r0[1] % mod, r0[2] % mod, r0[3] % mod),
-            (r1[0] % mod, r1[1] % mod, r1[2] % mod, r1[3] % mod),
-            (r2[0] % mod, r2[1] % mod, r2[2] % mod, r2[3] % mod),
-            (r3[0] % mod, r3[1] % mod, r3[2] % mod, r3[3] % mod),
-        )
-        _check_det_one(entries, mod)
-        return SLMat._closed(ring, entries)
-    if n == 2 and len(rows[0]) == len(rows[1]) == 2:
-        (a, b), (c, d) = rows
-        a, b, c, d = a % mod, b % mod, c % mod, d % mod
-        if (a * d - b * c) % mod != 1:
-            raise InputError("determinant is not 1 in the ring")
-        return SLMat._closed(ring, ((a, b), (c, d)))
-    entries = tuple([tuple([x % mod for x in r]) for r in rows])
-    _check_square(entries)
-    _check_det_one(entries, mod)
-    return SLMat._closed(ring, entries)
+    return _REDUCE[len(rows)](rows, ring)
 
 
 def identity(n: int, ring: ResidueRing) -> SLMat:
@@ -269,12 +136,14 @@ def identity(n: int, ring: ResidueRing) -> SLMat:
 def mat_mul(x: SLMat, y: SLMat) -> SLMat:
     if (x.ring is not y.ring and x.ring != y.ring) or x.n != y.n:
         raise InputError("matrix product needs matching ring and dimension")
-    return SLMat._closed(x.ring, _mul_rows(x.entries, y.entries, x.ring.modulus))
+    xe = x.entries
+    return SLMat._closed(x.ring, _MUL[len(xe)](xe, y.entries, x.ring.modulus))
 
 
 def mat_inv(x: SLMat) -> SLMat:
     """Inverse matrix: the adjugate, which determinant 1 makes the inverse."""
-    return SLMat._closed(x.ring, _adj_rows(x.entries, x.ring.modulus))
+    e = x.entries
+    return SLMat._closed(x.ring, _ADJ[len(e)](e, x.ring.modulus))
 
 
 def scalar_mul(c: int, x: SLMat) -> SLMat:

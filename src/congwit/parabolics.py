@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .matrices import SLMat, _adj_rows
+from .matrices import _ADJ, SLMat
 from .rings import ResidueRing, smallest_primitive_root
 
 
@@ -165,8 +165,8 @@ def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
     The reversed transpose is two slices of the reduced adjugate; the sign
     pass runs only when a sign is -1, that is when n(n-1)/2 is odd.
     """
-    mod = g.ring.modulus
-    rows = tuple(zip(*_adj_rows(g.entries, mod)[::-1]))[::-1]
+    mod, e = g.ring.modulus, g.entries
+    rows = tuple(zip(*_ADJ[len(e)](e, mod)[::-1]))[::-1]
     if -1 in s:
         rows = tuple(
             [tuple([si * sj * v % mod for sj, v in zip(s, row)]) for si, row in zip(s, rows)]

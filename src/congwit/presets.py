@@ -338,7 +338,6 @@ def _parabolic_obstruction(bundle) -> tuple:
         and agree_elsewhere
         and anchored
         and all(v["theta"] != v["theta_image"] for v in lines.values())
-        and all(v["theta"] == v["theta_image"] for v in orders.values())
     )
     lead = (
         "The two parabolic conditions at the twisted place differ by the diagram "

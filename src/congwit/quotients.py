@@ -22,14 +22,15 @@ independent oracle for the order formulas.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError, json_int, json_int_list
+from .kernels import Kernels, emit_principal, emit_unpack
 from .matrices import (
     SLMat,
     _det_int,
-    _minor,
     central_scalar,
     elementary,
     from_rows,
@@ -534,7 +535,7 @@ def _random_word(rng, ops, n, ring):
     generator moves, all from the columns before it, as sum_k a_k * C[k],
     which is one multiply-add of whole integers per term and acts on every
     field at once.  Nothing is reduced until the end: the word is unpacked
-    (for n = 4 in one written-out pass) and reduced once by from_rows, which
+    by the kernel for n (see _UNPACK) and reduced once by from_rows, which
     gives exactly the reduced dense product.
 
     Fields never carry or borrow.  The coefficients a_k are reduced entries,
@@ -571,19 +572,12 @@ def _random_word(rng, ops, n, ring):
                 cols[c] = a * old[k]
             else:
                 cols[c] = sum(a * old[k] for k, a in terms)
-    mask = (1 << w) - 1
-    if n == 4:
-        c0, c1, c2, c3 = cols
-        w2, w3 = 2 * w, 3 * w
-        rows = (
-            (c0 & mask, c1 & mask, c2 & mask, c3 & mask),
-            (c0 >> w & mask, c1 >> w & mask, c2 >> w & mask, c3 >> w & mask),
-            (c0 >> w2 & mask, c1 >> w2 & mask, c2 >> w2 & mask, c3 >> w2 & mask),
-            (c0 >> w3 & mask, c1 >> w3 & mask, c2 >> w3 & mask, c3 >> w3 & mask),
-        )
-    else:
-        rows = [[col >> s & mask for col in cols] for s in range(0, n * w, w)]
-    return from_rows(rows, ring)
+    return from_rows(_UNPACK[n](cols, w, (1 << w) - 1), ring)
+
+
+def _unpack_columns(cols, w, mask):
+    """The rows of packed columns, row r of a column in bits [r*w, (r+1)*w)."""
+    return [[col >> s & mask for col in cols] for s in range(0, len(cols) * w, w)]
 
 
 def _principal_rows(rng, c: Component, depth):
@@ -592,9 +586,8 @@ def _principal_rows(rng, c: Component, depth):
 
     det is affine in the (0, 0) entry with unit cofactor, so a single
     correction lands the determinant on 1 without leaving the kernel shape.
-    The n^2 draws of X are row-major _below(span) draws, inlined.  For n = 4
-    the determinant (Laplace along rows 0-1, as in matrices._det_int) and the
-    (0, 0) cofactor share the six 2x2 minors c_k of rows 2-3.
+    The n^2 draws of X are row-major _below(span) draws, inlined; the
+    kernel for n (see _PRINCIPAL) adds 1 and repairs the determinant.
     """
     n, mod, p, e = c.n, c.ring.modulus, c.place.p, c.e
     if e == depth:
@@ -609,40 +602,24 @@ def _principal_rows(rng, c: Component, depth):
         while r >= span:
             r = bits(k)
         flat.append(step * r)
-    if n == 4:
-        a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, a30, a31, a32, a33 = flat
-        a00, a11, a22, a33 = a00 + 1, a11 + 1, a22 + 1, a33 + 1
-        c0 = a20 * a31 - a30 * a21
-        c1 = a20 * a32 - a30 * a22
-        c2 = a20 * a33 - a30 * a23
-        c3 = a21 * a32 - a31 * a22
-        c4 = a21 * a33 - a31 * a23
-        c5 = a22 * a33 - a32 * a23
-        cof = a11 * c5 - a12 * c4 + a13 * c3
-        det = (
-            (a00 * a11 - a10 * a01) * c5
-            - (a00 * a12 - a10 * a02) * c4
-            + (a00 * a13 - a10 * a03) * c3
-            + (a01 * a12 - a11 * a02) * c2
-            - (a01 * a13 - a11 * a03) * c1
-            + (a02 * a13 - a12 * a03) * c0
-        ) % mod
-        if det != 1:
-            a00 = (a00 + (1 - det) * pow(cof, -1, mod)) % mod
-        return [
-            [a00, a01, a02, a03],
-            [a10, a11, a12, a13],
-            [a20, a21, a22, a23],
-            [a30, a31, a32, a33],
-        ]
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    for i in range(n):
-        rows[i][i] += 1
+    return _PRINCIPAL[n](flat, mod)
+
+
+def _repaired_rows(flat, mod):
+    """The rows of 1 + X for X's entries `flat`, row by row, with the (0, 0)
+    entry moved so that the determinant is 1 mod `mod`."""
+    n = math.isqrt(len(flat))
+    rows = [[x + (i == j) for j, x in enumerate(flat[i * n : (i + 1) * n])] for i in range(n)]
     det = _det_int(rows) % mod
     if det != 1:
-        cof = _det_int(_minor(rows, 0, 0)) % mod
+        cof = _det_int([r[1:] for r in rows[1:]]) % mod
         rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
     return rows
+
+
+# the sampler kernels by n, generated up to GENERATED_MAX_N (see kernels)
+_PRINCIPAL = Kernels(emit_principal, _repaired_rows)
+_UNPACK = Kernels(emit_unpack, _unpack_columns)
 
 
 def central_element(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> tuple[SLMat, ...]:

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congwit.errors import InputError
+from congwit.kernels import GENERATED_MAX_N
 from congwit.matrices import (
     SLMat,
     _bareiss,
@@ -68,16 +69,18 @@ def _reference_mul(x, y):
 def _reference_adjugate(x):
     mod = x.ring.modulus
     rows = [list(r) for r in x.entries]
-    return tuple(
-        tuple((-1) ** (i + j) * _bareiss(_minor(rows, j, i)) % mod for j in range(x.n))
-        for i in range(x.n)
-    )
+
+    def cofactor(i, j):  # the empty minor of a 1x1 matrix has determinant 1
+        return (-1) ** (i + j) * (_bareiss(_minor(rows, j, i)) if x.n > 1 else 1)
+
+    return tuple(tuple(cofactor(i, j) % mod for j in range(x.n)) for i in range(x.n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+# every generated n, and the first n above the cap, which takes the generic path
+@pytest.mark.parametrize("n", range(1, GENERATED_MAX_N + 2))
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: f"mod{r.modulus}")
 def test_mul_and_inv_kernels_match_reference(ring, n, rng):
-    for _ in range(25):
+    for _ in range(25 if n <= 5 else 5):
         x = random_sl(n, ring, rng)
         y = random_sl(n, ring, rng)
         assert mat_mul(x, y).entries == _reference_mul(x, y)
@@ -89,7 +92,7 @@ def _square(n):
 
 
 @settings(derandomize=True, database=None, max_examples=400)
-@given(st.integers(1, 5).flatmap(_square))
+@given(st.integers(1, GENERATED_MAX_N + 1).flatmap(_square))
 @example([[0, -1], [1, 0]])  # signed reversals, as the selftest feeds them
 @example([[0, 0, -1], [0, 1, 0], [1, 0, 0]])
 @example([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
@@ -146,19 +149,26 @@ def test_det_certification():
 
 
 def test_written_out_from_rows_keeps_both_checks():
-    # square n = 2 and n = 4 rows take written-out paths; ragged rows fall
-    # through to the generic path and its message
-    for rows in (
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1], [0, 0, 0, 1]],
-        [[1, 0], [0, 1, 0]],
-        [[1, 0, 0], [0, 1]],
-    ):
+    # the generated kernel of each n up to the cap, and the generic path
+    # above it and at n = 0, refuse with the same messages
+    for n in (1, 2, 3, 4, GENERATED_MAX_N, GENERATED_MAX_N + 1):
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        short, long, extra = [r[:] for r in ident], [r[:] for r in ident], ident + [ident[0]]
+        short[-1].pop()
+        long[0].append(0)
+        for rows in (short, long, extra):
+            with pytest.raises(InputError, match="^entries must form a square matrix$"):
+                from_rows(rows, R5)
+        triple = [r[:] for r in ident]
+        triple[n // 2][n // 2] = 3
+        with pytest.raises(InputError, match="^determinant is not 1 in the ring$"):
+            from_rows(triple, R5)
+        # every entry is reduced into [0, modulus), as the generic path does
+        shifted = [[x + 5 * (i - j) for j, x in enumerate(r)] for i, r in enumerate(ident)]
+        assert from_rows(shifted, R5) == identity(n, R5)
+    for make in (lambda: from_rows([], R5), lambda: identity(0, R5)):
         with pytest.raises(InputError, match="^entries must form a square matrix$"):
-            from_rows(rows, R5)
-    for rows in ([[2, 0], [0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]):
-        with pytest.raises(InputError, match="determinant is not 1 in the ring"):
-            from_rows(rows, R5)
-    # every entry is reduced into [0, modulus), as the generic path does
+            make()
     for rows in (
         [[-4, 5, 0, 10], [0, 6, 0, 0], [0, 0, 1, -5], [7, 0, 0, 1]],
         [[-4, 12], [0, 6]],

@@ -72,6 +72,21 @@ def test_parabolic_order():
         assert parabolic_order(P1, p) == parabolic_order(P2, p)
 
 
+def _theta_up_to_8():
+    def subsets(n):
+        return st.sets(st.integers(1, n - 1)).map(lambda members: root_subset(n, members))
+
+    return st.integers(2, 8).flatmap(subsets)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_theta_up_to_8(), st.sampled_from((3, 5, 7)))
+def test_parabolic_order_is_invariant_under_the_diagram_symmetry(theta, p):
+    # theta*'s blocks are theta's reversed, so the method-b certificate
+    # need not compare the two orders
+    assert parabolic_order(theta, p) == parabolic_order(theta.symmetric_image(), p)
+
+
 @pytest.mark.parametrize(
     "spec,expected",
     [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from congwit.errors import InputError
 from congwit.matrices import (
     SLMat,
+    _bareiss,
     _det_int,
     _minor,
     _mul_rows,
@@ -378,9 +379,9 @@ def _ref_principal_sample(rng, n, ring, depth):
         [(1 if i == j else 0) + step * rng.randrange(span) for j in range(n)]
         for i in range(n)
     ]
-    det = _det_int(rows) % mod
+    det = _bareiss(rows) % mod
     if det != 1:
-        cof = _det_int(_minor(rows, 0, 0)) % mod
+        cof = _bareiss(_minor(rows, 0, 0)) % mod
         rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
     return from_rows(rows, ring)
 
@@ -467,12 +468,13 @@ def test_sample_stream_is_pinned():
 def _sampler_cases():
     """(n, p, e, condition) beyond the preset shapes: Full, every
     Principal(d <= e), every CentralPrincipal(m > 1 dividing gcd(n, p - 1))
-    and two Parabolic root subsets, over n in 2..5, p in {3, 5, 7} and
-    e in 1..4; n = 2 and 4 reach the specialised sampler branches.
+    and two Parabolic root subsets, over n in 2..6, p in {3, 5, 7} and
+    e in 1..4; n = 2 reaches the elementary word's own loop, and each n
+    its own generated principal and unpack kernels.
 
     e = 4 is needed at depth 1: an error of p^(2 depth) in the (0, 0)
     cofactor moves the repaired entry only by a multiple of p^(3 depth)."""
-    for n in (2, 3, 4, 5):
+    for n in (2, 3, 4, 5, 6):
         for p in (3, 5, 7):
             for e in (1, 2, 3, 4):
                 yield n, p, e, Full()
@@ -496,13 +498,14 @@ def test_component_samplers_are_draw_identical_beyond_the_presets():
             ours, theirs = random.Random(seed), random.Random(seed)
             assert (cond.sample(c, ours),) == _ref_components(q, theirs), (n, p, e, cond, seed)
             assert ours.getstate() == theirs.getstate(), (n, p, e, cond, seed)
-    assert {(n, "CentralPrincipal") for n in (2, 3, 4)} <= kinds
+    assert {(n, "CentralPrincipal") for n in (2, 3, 4, 6)} <= kinds
 
 
 def _sampler_gen_sets():
     """(label, generator list, n, ring): the parabolic samplers of both
-    method-B root subsets at level 1, the level-2 parabolic sampler, and a
-    set widened by a dense matrix, its inverse and a signed permutation."""
+    method-B root subsets at level 1, the level-2 parabolic sampler, a set
+    widened by a dense matrix, its inverse and a signed permutation, and
+    level-2 parabolic samplers at n = 3, 5 and 6."""
     out = []
     for theta in ({2, 3}, {1, 2}):
         q = FiniteQuotientGroup(
@@ -518,6 +521,10 @@ def _sampler_gen_sets():
     ring = q2.rings[0]
     dense = from_rows([[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]], ring)
     out.append(("with dense", gens2 + [dense, mat_inv(dense), longest_weyl(4, ring)], 4, ring))
+    for n, theta in ((3, {1}), (5, {1, 3}), (6, {2, 4, 5})):
+        q = FiniteQuotientGroup(subgroup_spec(n, {V7: Parabolic(root_subset(n, theta))}), {V7: 2})
+        gens = q.conditions[0].sampler_gens(q.components[0])
+        out.append((f"n = {n}, theta {sorted(theta)} mod 49", gens, n, q.rings[0]))
     return out
 
 

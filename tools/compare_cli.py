@@ -8,13 +8,14 @@ and its own empty working directory, and compares exit codes, stdout,
 stderr and the files each run writes.  Every run that differs is printed
 with its differences; the exit code is 1 if any run differs, else 0.
 
-The set is 43 runs.  Thirty-three compare a change with its parent on
+The set is 46 runs.  Thirty-five compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
   - six non-default parameter sets;
-  - method-a at n = 3 and n = 5, which reach the generic-n matrix and
-    sampler branches, at --samples 200 --seed 3;
+  - method-a at n = 3, 5, 6 and 9 at --samples 200 --seed 3: generated
+    matrix and sampler kernels up to GENERATED_MAX_N = 8, and the generic
+    ones at n = 9;
   - method-b at the large primes p = 101, q = 103, whose certificate
     counts fixed lines over F_101 and F_103;
   - `search-primes` three times;
@@ -24,7 +25,7 @@ ordinary inputs:
     method-b document re-levelled to 5^2 at p5, the runs in which a
     parabolic condition sits above level 1;
   - `verify-iso` on a missing file.
-Ten edge runs follow: eight witness inputs that a constructor refuses, and
+Eleven edge runs follow: nine witness inputs that a constructor refuses, and
 `obstruct` on two documents derived from the saved ones that hold an
 explicit `full` condition.  The per-check timings of `selftest` are masked;
 nothing else is.
@@ -90,6 +91,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     for flags in (
         ["method-a", "--n", "3", "--order", "3", "--p", "7", "--q", "13"],
         ["method-a", "--n", "5", "--order", "5", "--p", "11", "--q", "31"],
+        ["method-a", "--n", "6", "--order", "3", "--p", "7", "--q", "13"],
+        ["method-a", "--n", "9", "--order", "3", "--p", "7", "--q", "13"],
     ):
         argv = ["witness", *flags, "--samples", "200", "--seed", "3"]
         out.append(("witness " + " ".join(flags), argv, None))
@@ -118,6 +121,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         ["method-a", "--order", "4"],
         ["method-a", "--level", "0"],
         ["method-a", "--n", "1"],
+        ["method-a", "--n", "0"],
         ["method-a", "--p", "9"],
         ["method-b", "--p", "9"],
         ["method-c", "--q", "15"],
