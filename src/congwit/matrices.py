@@ -9,6 +9,7 @@ Also here: the scalar central elements and group orders of SL_n(Z/p^e).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -129,14 +130,24 @@ def from_rows(rows, ring: ResidueRing) -> SLMat:
     return _REDUCE[len(rows)](rows, ring)
 
 
+_IDENTITIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def identity(n: int, ring: ResidueRing) -> SLMat:
-    return SLMat(ring, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    """The identity of SL_n over the ring, one object per (n, ring) while
+    anything holds it, so that live quotients over one interned ring share
+    it; two threads that build it at once may each keep an equal copy."""
+    m = _IDENTITIES.get((n, ring))
+    if m is None:
+        m = SLMat(ring, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        _IDENTITIES[n, ring] = m
+    return m
 
 
 def mat_mul(x: SLMat, y: SLMat) -> SLMat:
-    if (x.ring is not y.ring and x.ring != y.ring) or x.n != y.n:
-        raise InputError("matrix product needs matching ring and dimension")
     xe = x.entries
+    if (x.ring is not y.ring and x.ring != y.ring) or len(xe) != len(y.entries):
+        raise InputError("matrix product needs matching ring and dimension")
     return SLMat._closed(x.ring, _MUL[len(xe)](xe, y.entries, x.ring.modulus))
 
 

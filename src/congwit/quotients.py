@@ -14,16 +14,19 @@ group of tuples, one SL_n(Z/p^e) component per place, satisfying every
 condition.  Quotients are defined directly by these local predicates, in
 the congruence-completion picture; exact orders come from local counting
 formulas, membership is an exact predicate, and a seeded sampler produces
-members (with a documented, non-uniform distribution).  Where a quotient is
-small enough to enumerate, breadth-first closure over its generators is the
-independent oracle for the order formulas.
+members (with a documented, non-uniform distribution).  A sample reads one
+integer from shake_128 of its seed and takes every draw as the next digit
+of that integer in mixed radix (see FiniteQuotientGroup.sample), so sample
+i is a pure function of its seed and holds no generator state.  Where a
+quotient is small enough to enumerate, breadth-first closure over its
+generators is the independent oracle for the order formulas.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
-import random
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError, json_int, json_int_list
@@ -58,17 +61,16 @@ PARABOLIC_WORD_MAX = 12
 
 
 class Component:
-    """A quotient's component at one place: its level exponent and ring, and
-    whatever its condition's setup adds for that condition's own methods."""
+    """A quotient's component at one place: its level exponent, ring and
+    identity, and whatever its condition's setup adds for that condition's
+    own methods."""
 
     def __init__(self, n: int, place: PrimePlace, ring: ResidueRing):
         self.n, self.place, self.e, self.ring = n, place, ring.e, ring
+        # one object per (n, ring), shared by every quotient over the ring
+        self.identity = identity(n, ring)
         # the identity's entries, row-major, for the principal predicates
         self.flat_identity = [int(i == j) for i in range(n) for j in range(n)]
-
-    @functools.cached_property
-    def identity(self) -> SLMat:
-        return identity(self.n, self.ring)
 
 
 class LocalCondition:
@@ -76,9 +78,12 @@ class LocalCondition:
 
     A subclass names its `kind` and the least level exponent `depth` it
     needs at its place.  A quotient calls setup(component) once per
-    component, then passes that component to member, local_order, sample and
-    generators.  The JSON form is the kind plus the fields, read back by
-    CONDITION_OF_KIND[kind].from_json(doc, n).
+    component, then passes that component to member, local_order, sample,
+    draw_space and generators.  sample(c, r) takes its draws as digits of
+    the integer r (see FiniteQuotientGroup.sample) and returns the member
+    with what is left of r; draw_space(c) is the product of the radices on
+    its longest draw sequence.  The JSON form is the kind plus the fields,
+    read back by CONDITION_OF_KIND[kind].from_json(doc, n).
     """
 
     def setup(self, c: Component) -> None:
@@ -105,8 +110,11 @@ class Full(LocalCondition):
     def local_order(self, c) -> int:
         return sl_order(c.n, c.place.p, c.e)
 
-    def sample(self, c, rng) -> SLMat:
-        return _random_elementary_word(rng, c.n, c.ring, FULL_WORD_MAX)
+    def sample(self, c, r) -> tuple[SLMat, int]:
+        return _random_elementary_word(r, c.n, c.ring, FULL_WORD_MAX)
+
+    def draw_space(self, c) -> int:
+        return FULL_WORD_MAX * (c.n * (c.n - 1) * c.ring.modulus) ** FULL_WORD_MAX
 
     def generators(self, c) -> list[SLMat]:
         n = c.n
@@ -134,10 +142,14 @@ class Principal(LocalCondition):
     def local_order(self, c) -> int:
         return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth))
 
-    def sample(self, c, rng) -> SLMat:
+    def sample(self, c, r) -> tuple[SLMat, int]:
         if self.depth == c.e:
-            return c.identity
-        return from_rows(_principal_rows(rng, c, self.depth), c.ring)
+            return c.identity, r
+        rows, r = _principal_rows(r, c, self.depth)
+        return from_rows(rows, c.ring), r
+
+    def draw_space(self, c) -> int:
+        return _principal_space(c, self.depth)
 
     def generators(self, c) -> list[SLMat]:
         return _principal_generators(c.n, c.ring, self.depth)
@@ -184,12 +196,15 @@ class CentralPrincipal(LocalCondition):
     def local_order(self, c) -> int:
         return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth)) * self.order
 
-    def sample(self, c, rng) -> SLMat:
+    def sample(self, c, r) -> tuple[SLMat, int]:
         # z^n = 1, so scaling keeps the determinant at 1
-        k = _below(rng.getrandbits, self.order)
-        rows = _principal_rows(rng, c, self.depth)
+        r, k = divmod(r, self.order)
+        rows, r = _principal_rows(r, c, self.depth)
         scalar = pow(c.unit, k, c.ring.modulus)
-        return from_rows([[v * scalar for v in row] for row in rows], c.ring)
+        return from_rows([[v * scalar for v in row] for row in rows], c.ring), r
+
+    def draw_space(self, c) -> int:
+        return self.order * _principal_space(c, self.depth)
 
     def generators(self, c) -> list[SLMat]:
         scalar = scalar_mul(c.unit, c.identity)
@@ -235,11 +250,16 @@ class Parabolic(LocalCondition):
             c.ops = [_column_ops(g) for g in self.sampler_gens(c)]
         return c.ops
 
-    def sample(self, c, rng) -> SLMat:
-        out = _random_word(rng, self.sampler_ops(c), c.n, c.ring)
+    def sample(self, c, r) -> tuple[SLMat, int]:
+        out, r = _random_word(r, self.sampler_ops(c), c.n, c.ring)
         if c.e > 1:
-            out = mat_mul(out, from_rows(_principal_rows(rng, c, 1), c.ring))
-        return out
+            rows, r = _principal_rows(r, c, 1)
+            out = mat_mul(out, from_rows(rows, c.ring))
+        return out, r
+
+    def draw_space(self, c) -> int:
+        words = PARABOLIC_WORD_MAX * len(self.sampler_ops(c)) ** PARABOLIC_WORD_MAX
+        return words * _principal_space(c, 1)
 
     def generators(self, c) -> list[SLMat]:
         gens = parabolic_generators(self.theta, c.ring)
@@ -323,7 +343,7 @@ class FiniteQuotientGroup:
             cond.setup(c)
         self._gens: list[tuple[SLMat, ...]] | None = None
         self._order: int | None = None
-        self._identity: tuple[SLMat, ...] | None = None
+        self._identity = tuple(c.identity for c in self.components)
 
     # -- basics ---------------------------------------------------------
 
@@ -338,8 +358,6 @@ class FiniteQuotientGroup:
             raise InputError(f"place {place.label} is not in the level") from None
 
     def identity(self) -> tuple[SLMat, ...]:
-        if self._identity is None:
-            self._identity = tuple(c.identity for c in self.components)
         return self._identity
 
     # -- membership ------------------------------------------------------
@@ -349,17 +367,17 @@ class FiniteQuotientGroup:
 
         Shape or ring mismatches yield False rather than an error, so that
         ill-formed images of broken twist maps are refuted as data.  A
-        component that is its component's cached identity object passes
-        before any predicate runs; an equal copy is tested like any other.
+        component that is the identity object of its (n, ring) passes before
+        any predicate runs; an equal copy is tested like any other.
         """
         if len(g) != len(self.places):
             return False
         n = self.spec.n
         for comp, cond, c in zip(g, self.conditions, self.components):
-            # the identity of every subgroup, once built (c.__dict__ holds it)
-            if comp is vars(c).get("identity"):
+            # the identity of every subgroup
+            if comp is c.identity:
                 continue
-            if not isinstance(comp, SLMat) or comp.n != n:
+            if not isinstance(comp, SLMat) or len(comp.entries) != n:
                 return False
             if comp.ring is not c.ring and comp.ring != c.ring:  # rings are interned
                 return False
@@ -382,29 +400,34 @@ class FiniteQuotientGroup:
     # -- sampling ---------------------------------------------------------
 
     @functools.cached_property
-    def _rng(self) -> random.Random:
-        """The generator every sample reseeds, built at the first sample:
-        Random() seeds itself from the OS, which quotients never sampled
-        need not pay."""
-        return random.Random()
+    def _budget(self) -> int:
+        """Bytes of shake_128 output a sample reads: each condition's draw
+        space in bits, summed over the components, plus 64 bits.  Computed
+        at the first sample, so that quotients never sampled never build
+        their parabolic sampler_ops."""
+        spaces = (cond.draw_space(c) for cond, c in zip(self.conditions, self.components))
+        bits = sum((space - 1).bit_length() for space in spaces)
+        return (bits + 64 + 7) // 8
 
     def sample(self, seed: int) -> tuple[SLMat, ...]:
         """A member of the quotient, deterministic in the seed.
 
         The distribution is not uniform; verification only needs members
-        that range over the predicate domain.  Every draw is a rejection
-        sample on Random(seed).getrandbits(n.bit_length()) (see _below), so
-        the members depend only on getrandbits and not on the private
-        algorithm behind random.randrange.
-
-        The draws come from one generator per quotient, reseeded here:
-        seed(seed) leaves the state a fresh Random(seed) has, without
-        building one per sample.  So two threads must not sample one
-        quotient at once; verify_iso samples in one thread per process.
+        that range over the predicate domain.  The draws are digits of one
+        integer r, the shake_128 digest of str(seed) read little-endian:
+        a draw from range(m) is `r, d = divmod(r, m)`, component by
+        component in place order.  The digest is _budget bytes long, so
+        even the longest draw sequence leaves at least 2^64 of r unread,
+        and the digits are within 2^-64 in total variation of independent
+        uniform draws.  A sample holds no state, so threads may share a
+        quotient.
         """
-        rng = self._rng
-        rng.seed(seed)
-        return tuple(cond.sample(c, rng) for cond, c in zip(self.conditions, self.components))
+        r = int.from_bytes(hashlib.shake_128(str(seed).encode()).digest(self._budget), "little")
+        out = []
+        for cond, c in zip(self.conditions, self.components):
+            g, r = cond.sample(c, r)
+            out.append(g)
+        return tuple(out)
 
     # -- generators --------------------------------------------------------
 
@@ -445,65 +468,43 @@ def _principal_generators(n, ring, depth):
     return gens
 
 
-def _below(bits, n):
-    """A uniform draw from range(n) by rejection on bits(n.bit_length()).
+def _random_elementary_word(r, n, ring, max_len):
+    """A product of 1 to max_len elementary factors 1 + t*E_ij, and what is
+    left of r.
 
-    `bits` is a bound Random.getrandbits; this is the rule CPython's
-    Random.randrange(n) applies, so the draws and the generator state after
-    them match it exactly.
+    The draws are the length, from range(max_len), then per factor i from
+    range(n), j from range(n - 1) (skipping i) and t from range(mod), read
+    as one digit i + n*(j + (n - 1)*t) of range(n*(n - 1)*mod).
+    Right-multiplying by 1 + t*E_ij adds t times column i to column j.
     """
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _random_elementary_word(rng, n, ring, max_len):
-    # right-multiplying by 1 + t*E_ij adds t times column i to column j;
-    # the three draws per factor are _below(n), _below(n - 1), _below(mod)
     mod = ring.modulus
-    bits = rng.getrandbits
-    kt = mod.bit_length()
+    pairs = n * (n - 1)
+    space = pairs * mod
+    r, length = divmod(r, max_len)
     if n == 2:
-        # rows (a, b), (c, d); j is the column i is not, but its _below(1)
-        # draw (one bit per try until a 0) still runs
+        # rows (a, b), (c, d); j is the column i is not, so the digit is i + 2t
         a, b, c, d = 1, 0, 0, 1
-        for _ in range(1 + _below(bits, max_len)):
-            i = bits(2)
-            while i >= 2:
-                i = bits(2)
-            while bits(1):
-                pass
-            t = bits(kt)
-            while t >= mod:
-                t = bits(kt)
+        for _ in range(length + 1):
+            r, x = divmod(r, space)
+            t, i = divmod(x, 2)
             if i:
                 a = (a + t * b) % mod
                 c = (c + t * d) % mod
             else:
                 b = (b + t * a) % mod
                 d = (d + t * c) % mod
-        return from_rows(((a, b), (c, d)), ring)
-    m = n - 1
-    kn, km = n.bit_length(), m.bit_length()
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    for _ in range(1 + _below(bits, max_len)):
-        i = bits(kn)
-        while i >= n:
-            i = bits(kn)
-        j = bits(km)
-        while j >= m:
-            j = bits(km)
-        if j >= i:
-            j += 1
-        t = bits(kt)
-        while t >= mod:
-            t = bits(kt)
+        return from_rows(((a, b), (c, d)), ring), r
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(length + 1):
+        r, x = divmod(r, space)
+        t, x = divmod(x, pairs)
         if t:
+            j, i = divmod(x, n)
+            if j >= i:
+                j += 1
             for row in rows:
                 row[j] = (row[j] + t * row[i]) % mod
-    return from_rows(rows, ring)
+    return from_rows(rows, ring), r
 
 
 def _column_ops(g: SLMat) -> tuple:
@@ -525,8 +526,9 @@ def _column_ops(g: SLMat) -> tuple:
     return tuple(ops)
 
 
-def _random_word(rng, ops, n, ring):
-    """A product of 1 to PARABOLIC_WORD_MAX generators, certified once.
+def _random_word(r, ops, n, ring):
+    """A product of 1 to PARABOLIC_WORD_MAX generators, certified once, and
+    what is left of r.
 
     `ops` holds each generator's _column_ops.  The word starts from the
     identity and is kept as n packed columns, one integer each: row r of a
@@ -545,21 +547,15 @@ def _random_word(rng, ops, n, ring):
     entry is a nonnegative integer below (n * mod)^PARABOLIC_WORD_MAX
     <= 2^w.
 
-    The draws are _below(PARABOLIC_WORD_MAX) for the length, then
-    _below(len(ops)) per factor, inlined.
+    The draws are the length, from range(PARABOLIC_WORD_MAX), then one
+    generator per factor, from range(len(ops)).
     """
-    bits = rng.getrandbits
     count = len(ops)
-    kl, kc = PARABOLIC_WORD_MAX.bit_length(), count.bit_length()
     w = PARABOLIC_WORD_MAX * (n * ring.modulus).bit_length()
     cols = [1 << (c * w) for c in range(n)]
-    length = bits(kl)
-    while length >= PARABOLIC_WORD_MAX:
-        length = bits(kl)
+    r, length = divmod(r, PARABOLIC_WORD_MAX)
     for _ in range(length + 1):
-        g = bits(kc)
-        while g >= count:
-            g = bits(kc)
+        r, g = divmod(r, count)
         op = ops[g]
         # a generator that moves several columns reads them all before it
         old = cols if len(op) == 1 else cols[:]
@@ -572,7 +568,7 @@ def _random_word(rng, ops, n, ring):
                 cols[c] = a * old[k]
             else:
                 cols[c] = sum(a * old[k] for k, a in terms)
-    return from_rows(_UNPACK[n](cols, w, (1 << w) - 1), ring)
+    return from_rows(_UNPACK[n](cols, w, (1 << w) - 1), ring), r
 
 
 def _unpack_columns(cols, w, mask):
@@ -580,29 +576,31 @@ def _unpack_columns(cols, w, mask):
     return [[col >> s & mask for col in cols] for s in range(0, len(cols) * w, w)]
 
 
-def _principal_rows(rng, c: Component, depth):
+def _principal_rows(r, c: Component, depth):
     """Integer rows of 1 + p^depth * X with X random, determinant repaired
-    to 1 mod the component's modulus; the identity rows when depth is e.
+    to 1 mod the component's modulus, and what is left of r; the identity
+    rows when depth is e.
 
     det is affine in the (0, 0) entry with unit cofactor, so a single
     correction lands the determinant on 1 without leaving the kernel shape.
-    The n^2 draws of X are row-major _below(span) draws, inlined; the
+    The n^2 draws of X are row-major, each from range(p^(e - depth)); the
     kernel for n (see _PRINCIPAL) adds 1 and repairs the determinant.
     """
     n, mod, p, e = c.n, c.ring.modulus, c.place.p, c.e
     if e == depth:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)], r
     step = p**depth
     span = p ** (e - depth)
-    bits = rng.getrandbits
-    k = span.bit_length()
     flat = []
     for _ in range(n * n):
-        r = bits(k)
-        while r >= span:
-            r = bits(k)
-        flat.append(step * r)
-    return _PRINCIPAL[n](flat, mod)
+        r, x = divmod(r, span)
+        flat.append(step * x)
+    return _PRINCIPAL[n](flat, mod), r
+
+
+def _principal_space(c: Component, depth) -> int:
+    """The draw space of _principal_rows: n^2 draws from range(p^(e - depth))."""
+    return c.place.p ** ((c.e - depth) * c.n * c.n)
 
 
 def _repaired_rows(flat, mod):

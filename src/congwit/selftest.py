@@ -10,15 +10,14 @@ refuted by the verifier with nonzero failure counts.
 
 from __future__ import annotations
 
-import random
 import sys
 import time
 
 from .matrices import _det_int, enumerate_sl2_order, mat_mul, sl_order_mod
 from .parabolics import _weyl_signs, fixed_lines, graph_automorphism, root_subset
 from .presets import PRESETS, builder
-from .quotients import FULL_WORD_MAX, _random_elementary_word
-from .rings import residue_ring
+from .quotients import FiniteQuotientGroup, subgroup_spec
+from .rings import rational_place
 from .twists import PlaceSwap, verify_iso
 
 FAULT_W0_SIGN = "w0-sign"
@@ -55,11 +54,9 @@ def check_graph_automorphism_determinant(corrupt_sign: bool = False):
                 "graph-automorphism-determinant",
                 f"reversal conjugator for n={n} has determinant {det}, not 1",
             )
-    ring = residue_ring(5, 1)
-    rng = random.Random(11)
-    for _ in range(50):
-        x = _random_elementary_word(rng, 4, ring, FULL_WORD_MAX)
-        y = _random_elementary_word(rng, 4, ring, FULL_WORD_MAX)
+    words = FiniteQuotientGroup(subgroup_spec(4, {}), {rational_place(5): 1})
+    for i in range(50):
+        (x,), (y,) = words.sample(2 * i), words.sample(2 * i + 1)
         if graph_automorphism(mat_mul(x, y)) != mat_mul(
             graph_automorphism(x), graph_automorphism(y)
         ):

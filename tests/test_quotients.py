@@ -1,6 +1,10 @@
 import hashlib
 import json
+import math
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -33,7 +37,6 @@ from congwit.quotients import (
     Full,
     Parabolic,
     Principal,
-    _below,
     _column_ops,
     _random_word,
     central_element,
@@ -52,7 +55,8 @@ from congwit.rings import (
     unit_of_order,
 )
 from congwit.serialize import bundle_from_json, bundle_to_json
-from congwit.twists import child_seed
+from congwit import twists
+from congwit.twists import child_seed, verify_iso
 
 from oracles import longest_weyl, minus_identity, reduce_mat, sl2_word_image_order, tuple_inv
 
@@ -339,9 +343,57 @@ def test_order_one_central_condition_is_principal():
 
 
 # ---------------------------------------------------------------------------
-# The samplers draw through _below on getrandbits.  The references below are
-# the randrange-based samplers they replaced, kept verbatim so the draws, and
-# so the witness bytes, are pinned to them.
+# A sample reads one integer from shake_128 of its seed and takes each draw
+# as the next digit of that integer in mixed radix.  The references below
+# are the randrange-based samplers of the Mersenne Twister stream, kept
+# verbatim: driven by a random.Random they draw the old distribution, and
+# driven by a _Digits reader they draw the digit stream, so they pin every
+# draw of the samplers.
+
+
+class _Digits:
+    """An integer read as mixed-radix digits, least significant first:
+    randrange(m) is the next digit, from range(m)."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def randrange(self, m):
+        self.r, d = divmod(self.r, m)
+        return d
+
+    def randint(self, a, b):
+        return a + self.randrange(b - a + 1)
+
+
+class _Longest(_Digits):
+    """A reader whose every digit is the largest of its range, so the sampler
+    it drives takes its longest draw sequence; space is the product of the
+    radices read."""
+
+    def __init__(self):
+        self.space = 1
+
+    def randrange(self, m):
+        self.space *= m
+        return m - 1
+
+
+def _stream(seed, nbytes):
+    return int.from_bytes(hashlib.shake_128(str(seed).encode()).digest(nbytes), "little")
+
+
+def _draw_space(q, idx):
+    """The product of the radices on the longest draw sequence of component idx."""
+    longest = _Longest()
+    _ref_component(q, idx, longest)
+    return longest.space
+
+
+def _budget(q):
+    """Bytes a sample reads: the draw spaces in bits, plus 64 bits."""
+    bits = sum((_draw_space(q, idx) - 1).bit_length() for idx in range(len(q.components)))
+    return (bits + 64 + 7) // 8
 
 
 def _ref_elementary_word(rng, n, ring, max_len):
@@ -386,30 +438,27 @@ def _ref_principal_sample(rng, n, ring, depth):
     return from_rows(rows, ring)
 
 
-def _ref_sample(q, seed):
-    return _ref_components(q, random.Random(seed))
-
-
 def _ref_components(q, rng):
-    n = q.n
-    out = []
-    for ring, cond, (place, e), c in zip(q.rings, q.conditions, q.level, q.components):
-        if isinstance(cond, Full):
-            out.append(_ref_elementary_word(rng, n, ring, FULL_WORD_MAX))
-        elif isinstance(cond, Parabolic):
-            g = _ref_word(rng, cond.sampler_gens(c), n, ring)
-            if e > 1:
-                g = mat_mul(g, _ref_principal_sample(rng, n, ring, 1))
-            out.append(g)
-        elif isinstance(cond, Principal):
-            out.append(_ref_principal_sample(rng, n, ring, cond.depth))
-        else:
-            z = unit_of_order(cond.order, place.p, e)
-            k = rng.randrange(cond.order)
-            base = _ref_principal_sample(rng, n, ring, cond.depth)
-            scalar = pow(z, k, ring.modulus)
-            out.append(from_rows([[v * scalar for v in row] for row in base.entries], ring))
-    return tuple(out)
+    return tuple(_ref_component(q, idx, rng) for idx in range(len(q.components)))
+
+
+def _ref_component(q, idx, rng):
+    n, ring, cond, c = q.n, q.rings[idx], q.conditions[idx], q.components[idx]
+    place, e = q.level[idx]
+    if isinstance(cond, Full):
+        return _ref_elementary_word(rng, n, ring, FULL_WORD_MAX)
+    if isinstance(cond, Parabolic):
+        g = _ref_word(rng, cond.sampler_gens(c), n, ring)
+        if e > 1:
+            g = mat_mul(g, _ref_principal_sample(rng, n, ring, 1))
+        return g
+    if isinstance(cond, Principal):
+        return _ref_principal_sample(rng, n, ring, cond.depth)
+    z = unit_of_order(cond.order, place.p, e)
+    k = rng.randrange(cond.order)
+    base = _ref_principal_sample(rng, n, ring, cond.depth)
+    scalar = pow(z, k, ring.modulus)
+    return from_rows([[v * scalar for v in row] for row in base.entries], ring)
 
 
 def _preset_quotients():
@@ -420,32 +469,15 @@ def _preset_quotients():
     return quotients
 
 
-def test_below_matches_randrange_draws_and_state():
-    theta = root_subset(4, {2, 3})
-    q_b = FiniteQuotientGroup(subgroup_spec(4, {V5: Parabolic(theta)}), {V5: 1})
-    gens_len = len(q_b.conditions[0].sampler_gens(q_b.components[0]))
-    preset_bounds = [32, 12, 5, 7, 17, 25, 49, gens_len]
-    bounds = list(range(1, 71))
-    for k in range(1, 66):
-        bounds += [2**k - 1, 2**k, 2**k + 1]
-    interleaved = [
-        b for i, base in enumerate(bounds) for b in (base, preset_bounds[i % len(preset_bounds)])
-    ]
-    for seed in range(200):
-        ours, theirs = random.Random(seed), random.Random(seed)
-        bits = ours.getrandbits
-        assert [_below(bits, n) for n in interleaved] == [theirs.randrange(n) for n in interleaved]
-        assert ours.getstate() == theirs.getstate()
-
-
-def test_samples_match_the_randrange_reference():
+def test_samples_match_the_digit_reference():
     theta = root_subset(4, {2, 3})
     deep_parabolic = FiniteQuotientGroup(
         subgroup_spec(4, {V5: Parabolic(theta), V3: Principal(1)}), {V5: 2, V3: 1}
     )
     for q in _preset_quotients() + [deep_parabolic]:
+        nbytes = _budget(q)
         for seed in range(200):
-            assert q.sample(seed) == _ref_sample(q, seed)
+            assert q.sample(seed) == _ref_components(q, _Digits(_stream(seed, nbytes)))
 
 
 def test_sample_stream_is_pinned():
@@ -455,14 +487,36 @@ def test_sample_stream_is_pinned():
         for i in range(300):
             for m in q.sample(child_seed(0, i)):
                 digest.update(repr(m.entries).encode())
-        # each sample reseeds the quotient's one generator
+        # a sample holds no state, so a seed sampled again gives the same member
         s1, s2 = child_seed(1, 0), child_seed(1, 1)
         first = q.sample(s1)
         q.sample(s2)
         assert q.sample(s1) == first
     assert digest.hexdigest() == (
-        "21eeac7f0635ee34118f79942309ca5b34042f7e1faf132c6dd44c5fce819018"
+        "48689d6bc7d8ed36e8d7cd10b5077a41763030f7b320b0e02dbdc975e5209c32"
     )
+
+
+def test_two_threads_sample_one_quotient_as_one_thread_does():
+    # a fresh quotient, so that the threads also race to its first sample
+    seeds = [child_seed(5, i) for i in range(300)]
+    expected = [method_b_pair().quotient2.sample(s) for s in seeds]
+    q, results = method_b_pair().quotient2, {}
+
+    def run(k):
+        results[k] = [q.sample(s) for s in seeds]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == expected
 
 
 def _sampler_cases():
@@ -494,11 +548,75 @@ def test_component_samplers_are_draw_identical_beyond_the_presets():
         q = FiniteQuotientGroup(subgroup_spec(n, {place: cond}), {place: e})
         c = q.components[0]
         kinds.add((n, type(cond).__name__))
+        nbytes = _budget(q)
         for seed in range(12):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert (cond.sample(c, ours),) == _ref_components(q, theirs), (n, p, e, cond, seed)
-            assert ours.getstate() == theirs.getstate(), (n, p, e, cond, seed)
+            r = _stream(seed, nbytes)
+            theirs = _Digits(r)
+            g, rest = cond.sample(c, r)
+            assert (g,) == _ref_components(q, theirs), (n, p, e, cond, seed)
+            assert rest == theirs.r, (n, p, e, cond, seed)
     assert {(n, "CentralPrincipal") for n in (2, 3, 4, 6)} <= kinds
+
+
+def test_longest_draw_sequence_leaves_2_64_of_the_stream_unread():
+    for n, p, e, cond in _sampler_cases():
+        place = rational_place(p)
+        q = FiniteQuotientGroup(subgroup_spec(n, {place: cond}), {place: e})
+        space = _draw_space(q, 0)
+        assert cond.draw_space(q.components[0]) == space, (n, p, e, cond)
+        assert 2 ** (8 * q._budget) >= space * 2**64, (n, p, e, cond)
+    for q in _preset_quotients():
+        spaces = [_draw_space(q, idx) for idx in range(len(q.components))]
+        assert 2 ** (8 * q._budget) >= math.prod(spaces) * 2**64
+
+
+def _chi_square_homogeneity(a, b):
+    """Pearson's statistic and its degrees of freedom for two samples of one
+    size, given as Counters; cells with fewer than 10 draws in both samples
+    together are pooled into one."""
+    stat, cells, pooled = 0.0, 0, [0, 0]
+    for key in set(a) | set(b):
+        x, y = a[key], b[key]
+        if x + y < 10:
+            pooled[0] += x
+            pooled[1] += y
+        else:
+            stat += (x - y) ** 2 / (x + y)
+            cells += 1
+    if sum(pooled):
+        stat += (pooled[0] - pooled[1]) ** 2 / sum(pooled)
+        cells += 1
+    return stat, cells - 1
+
+
+def _chi_square_critical(df, z=3.719):
+    """The upper 10^-4 point of chi-square with df degrees of freedom, by
+    the Wilson-Hilferty approximation (z is the normal 10^-4 point)."""
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize(
+    "n,e,cond,key",
+    [
+        (2, 1, Full(), None),
+        (3, 1, Full(), lambda g: tuple(row[0] for row in g.entries)),
+        (2, 2, Principal(1), None),
+        (2, 2, CentralPrincipal(2, 1), None),
+        (2, 2, Parabolic(root_subset(2, ())), None),
+    ],
+    ids=["full-n2", "full-n3", "principal", "central-principal", "parabolic"],
+)
+def test_component_samplers_keep_the_randrange_distribution(n, e, cond, key):
+    # small quotients at p = 3: 24, 27, 54 and 162 elements, and for SL_3(F_3)
+    # the 26 first columns
+    key = key or (lambda g: g.entries)
+    q = FiniteQuotientGroup(subgroup_spec(n, {V3: cond}), {V3: e})
+    draws = 2000
+    ours = Counter(key(q.sample(seed)[0]) for seed in range(draws))
+    theirs = Counter(key(_ref_component(q, 0, random.Random(seed))) for seed in range(draws))
+    stat, df = _chi_square_homogeneity(ours, theirs)
+    assert df >= 20
+    assert stat < _chi_square_critical(df), (stat, df)
 
 
 def _sampler_gen_sets():
@@ -537,7 +655,7 @@ def test_random_word_still_certifies_its_word():
     assert _det_int(bad.entries) % 25 == 2
     for seed in range(20):
         with pytest.raises(InputError, match="determinant is not 1 in the ring"):
-            _random_word(random.Random(seed), [_column_ops(bad)], 4, ring)
+            _random_word(_stream(seed, 32), [_column_ops(bad)], 4, ring)
 
 
 def test_column_ops_list_the_moved_columns():
@@ -556,11 +674,11 @@ def test_random_word_matches_the_dense_product():
             assert any(len(terms) > 2 for op in ops for _, terms in op)
             assert any(k != c for op in ops for c, terms in op if len(terms) == 1 for k, _ in terms)
         for seed in range(200):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert _random_word(ours, ops, n, ring) == _ref_word(theirs, gens, n, ring), label
-            assert ours.getstate() == theirs.getstate()
+            r = _stream(seed, 32)
+            theirs = _Digits(r)
+            assert _random_word(r, ops, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r), label
     # the packing width at its bound: words of PARABOLIC_WORD_MAX factors
-    # (a first draw of 11), modulus 2^31 - 1 (prime), and a dense factor with
+    # (a first digit of 11), modulus 2^31 - 1 (prime), and a dense factor with
     # every off-diagonal entry mod - 1, the diagonal mod - 2 and (0, 0)
     # repaired to det 1; a matrix of all mod - 1 would have rank 1
     mod, n = MAX_MODULUS - 1, 4
@@ -571,12 +689,12 @@ def test_random_word_matches_the_dense_product():
     dense = from_rows(rows, ring)
     gens = [dense, mat_inv(dense)]
     ops = [_column_ops(g) for g in gens]
-    seeds = [s for s in range(1000) if random.Random(s).getrandbits(4) == PARABOLIC_WORD_MAX - 1]
-    assert len(seeds) == 49
-    for seed in seeds:
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert _random_word(ours, ops, n, ring) == _ref_word(theirs, gens, n, ring), seed
-        assert ours.getstate() == theirs.getstate()
+    streams = [_stream(s, 32) for s in range(1000)]
+    streams = [r for r in streams if r % PARABOLIC_WORD_MAX == PARABOLIC_WORD_MAX - 1]
+    assert len(streams) == 84
+    for r in streams:
+        theirs = _Digits(r)
+        assert _random_word(r, ops, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r)
 
 
 def test_sampler_ops_are_derived_from_the_dense_generators():
@@ -712,6 +830,20 @@ def test_identity_is_a_member_under_every_condition(e):
         assert cond.member(c, c.identity), cond
 
 
+@pytest.mark.parametrize("build", [method_b_pair, method_c_pair])
+def test_pairs_pass_their_trivial_places_by_identity(build, monkeypatch):
+    # a trivial place samples the identity of its (n, ring), the one object
+    # that the target's place compares against too, so no pair runs the
+    # Principal predicate
+    monkeypatch.setattr(twists, "usable_cpus", lambda: [])
+    iso = build().iso
+    tested = []
+    member = Principal.member
+    monkeypatch.setattr(Principal, "member", lambda self, c, g: tested.append(g) or member(self, c, g))
+    assert verify_iso(iso, 200, 0).witnessed
+    assert tested == []
+
+
 def test_identity_pass_is_by_object(monkeypatch):
     v3 = rational_place(3)
     spec = subgroup_spec(4, {v3: Principal(1), V5: Parabolic(root_subset(4, [2, 3]))})
@@ -724,7 +856,7 @@ def test_identity_pass_is_by_object(monkeypatch):
     assert x[0] is q.components[0].identity
     assert q.member(x) and tested == []
     # an equal identity that is another object is tested, and passes
-    copy = identity(4, q.rings[0])
+    copy = SLMat(q.rings[0], x[0].entries)
     assert copy == x[0] and copy is not x[0]
     assert q.member((copy, x[1])) and tested == [copy]
     # and a non-identity matrix at the trivial place is refused
