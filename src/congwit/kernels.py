@@ -5,6 +5,8 @@ each comprehension runs in a frame of its own."""
 
 from __future__ import annotations
 
+import functools
+
 from .errors import InputError
 
 GENERATED_MAX_N = 8
@@ -14,14 +16,15 @@ class Kernels(dict):
     """One kind's kernels by n: for 1 <= n <= GENERATED_MAX_N, the parameters
     and body emit(n) writes, compiled at the first lookup of n with `names`
     in its globals; for any other n, `generic`, which takes the same
-    parameters and is the tests' oracle.  (An adjugate at n = 9 runs to 1,500 lines.)"""
+    parameters (after n itself when `sized`) and is the tests' oracle.  (An
+    adjugate at n = 9 runs to 1,500 lines.)"""
 
-    def __init__(self, emit, generic, **names):
+    def __init__(self, emit, generic, sized=False, **names):
         super().__init__()
-        self.emit, self.generic, self.names = emit, generic, names
+        self.emit, self.generic, self.sized, self.names = emit, generic, sized, names
 
     def __missing__(self, n):
-        kernel = self.generic
+        kernel = functools.partial(self.generic, n) if self.sized else self.generic
         if 0 < n <= GENERATED_MAX_N:  # an empty determinant would read as 1
             params, body = self.emit(n)
             name = f"{self.emit.__name__.removeprefix('emit_')}_{n}"
@@ -129,20 +132,46 @@ def emit_reduce(n):
 
 
 def emit_principal(n):
-    """principal(flat, mod): the rows of 1 + X for X's entries `flat`, row
-    by row, with the (0, 0) entry moved so that the determinant is 1 mod
-    `mod`; det is affine in that entry, with its cofactor as slope."""
+    """principal(r, span, step, scalar, ring): the SLMat scalar * (1 + step *
+    X), with X's n^2 entries the next digits of r from range(span), row by
+    row, and the (0, 0) entry moved so that the determinant is 1 mod the
+    ring's modulus; and what is left of r.  det is affine in that entry,
+    with its cofactor as slope, and the row-0 expansion is evaluated again
+    on the moved entry from the same minors of rows 1..n-1; scaling keeps
+    det at 1 when scalar^n = 1.  Refused with SLMat's message otherwise."""
     a, (minors, det, cofactor) = _names(n), _determinant(n)
-    diag = [a[i][i] for i in range(n)]
-    return "flat, mod", [
-        f"[{', '.join(x for row in a for x in row)}] = flat",
-        f"{', '.join(diag)} = {', '.join(x + ' + 1' for x in diag)}",
+    flat = [x for row in a for x in row]
+    terms = [f"{'1 + ' * (i == j)}step * {a[i][j]}" for i in range(n) for j in range(n)]
+    return "r, span, step, scalar, ring", [
+        "mod = ring.modulus",
+        *(f"r, {x} = divmod(r, span)" for x in flat),
+        f"{', '.join(flat)} = {', '.join(terms)}",
         *minors,
         f"det = ({det}) % mod",
         "if det != 1:",
         f"    a00 = (a00 + (1 - det) * pow({cofactor}, -1, mod)) % mod",
-        f"return {_rows(a)}",
+        f"    det = ({det}) % mod",
+        f"if det != 1 or pow(scalar, {n}, mod) != 1:",
+        '    raise InputError("determinant is not 1 in the ring")',
+        f"{', '.join(flat)} = {', '.join(f'scalar * {x} % mod' for x in flat)}",
+        f"return closed(ring, {_rows(a, True)}), r",
     ]
+
+
+def emit_scale(n):
+    """scale(c, e, mod): the rows of c times e, reduced."""
+    a = _names(n)
+    out = [[f"c * {x} % mod" for x in row] for row in a]
+    return "c, e, mod", [f"{_rows(a)} = e", f"return {_rows(out, True)}"]
+
+
+def emit_scalar(n):
+    """scalar(e, mod): z in [0, mod) with e = z * 1 mod `mod`, else None."""
+    a, every = _names(n), range(n)
+    tests = [f"({a[i][j]} - a00) % mod" if i == j else f"{a[i][j]} % mod"
+             for i in every for j in every if i or j]
+    body = [f"if {' or '.join(tests)}:", "    return None"] if n > 1 else []
+    return "e, mod", [f"{_rows(a)} = e", *body, "return a00 % mod"]
 
 
 def emit_unpack(n):

@@ -4,6 +4,7 @@ SLMat values are immutable, canonically reduced and of determinant 1.
 SLMat(...) and from_rows certify their rows, so nothing outside SL_n enters
 through the public surface; mat_mul, mat_inv and the diagram symmetry are
 closed on certified operands, and scalar_mul checks c^n = det(c * x) = 1.
+The principal sampler's kernel (see quotients) certifies its own entries.
 Also here: the scalar central elements and group orders of SL_n(Z/p^e).
 """
 
@@ -13,7 +14,7 @@ import weakref
 from dataclasses import dataclass
 
 from .errors import InputError
-from .kernels import Kernels, emit_adj, emit_det, emit_mul, emit_reduce
+from .kernels import Kernels, emit_adj, emit_det, emit_mul, emit_reduce, emit_scale
 from .rings import ResidueRing, factorize, is_prime, unit_of_order
 
 
@@ -55,6 +56,11 @@ def _mul_rows(xe, ye, mod):
     )
 
 
+def _scale_rows(c, e, mod):
+    """Entries of c times a row tuple, reduced mod `mod`."""
+    return tuple([tuple([c * v % mod for v in r]) for r in e])
+
+
 def _adj_rows(e, mod):
     """Adjugate of integer rows, reduced mod `mod`, by Bareiss cofactors."""
     rows = [list(r) for r in e]
@@ -72,8 +78,10 @@ class SLMat:
     checks on every matrix built from rows, untrusted input included; the
     determinant is the generated kernel for n up to GENERATED_MAX_N (see
     the kernels module).  from_rows reduces its rows itself and runs the
-    shape and determinant checks in one generated kernel; only mat_mul,
-    mat_inv, scalar_mul and the diagram symmetry use _closed unchecked.
+    shape and determinant checks in one generated kernel, and so does the
+    principal sampler's kernel (see quotients), before each builds through
+    _closed; only mat_mul, mat_inv, scalar_mul and the diagram symmetry
+    use _closed unchecked.
     """
 
     ring: ResidueRing
@@ -118,6 +126,7 @@ _DET = Kernels(emit_det, _bareiss)
 _MUL = Kernels(emit_mul, _mul_rows)
 _ADJ = Kernels(emit_adj, _adj_rows)
 _REDUCE = Kernels(emit_reduce, _reduce_rows, closed=SLMat._closed)
+_SCALE = Kernels(emit_scale, _scale_rows)
 
 
 def from_rows(rows, ring: ResidueRing) -> SLMat:
@@ -159,10 +168,10 @@ def mat_inv(x: SLMat) -> SLMat:
 
 def scalar_mul(c: int, x: SLMat) -> SLMat:
     """c * x for a scalar with c^n = 1, the determinant of c * x."""
-    mod = x.ring.modulus
-    if pow(c, len(x.entries), mod) != 1:
+    mod, e = x.ring.modulus, x.entries
+    if pow(c, len(e), mod) != 1:
         raise InputError("determinant is not 1 in the ring")
-    return SLMat._closed(x.ring, tuple([tuple([c * v % mod for v in r]) for r in x.entries]))
+    return SLMat._closed(x.ring, _SCALE[len(e)](c, e, mod))
 
 
 def elementary(n: int, i: int, j: int, t: int, ring: ResidueRing) -> SLMat:

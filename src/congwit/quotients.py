@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError, json_int, json_int_list
-from .kernels import Kernels, emit_principal, emit_unpack
+from .kernels import Kernels, emit_principal, emit_scalar, emit_unpack
 from .matrices import (
     SLMat,
     _det_int,
@@ -69,8 +68,6 @@ class Component:
         self.n, self.place, self.e, self.ring = n, place, ring.e, ring
         # one object per (n, ring), shared by every quotient over the ring
         self.identity = identity(n, ring)
-        # the identity's entries, row-major, for the principal predicates
-        self.flat_identity = [int(i == j) for i in range(n) for j in range(n)]
 
 
 class LocalCondition:
@@ -79,11 +76,13 @@ class LocalCondition:
     A subclass names its `kind` and the least level exponent `depth` it
     needs at its place.  A quotient calls setup(component) once per
     component, then passes that component to member, local_order, sample,
-    draw_space and generators.  sample(c, r) takes its draws as digits of
-    the integer r (see FiniteQuotientGroup.sample) and returns the member
-    with what is left of r; draw_space(c) is the product of the radices on
-    its longest draw sequence.  The JSON form is the kind plus the fields,
-    read back by CONDITION_OF_KIND[kind].from_json(doc, n).
+    draw_space and generators; setup keeps there what they read, such as
+    the principal kernel's step and span (see _principal_setup).
+    sample(c, r) takes its draws as digits of the integer r (see
+    FiniteQuotientGroup.sample) and returns the member with what is left
+    of r; draw_space(c) is the product of the radices on its longest draw
+    sequence.  The JSON form is the kind plus the fields, read back by
+    CONDITION_OF_KIND[kind].from_json(doc, n).
     """
 
     def setup(self, c: Component) -> None:
@@ -123,7 +122,10 @@ class Full(LocalCondition):
 
 @dataclass(frozen=True)
 class Principal(LocalCondition):
-    """g = 1 mod p^depth."""
+    """g = 1 mod p^depth: the scalar kernel for n (see _SCALAR) finds g =
+    z * 1 mod p^depth, with z = 1.  A sample is 1 + p^depth * X, drawn,
+    repaired to determinant 1 and certified by the principal kernel for n
+    (see _PRINCIPAL); the identity when depth is e."""
 
     kind = "principal"
     depth: int
@@ -133,11 +135,10 @@ class Principal(LocalCondition):
             raise InputError("depth and order must be >= 1")
 
     def setup(self, c):
-        c.mod = c.place.p**self.depth
+        _principal_setup(c, self.depth)
 
     def member(self, c, g) -> bool:
-        mod = c.mod
-        return [x % mod for row in g.entries for x in row] == c.flat_identity
+        return _SCALAR[c.n](g.entries, c.mod) == 1
 
     def local_order(self, c) -> int:
         return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth))
@@ -145,11 +146,10 @@ class Principal(LocalCondition):
     def sample(self, c, r) -> tuple[SLMat, int]:
         if self.depth == c.e:
             return c.identity, r
-        rows, r = _principal_rows(r, c, self.depth)
-        return from_rows(rows, c.ring), r
+        return _PRINCIPAL[c.n](r, c.span, c.mod, 1, c.ring)
 
     def draw_space(self, c) -> int:
-        return _principal_space(c, self.depth)
+        return c.span ** (c.n * c.n)
 
     def generators(self, c) -> list[SLMat]:
         return _principal_generators(c.n, c.ring, self.depth)
@@ -158,7 +158,10 @@ class Principal(LocalCondition):
 @dataclass(frozen=True)
 class CentralPrincipal(LocalCondition):
     """g = z * 1 mod p^depth with z^order = 1: the principal kernel times the
-    canonical central subgroup of that order, which must exist at the place."""
+    canonical central subgroup of that order, which must exist at the place.
+    The scalar kernel for n (see _SCALAR) finds z; a sample draws k from
+    range(order), then is a Principal(depth) sample times unit^k, scaled in
+    the principal kernel (see _PRINCIPAL)."""
 
     kind = "central_principal"
     order: int
@@ -182,29 +185,23 @@ class CentralPrincipal(LocalCondition):
                 "central elements of that order do not exist there"
             )
         c.unit = unit_of_order(m, p, c.e)
-        c.mod = p**self.depth
+        c.scalars = [pow(c.unit, k, c.ring.modulus) for k in range(m)]
+        _principal_setup(c, self.depth)
 
     def member(self, c, g) -> bool:
         # a scalar mod p^depth with an m-torsion unit
-        mod = c.mod
-        flat = [x % mod for row in g.entries for x in row]
-        z = flat[0]
-        if pow(z, self.order, mod) != 1:
-            return False
-        return flat == [z * v for v in c.flat_identity]
+        z = _SCALAR[c.n](g.entries, c.mod)
+        return z is not None and pow(z, self.order, c.mod) == 1
 
     def local_order(self, c) -> int:
         return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth)) * self.order
 
     def sample(self, c, r) -> tuple[SLMat, int]:
-        # z^n = 1, so scaling keeps the determinant at 1
         r, k = divmod(r, self.order)
-        rows, r = _principal_rows(r, c, self.depth)
-        scalar = pow(c.unit, k, c.ring.modulus)
-        return from_rows([[v * scalar for v in row] for row in rows], c.ring), r
+        return _PRINCIPAL[c.n](r, c.span, c.mod, c.scalars[k], c.ring)
 
     def draw_space(self, c) -> int:
-        return self.order * _principal_space(c, self.depth)
+        return self.order * c.span ** (c.n * c.n)
 
     def generators(self, c) -> list[SLMat]:
         scalar = scalar_mul(c.unit, c.identity)
@@ -231,6 +228,7 @@ class Parabolic(LocalCondition):
 
     def setup(self, c):
         c.ops = None
+        _principal_setup(c, 1)
 
     def member(self, c, g) -> bool:
         return parabolic_membership(g, self.theta)
@@ -253,13 +251,13 @@ class Parabolic(LocalCondition):
     def sample(self, c, r) -> tuple[SLMat, int]:
         out, r = _random_word(r, self.sampler_ops(c), c.n, c.ring)
         if c.e > 1:
-            rows, r = _principal_rows(r, c, 1)
-            out = mat_mul(out, from_rows(rows, c.ring))
+            g, r = _PRINCIPAL[c.n](r, c.span, c.mod, 1, c.ring)
+            out = mat_mul(out, g)
         return out, r
 
     def draw_space(self, c) -> int:
         words = PARABOLIC_WORD_MAX * len(self.sampler_ops(c)) ** PARABOLIC_WORD_MAX
-        return words * _principal_space(c, 1)
+        return words * c.span ** (c.n * c.n)
 
     def generators(self, c) -> list[SLMat]:
         gens = parabolic_generators(self.theta, c.ring)
@@ -576,47 +574,41 @@ def _unpack_columns(cols, w, mask):
     return [[col >> s & mask for col in cols] for s in range(0, len(cols) * w, w)]
 
 
-def _principal_rows(r, c: Component, depth):
-    """Integer rows of 1 + p^depth * X with X random, determinant repaired
-    to 1 mod the component's modulus, and what is left of r; the identity
-    rows when depth is e.
-
-    det is affine in the (0, 0) entry with unit cofactor, so a single
-    correction lands the determinant on 1 without leaving the kernel shape.
-    The n^2 draws of X are row-major, each from range(p^(e - depth)); the
-    kernel for n (see _PRINCIPAL) adds 1 and repairs the determinant.
-    """
-    n, mod, p, e = c.n, c.ring.modulus, c.place.p, c.e
-    if e == depth:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)], r
-    step = p**depth
-    span = p ** (e - depth)
-    flat = []
-    for _ in range(n * n):
-        r, x = divmod(r, span)
-        flat.append(step * x)
-    return _PRINCIPAL[n](flat, mod), r
+def _principal_setup(c: Component, depth):
+    """The principal kernel's parameters at `depth` (see _PRINCIPAL): its
+    step, p^depth, which is also the principal predicates' modulus, and its
+    span, p^(e - depth)."""
+    p = c.place.p
+    c.mod, c.span = p**depth, p ** (c.e - depth)
 
 
-def _principal_space(c: Component, depth) -> int:
-    """The draw space of _principal_rows: n^2 draws from range(p^(e - depth))."""
-    return c.place.p ** ((c.e - depth) * c.n * c.n)
-
-
-def _repaired_rows(flat, mod):
-    """The rows of 1 + X for X's entries `flat`, row by row, with the (0, 0)
-    entry moved so that the determinant is 1 mod `mod`."""
-    n = math.isqrt(len(flat))
-    rows = [[x + (i == j) for j, x in enumerate(flat[i * n : (i + 1) * n])] for i in range(n)]
+def _principal_sample(n, r, span, step, scalar, ring):
+    """The principal kernel (see emit_principal) for any n: the rows of 1 +
+    step * X from n^2 digits, with the (0, 0) entry repaired, then scaled,
+    with from_rows' checks."""
+    mod, rows = ring.modulus, []
+    for i in range(n):
+        rows.append([])
+        for j in range(n):
+            r, x = divmod(r, span)
+            rows[i].append(step * x + (i == j))
     det = _det_int(rows) % mod
     if det != 1:
-        cof = _det_int([r[1:] for r in rows[1:]]) % mod
+        cof = _det_int([row[1:] for row in rows[1:]]) % mod if n > 1 else 1
         rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
-    return rows
+    return from_rows([[scalar * v for v in row] for row in rows], ring), r
 
 
-# the sampler kernels by n, generated up to GENERATED_MAX_N (see kernels)
-_PRINCIPAL = Kernels(emit_principal, _repaired_rows)
+def _scalar_of(e, mod):
+    """The scalar kernel (see emit_scalar) for any n: z with e = z * 1 mod
+    `mod`, else None."""
+    z = e[0][0] % mod
+    return z if all([x % mod == z * (i == j) for i, row in enumerate(e) for j, x in enumerate(row)]) else None
+
+
+# the sampler and predicate kernels by n, generated up to GENERATED_MAX_N (see kernels)
+_PRINCIPAL = Kernels(emit_principal, _principal_sample, sized=True, closed=SLMat._closed)
+_SCALAR = Kernels(emit_scalar, _scalar_of)
 _UNPACK = Kernels(emit_unpack, _unpack_columns)
 
 

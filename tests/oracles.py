@@ -3,9 +3,10 @@
 None of these is used by the package itself.  They build elements and
 counts by independent routes (quadratic integers and their residue maps,
 CRT and Hensel lifting, the longest Weyl element and its conjugator,
-transposes and reductions, integral SL_2 words, tuple inverses) that the
-tests compare with the package's own results, and the pair loop of the
-verifier recomputed in full.
+transposes and reductions, integral SL_2 words, tuple inverses, the
+principal predicates as comprehensions) that the tests compare with the
+package's own results, and the pair loop of the verifier recomputed in
+full.
 """
 
 from __future__ import annotations
@@ -209,6 +210,23 @@ def borel(n: int) -> RootSubset:
 def parabolic_full(n: int) -> RootSubset:
     """theta = all simple roots: the whole group as a degenerate parabolic."""
     return root_subset(n, range(1, n))
+
+
+def principal_member(g: SLMat, mod: int) -> bool:
+    """Principal.member as a comprehension: g = 1 mod `mod`."""
+    n = len(g.entries)
+    return [x % mod for row in g.entries for x in row] == [int(i == j) for i in range(n) for j in range(n)]
+
+
+def central_principal_member(g: SLMat, mod: int, order: int) -> bool:
+    """CentralPrincipal.member as a comprehension: g = z * 1 mod `mod` with
+    z^order = 1."""
+    n = len(g.entries)
+    flat = [x % mod for row in g.entries for x in row]
+    z = flat[0]
+    if pow(z, order, mod) != 1:
+        return False
+    return flat == [z * int(i == j) for i in range(n) for j in range(n)]
 
 
 def tuple_inv(x):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -85,6 +86,16 @@ def test_mul_and_inv_kernels_match_reference(ring, n, rng):
         y = random_sl(n, ring, rng)
         assert mat_mul(x, y).entries == _reference_mul(x, y)
         assert mat_inv(x).entries == _reference_adjugate(x)
+
+
+@pytest.mark.parametrize("n", range(1, GENERATED_MAX_N + 2))
+def test_scale_kernel_matches_reference(n, rng):
+    for ring in KERNEL_RINGS:
+        mod, p = ring.modulus, ring.p
+        z = unit_of_order(math.gcd(n, p - 1), p, ring.e)
+        x = random_sl(n, ring, rng)
+        for c in sorted({pow(z, k, mod) for k in range(n)}):
+            assert scalar_mul(c, x).entries == tuple(tuple(c * v % mod for v in row) for row in x.entries)
 
 
 def _square(n):

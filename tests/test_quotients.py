@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congwit.errors import InputError
+from congwit.kernels import GENERATED_MAX_N
 from congwit.matrices import (
     SLMat,
     _bareiss,
@@ -37,7 +39,9 @@ from congwit.quotients import (
     Full,
     Parabolic,
     Principal,
+    _PRINCIPAL,
     _column_ops,
+    _principal_sample,
     _random_word,
     central_element,
     central_presence,
@@ -58,7 +62,15 @@ from congwit.serialize import bundle_from_json, bundle_to_json
 from congwit import twists
 from congwit.twists import child_seed, verify_iso
 
-from oracles import longest_weyl, minus_identity, reduce_mat, sl2_word_image_order, tuple_inv
+from oracles import (
+    central_principal_member,
+    longest_weyl,
+    minus_identity,
+    principal_member,
+    reduce_mat,
+    sl2_word_image_order,
+    tuple_inv,
+)
 
 V5 = rational_place(5)
 V7 = rational_place(7)
@@ -524,7 +536,9 @@ def _sampler_cases():
     Principal(d <= e), every CentralPrincipal(m > 1 dividing gcd(n, p - 1))
     and two Parabolic root subsets, over n in 2..6, p in {3, 5, 7} and
     e in 1..4; n = 2 reaches the elementary word's own loop, and each n
-    its own generated principal and unpack kernels.
+    its own generated principal and unpack kernels.  At n = 9, above
+    GENERATED_MAX_N, the generic kernels: Principal, CentralPrincipal of
+    order 3 and one Parabolic at p = 7.
 
     e = 4 is needed at depth 1: an error of p^(2 depth) in the (0, 0)
     cofactor moves the repaired entry only by a multiple of p^(3 depth)."""
@@ -539,6 +553,11 @@ def _sampler_cases():
                             yield n, p, e, CentralPrincipal(m, d)
                 yield n, p, e, Parabolic(root_subset(n, ()))
                 yield n, p, e, Parabolic(root_subset(n, range(2, n)))
+    for e in (1, 2):
+        for d in range(1, e + 1):
+            yield 9, 7, e, Principal(d)
+            yield 9, 7, e, CentralPrincipal(3, d)
+    yield 9, 7, 2, Parabolic(root_subset(9, (1, 3, 4, 6, 7, 8)))
 
 
 def test_component_samplers_are_draw_identical_beyond_the_presets():
@@ -555,7 +574,71 @@ def test_component_samplers_are_draw_identical_beyond_the_presets():
             g, rest = cond.sample(c, r)
             assert (g,) == _ref_components(q, theirs), (n, p, e, cond, seed)
             assert rest == theirs.r, (n, p, e, cond, seed)
-    assert {(n, "CentralPrincipal") for n in (2, 3, 4, 6)} <= kinds
+    assert {(n, "CentralPrincipal") for n in (2, 3, 4, 6, 9)} <= kinds
+    assert (9, "Parabolic") in kinds
+
+
+# every generated n, and the first n above the cap, which takes the generic path
+@pytest.mark.parametrize("n", range(1, GENERATED_MAX_N + 2))
+def test_principal_kernel_matches_the_generic_path(n):
+    for p in (3, 5, 7):
+        for e in (2, 3):
+            ring = residue_ring(p, e)
+            mod = ring.modulus
+            scalars = {1, unit_of_order(math.gcd(n, p - 1), p, e)}  # z^n = 1
+            for d in range(1, e):
+                span, step = p ** (e - d), p**d
+                nbytes = ((span ** (n * n)).bit_length() + 64 + 7) // 8
+                for scalar in sorted(scalars):
+                    for seed in range(6):
+                        r = _stream(seed, nbytes)
+                        ours = _PRINCIPAL[n](r, span, step, scalar, ring)
+                        assert ours == _principal_sample(n, r, span, step, scalar, ring), (p, e, d, scalar)
+                        assert SLMat(ring, ours[0].entries) == ours[0]
+            bad = next(z for z in range(2, mod) if pow(z, n, mod) != 1)
+            for kernel in (_PRINCIPAL[n], functools.partial(_principal_sample, n)):
+                with pytest.raises(InputError, match="^determinant is not 1 in the ring$"):
+                    kernel(_stream(0, 64), p, p ** (e - 1), bad, ring)
+
+
+@pytest.mark.parametrize("n", range(1, GENERATED_MAX_N + 2))
+def test_scalar_kernel_predicates_match_the_comprehensions(n):
+    # z * 1 + p^depth * X for every unit z of order dividing p - 1 and the
+    # non-unit p, then each with one entry off by 1, by p^(depth - 1) (near
+    # misses) or by p^depth; the predicates read entries only, so the
+    # near misses need not have determinant 1
+    rng = random.Random(n)
+    seen = Counter()
+    for p, e, depth in ((3, 3, 1), (5, 2, 1), (7, 3, 2)):
+        place, ring = rational_place(p), residue_ring(p, e)
+        mod, step = ring.modulus, p**depth
+        orders = [m for m in range(1, n + 1) if n % m == 0 and (p - 1) % m == 0]
+        conds = [Principal(depth)] + [CentralPrincipal(m, depth) for m in orders]
+        components = []
+        for cond in conds:
+            components.append(Component(n, place, ring))
+            cond.setup(components[-1])
+        root = unit_of_order(p - 1, p, e)
+        for z in [pow(root, k, mod) for k in range(p - 1)] + [p]:
+            span = p ** (e - depth)
+            base = [[z * (i == j) + step * rng.randrange(span) for j in range(n)] for i in range(n)]
+            cases = [base]
+            for i in range(n):
+                for j in range(n):
+                    for delta in {1, p ** (depth - 1), step}:
+                        rows = [row[:] for row in base]
+                        rows[i][j] += delta
+                        cases.append(rows)
+            for rows in cases:
+                g = SLMat._closed(ring, tuple(tuple(x % mod for x in row) for row in rows))
+                for cond, c in zip(conds, components):
+                    if isinstance(cond, Principal):
+                        want = principal_member(g, step)
+                    else:
+                        want = central_principal_member(g, step, cond.order)
+                    assert cond.member(c, g) == want, (p, e, cond, g)
+                    seen[type(cond).__name__, want] += 1
+    assert all(seen[kind, want] for kind in ("Principal", "CentralPrincipal") for want in (True, False))
 
 
 def test_longest_draw_sequence_leaves_2_64_of_the_stream_unread():
@@ -714,7 +797,7 @@ def test_identity_is_built_once():
 
 
 # ---------------------------------------------------------------------------
-# member against the per-entry predicate it replaced
+# member against the comprehension predicates it replaced
 
 
 def _ref_member(q, g):
@@ -724,16 +807,10 @@ def _ref_member(q, g):
         if not isinstance(comp, SLMat) or comp.ring != ring or comp.n != q.n:
             return False
         mod = place.p**cond.depth
-        ents = comp.entries
         if isinstance(cond, Principal):
-            ok = all(
-                ents[i][j] % mod == (1 if i == j else 0) for i in range(q.n) for j in range(q.n)
-            )
+            ok = principal_member(comp, mod)
         else:
-            z = ents[0][0] % mod
-            ok = pow(z, cond.order, mod) == 1 and all(
-                ents[i][j] % mod == (z if i == j else 0) for i in range(q.n) for j in range(q.n)
-            )
+            ok = central_principal_member(comp, mod, cond.order)
         if not ok:
             return False
     return True

@@ -5,10 +5,12 @@
 Runs one fixed set of `congwit` invocations in this checkout and in
 PARENT_DIR, each as `python3 -m congwit.cli ...` with PYTHONPATH=<dir>/src
 and its own empty working directory, and compares exit codes, stdout,
-stderr and the files each run writes.  Every run that differs is printed
-with its differences; the exit code is 1 if any run differs, else 0.
+stderr and the files each run writes.  A run whose stderr holds a Python
+traceback on either side counts as differing, even where the two sides
+agree.  Every run that differs is printed with its differences; the exit
+code is 1 if any run differs, else 0.
 
-The set is 46 runs.  Thirty-five compare a change with its parent on
+The set is 47 runs.  Thirty-six compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -24,6 +26,9 @@ ordinary inputs:
   - `verify-iso` (--samples 300 --seed 3) and `obstruct` on the saved
     method-b document re-levelled to 5^2 at p5, the runs in which a
     parabolic condition sits above level 1;
+  - `verify-iso` (--samples 400 --seed 3) on the saved method-b document
+    with conditions2 = conditions1, where the diagram symmetry at p7 is
+    refuted with a membership-failure count that depends on the draws;
   - `verify-iso` on a missing file.
 Eleven edge runs follow: nine witness inputs that a constructor refuses, and
 `obstruct` on two documents derived from the saved ones that hold an
@@ -45,6 +50,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 PRESETS = ("method-a", "method-b", "method-c", "s16")
 TIMING = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)
+TRACEBACK = "Traceback (most recent call last)"
 
 
 def _full_at_p17a(cwd: Path):
@@ -69,6 +75,15 @@ def _method_b_at_25(cwd: Path):
     doc["bundle"]["level"]["p5"] = 2
     doc["bundle"]["separating_element"]["p5"]["modulus"] = 25
     (cwd / "method-b-25.json").write_text(json.dumps(doc))
+
+
+def _method_b_self_twist(cwd: Path):
+    """method-b with conditions2 = conditions1, twisted by the diagram
+    symmetry at p7, which carries theta = {2, 3} onto {1, 2}, not onto itself."""
+    doc = json.loads((cwd / "method-b.json").read_text())
+    doc["bundle"]["conditions2"] = doc["bundle"]["conditions1"]
+    doc["bundle"]["iso"] = {"kind": "graph_automorphism", "place": "p7"}
+    (cwd / "method-b-self.json").write_text(json.dumps(doc))
 
 
 def runs() -> list[tuple[str, list[str], object]]:
@@ -113,6 +128,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     argv = ["verify-iso", "method-b-25.json", "--samples", "300", "--seed", "3"]
     out.append(("verify-iso method-b-25.json", argv, _method_b_at_25))
     out.append(("obstruct method-b-25.json", ["obstruct", "method-b-25.json"], _method_b_at_25))
+    argv = ["verify-iso", "method-b-self.json", "--samples", "400", "--seed", "3"]
+    out.append(("verify-iso method-b-self.json", argv, _method_b_self_twist))
     out.append(("verify-iso missing file", ["verify-iso", "missing.json"], None))
     # edge runs
     for flags in (
@@ -170,7 +187,7 @@ def compare(parent: Path) -> list[tuple[str, dict, dict]]:
                 before = {p.name: p.read_bytes() for p in cwd.iterdir()}
                 started.append((_start(checkout, cwd, argv), cwd, before))
             old, new = (_outcome(proc, cwd, before, argv) for proc, cwd, before in started)
-            if old != new:
+            if old != new or any(TRACEBACK in side["stderr"] for side in (old, new)):
                 differing.append((name, old, new))
     return differing
 
@@ -179,6 +196,9 @@ def _show(name: str, old: dict, new: dict):
     print(f"DIFFERS: {name}")
     if old["exit"] != new["exit"]:
         print(f"  exit: parent {old['exit']}, change {new['exit']}")
+    for side, outcome in (("parent", old), ("change", new)):
+        if TRACEBACK in outcome["stderr"]:
+            print(f"  traceback in the {side}: {outcome['stderr'].splitlines()[-1]}")
     texts = [(key, old[key], new[key]) for key in ("stdout", "stderr")]
     for fname in sorted(set(old["files"]) | set(new["files"])):
         a, b = (side["files"].get(fname, b"").decode(errors="replace") for side in (old, new))
