@@ -1,6 +1,7 @@
-"""Straight-line matrix kernels, written as Python source for each n and
-compiled at first use.  A kernel keeps every entry in a local, a{r}{c} or
-b{r}{c} with one digit per index, and unrolls every loop: up to Python 3.11
+"""Straight-line matrix kernels, written as Python source for each n, or
+for each generator table for the parabolic word, and compiled at first
+use.  A kernel keeps every entry in a local, a{r}{c} or b{r}{c} with one
+digit per index, and unrolls every loop but the word's: up to Python 3.11
 each comprehension runs in a frame of its own."""
 
 from __future__ import annotations
@@ -26,14 +27,19 @@ class Kernels(dict):
     def __missing__(self, n):
         kernel = functools.partial(self.generic, n) if self.sized else self.generic
         if 0 < n <= GENERATED_MAX_N:  # an empty determinant would read as 1
-            params, body = self.emit(n)
             name = f"{self.emit.__name__.removeprefix('emit_')}_{n}"
-            source = "\n    ".join([f"def {name}({params}):", *body])
-            namespace = {"InputError": InputError, **self.names}
-            exec(compile(source, "<generated>", "exec"), namespace)
-            kernel = namespace[name]
+            kernel = compiled(name, *self.emit(n), **self.names)
         self[n] = kernel
         return kernel
+
+
+def compiled(name, params, body, **names):
+    """The function `name` of the given parameters and body lines, compiled
+    with InputError and `names` in its globals."""
+    source = "\n    ".join([f"def {name}({params}):", *body])
+    namespace = {"InputError": InputError, **names}
+    exec(compile(source, "<generated>", "exec"), namespace)
+    return namespace[name]
 
 
 class Minors:
@@ -174,10 +180,70 @@ def emit_scalar(n):
     return "e, mod", [f"{_rows(a)} = e", *body, "return a00 % mod"]
 
 
-def emit_unpack(n):
-    """unpack(cols, w, mask): the rows of n columns packed w bits per entry,
-    row r of a column in bits [r*w, (r+1)*w)."""
-    cols = [f"c{k}" for k in range(n)]
-    out = [[f"{c} >> w{r} & mask" if r else f"{c} & mask" for c in cols] for r in range(n)]
-    shifts = [f"w{r} = {r} * w" for r in range(1, n)]
-    return "cols, w, mask", [f"[{', '.join(cols)}] = cols", *shifts, f"return {_rows(out, True)}"]
+def _weyl_signs(n):
+    """Row signs s of w0 = diag(s) * J: -1 on row 0 iff the reversal J is odd."""
+    return (-1 if (n * (n - 1) // 2) % 2 == 1 else 1,) + (1,) * (n - 1)
+
+
+def emit_graph(n, signs=None):
+    """graph(e, mod): the rows of the diagram symmetry (see parabolics),
+    out[i][j] = s_i * s_j * adj(e)[n-1-j][n-1-i] reduced, for w0's row
+    signs s or the given `signs`.  Each sign is folded into its cofactor's
+    expansion, and the cofactors share minors as in emit_adj."""
+    m, every, s = Minors(), tuple(range(n)), signs or _weyl_signs(n)
+    drop = [every[:k] + every[k + 1 :] for k in every]
+    # row n-1-i is dropped: expand along last rows when it is in the lower half, as emit_adj does
+    out = [[f"({m.expand(drop[-1 - i], drop[-1 - j], 2 * i < n - 1, s[i] * s[j] * (-1) ** (i + j))}) % mod"
+            for j in every] for i in every]
+    return "e, mod", [f"{_rows(_names(n))} = e", *m.lines, f"return {_rows(out, True)}"]
+
+
+def emit_graph_inverse(n):
+    """graph_inverse(e, mod): emit_graph with w0's row signs reversed."""
+    return emit_graph(n, _weyl_signs(n)[::-1])
+
+
+@functools.cache
+def word_kernel(n, ops, mod, max_len):
+    """The word kernel that emit_word writes, compiled once per process for
+    each (n, ops, modulus, max_len)."""
+    return compiled("word", *emit_word(n, ops, mod, max_len))
+
+
+def emit_word(n, ops, mod, max_len):
+    """word(r): the unreduced rows of a product of 1 to max_len generators,
+    and what is left of r.  ops[g] lists generator g's column operations (c,
+    ((k, a_k), ...)): column c becomes sum_k a_k * column k, a_k in [0, mod)
+    (see quotients._column_ops).  The draws are the length, from
+    range(max_len), then g per factor, from range(len(ops)), dispatched by
+    an if-tree.  Only integers enter the source, through int() and format
+    codes.  The word is kept as packed columns c0..c{n-1}, row r of one in
+    bits [r*w, (r+1)*w) for w = max_len * (n * mod).bit_length(); a factor
+    is one tuple assignment of the columns it moves, so one multiply-add of
+    whole integers per term acts on every row at once.  Fields never carry
+    or borrow: a factor multiplies the largest entry by less than n * mod,
+    so every entry stays below (n * mod)^max_len <= 2^w."""
+    w, count = max_len * (int(n) * int(mod)).bit_length(), len(ops)
+
+    def tree(lo, hi, pad):  # the factor for lo <= g < hi
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            return [f"{pad}if g < {mid}:", *tree(lo, mid, pad + "    "),
+                    f"{pad}else:", *tree(mid, hi, pad + "    ")]
+        sums = [" + ".join(f"c{int(k)}" if a == 1 else f"{int(a)} * c{int(k)}" for k, a in terms)
+                for _, terms in ops[lo]]
+        columns = ", ".join(f"c{int(c)}" for c, _ in ops[lo])
+        return [f"{pad}{columns} = {', '.join(sums)}" if ops[lo] else f"{pad}pass"]
+
+    mask, cols = (1 << w) - 1, [f"c{k}" for k in range(n)]
+    # the last row lies in the top bits, with nothing above it to mask off
+    rows = [[(f"{c} >> {r * w}" if r else c) + f" & {mask:#x}" * (r < n - 1) for c in cols]
+            for r in range(n)]
+    return "r", [
+        f"r, length = divmod(r, {int(max_len)})",
+        f"{', '.join(cols)} = {', '.join(f'{1 << k * w:#x}' for k in range(n))}",
+        "for _ in range(length + 1):",
+        f"    r, g = divmod(r, {count})",
+        *tree(0, count, "    "),
+        f"return {_rows(rows, True)}, r",
+    ]

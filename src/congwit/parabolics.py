@@ -12,11 +12,12 @@ lines each fixes, a count invariant under conjugation in SL_n(F_p).  That
 count is read off the first block: P_theta fixes the line <e_1> when the
 first block has size 1 and no line otherwise (see fixed_lines).
 
-On matrices the symmetry is computed in one pass as a sign-permuted
-adjugate.  The longest Weyl element is w0 = S * J, with J the reversal and
-S = diag(s) its row signs (s_0 = -1 iff n(n-1)/2 is odd, all others +1), so
-w0^(-1) = J * S.  For det g = 1, (g^T)^(-1) = adj(g)^T, and conjugating by
-J reverses both indices, hence
+On matrices the symmetry is one generated kernel per n and direction, a
+sign-permuted adjugate with each sign folded into its cofactor (see
+kernels.emit_graph).  The longest Weyl element is w0 = S * J, with J the
+reversal and S = diag(s) its row signs (s_0 = -1 iff n(n-1)/2 is odd, all
+others +1), so w0^(-1) = J * S.  For det g = 1, (g^T)^(-1) = adj(g)^T,
+and conjugating by J reverses both indices, hence
 
     (w0 * (g^T)^(-1) * w0^(-1))[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i].
 
@@ -31,6 +32,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError
+from .kernels import Kernels, _weyl_signs, emit_graph, emit_graph_inverse
 from .matrices import _ADJ, SLMat
 from .rings import ResidueRing, smallest_primitive_root
 
@@ -138,40 +140,33 @@ def parabolic_generators(theta: RootSubset, ring: ResidueRing) -> list[SLMat]:
 # the diagram symmetry on matrices
 
 
-def _weyl_signs(n: int) -> tuple[int, ...]:
-    """Row signs S of w0 = S * J: -1 on row 0 iff the reversal J is odd."""
-    return (-1 if (n * (n - 1) // 2) % 2 == 1 else 1,) + (1,) * (n - 1)
-
-
 def graph_automorphism(g: SLMat) -> SLMat:
     """The outer automorphism of SL_n: g -> w0 * (g^T)^(-1) * w0^(-1).
 
     Swaps P_theta and P_{s(theta)} and preserves the standard Borel; works
     over Z/p^e for every level e.  It is the signed, index-reversed adjugate
-    with w0's row signs (see the module docstring).
+    with w0's row signs (see the module docstring), one kernel per n.
     """
-    return _signed_reversed_adjugate(g, _weyl_signs(g.n))
+    return SLMat._closed(g.ring, _GRAPH[len(g.entries)](g.entries, g.ring.modulus))
 
 
 def graph_automorphism_inverse(g: SLMat) -> SLMat:
     """Inverse of graph_automorphism: g -> ((w0^(-1) * g * w0)^T)^(-1), the
     same adjugate with the signs reversed (see the module docstring)."""
-    return _signed_reversed_adjugate(g, _weyl_signs(g.n)[::-1])
+    return SLMat._closed(g.ring, _GRAPH_INVERSE[len(g.entries)](g.entries, g.ring.modulus))
 
 
-def _signed_reversed_adjugate(g: SLMat, s) -> SLMat:
-    """out[i][j] = s_i * s_j * adj(g)[n-1-j][n-1-i]; s and the reversal enter twice: det 1.
+def _signed_reversed_adjugate(e, mod, inverse=False):
+    """The rows s_i * s_j * adj(e)[n-1-j][n-1-i] for w0's row signs s,
+    reversed when `inverse`: the symmetry for any n (see emit_graph)."""
+    n, adj = len(e), _ADJ[len(e)](e, mod)
+    s = _weyl_signs(n)[:: -1 if inverse else 1]
+    return tuple([tuple([s[i] * s[j] * adj[-1 - j][-1 - i] % mod for j in range(n)]) for i in range(n)])
 
-    The reversed transpose is two slices of the reduced adjugate; the sign
-    pass runs only when a sign is -1, that is when n(n-1)/2 is odd.
-    """
-    mod, e = g.ring.modulus, g.entries
-    rows = tuple(zip(*_ADJ[len(e)](e, mod)[::-1]))[::-1]
-    if -1 in s:
-        rows = tuple(
-            [tuple([si * sj * v % mod for sj, v in zip(s, row)]) for si, row in zip(s, rows)]
-        )
-    return SLMat._closed(g.ring, rows)
+
+# the diagram symmetry and its inverse by n, generated up to GENERATED_MAX_N (see kernels)
+_GRAPH = Kernels(emit_graph, _signed_reversed_adjugate)
+_GRAPH_INVERSE = Kernels(emit_graph_inverse, functools.partial(_signed_reversed_adjugate, inverse=True))
 
 
 def fixed_lines(theta: RootSubset) -> int:

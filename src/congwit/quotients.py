@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError, json_int, json_int_list
-from .kernels import Kernels, emit_principal, emit_scalar, emit_unpack
+from .kernels import Kernels, emit_principal, emit_scalar, word_kernel
 from .matrices import (
     SLMat,
     _det_int,
@@ -227,7 +227,7 @@ class Parabolic(LocalCondition):
         return cls(root_subset(n, theta))
 
     def setup(self, c):
-        c.ops = None
+        c.word = None
         _principal_setup(c, 1)
 
     def member(self, c, g) -> bool:
@@ -241,15 +241,21 @@ class Parabolic(LocalCondition):
         gens = parabolic_generators(self.theta, c.ring)
         return gens + [mat_inv(g) for g in gens]
 
-    def sampler_ops(self, c) -> list[tuple]:
-        """sampler_gens as column operations (see _column_ops), built at the
-        first sample, so that quotients never sampled never build them."""
-        if c.ops is None:
-            c.ops = [_column_ops(g) for g in self.sampler_gens(c)]
+    def sampler_ops(self, c) -> tuple:
+        """sampler_gens as column operations (see _column_ops), built per
+        component at the first sample, so that quotients never sampled never
+        build them, and c.word, the word kernel of the table (see
+        word_kernel), shared by every component with an equal one."""
+        if c.word is None:
+            c.ops = tuple(_column_ops(g) for g in self.sampler_gens(c))
+            c.word = word_kernel(c.n, c.ops, c.ring.modulus, PARABOLIC_WORD_MAX)
         return c.ops
 
     def sample(self, c, r) -> tuple[SLMat, int]:
-        out, r = _random_word(r, self.sampler_ops(c), c.n, c.ring)
+        if c.word is None:
+            self.sampler_ops(c)
+        rows, r = c.word(r)
+        out = from_rows(rows, c.ring)  # certifies the word
         if c.e > 1:
             g, r = _PRINCIPAL[c.n](r, c.span, c.mod, 1, c.ring)
             out = mat_mul(out, g)
@@ -402,7 +408,7 @@ class FiniteQuotientGroup:
         """Bytes of shake_128 output a sample reads: each condition's draw
         space in bits, summed over the components, plus 64 bits.  Computed
         at the first sample, so that quotients never sampled never build
-        their parabolic sampler_ops."""
+        their parabolic sampler_ops or look up its word kernel."""
         spaces = (cond.draw_space(c) for cond, c in zip(self.conditions, self.components))
         bits = sum((space - 1).bit_length() for space in spaces)
         return (bits + 64 + 7) // 8
@@ -524,56 +530,6 @@ def _column_ops(g: SLMat) -> tuple:
     return tuple(ops)
 
 
-def _random_word(r, ops, n, ring):
-    """A product of 1 to PARABOLIC_WORD_MAX generators, certified once, and
-    what is left of r.
-
-    `ops` holds each generator's _column_ops.  The word starts from the
-    identity and is kept as n packed columns, one integer each: row r of a
-    column sits in bits [r*w, (r+1)*w) for w = PARABOLIC_WORD_MAX *
-    (n * mod).bit_length().  A factor recomputes only the columns its
-    generator moves, all from the columns before it, as sum_k a_k * C[k],
-    which is one multiply-add of whole integers per term and acts on every
-    field at once.  Nothing is reduced until the end: the word is unpacked
-    by the kernel for n (see _UNPACK) and reduced once by from_rows, which
-    gives exactly the reduced dense product.
-
-    Fields never carry or borrow.  The coefficients a_k are reduced entries,
-    in [0, mod), and at most n of them make a column, so each factor
-    multiplies the largest entry by less than n * mod; the identity's
-    entries are at most 1, so after at most PARABOLIC_WORD_MAX factors every
-    entry is a nonnegative integer below (n * mod)^PARABOLIC_WORD_MAX
-    <= 2^w.
-
-    The draws are the length, from range(PARABOLIC_WORD_MAX), then one
-    generator per factor, from range(len(ops)).
-    """
-    count = len(ops)
-    w = PARABOLIC_WORD_MAX * (n * ring.modulus).bit_length()
-    cols = [1 << (c * w) for c in range(n)]
-    r, length = divmod(r, PARABOLIC_WORD_MAX)
-    for _ in range(length + 1):
-        r, g = divmod(r, count)
-        op = ops[g]
-        # a generator that moves several columns reads them all before it
-        old = cols if len(op) == 1 else cols[:]
-        for c, terms in op:
-            if len(terms) == 2:
-                (k, a), (l, b) = terms
-                cols[c] = a * old[k] + b * old[l]
-            elif len(terms) == 1:
-                ((k, a),) = terms
-                cols[c] = a * old[k]
-            else:
-                cols[c] = sum(a * old[k] for k, a in terms)
-    return from_rows(_UNPACK[n](cols, w, (1 << w) - 1), ring), r
-
-
-def _unpack_columns(cols, w, mask):
-    """The rows of packed columns, row r of a column in bits [r*w, (r+1)*w)."""
-    return [[col >> s & mask for col in cols] for s in range(0, len(cols) * w, w)]
-
-
 def _principal_setup(c: Component, depth):
     """The principal kernel's parameters at `depth` (see _PRINCIPAL): its
     step, p^depth, which is also the principal predicates' modulus, and its
@@ -609,7 +565,6 @@ def _scalar_of(e, mod):
 # the sampler and predicate kernels by n, generated up to GENERATED_MAX_N (see kernels)
 _PRINCIPAL = Kernels(emit_principal, _principal_sample, sized=True, closed=SLMat._closed)
 _SCALAR = Kernels(emit_scalar, _scalar_of)
-_UNPACK = Kernels(emit_unpack, _unpack_columns)
 
 
 def central_element(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> tuple[SLMat, ...]:

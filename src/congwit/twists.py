@@ -53,8 +53,8 @@ class QuotientIso:
 
     One subclass per twist kind supplies the image of a member (`_image`)
     and the inverse twist (`invert`).  The JSON form is the kind plus each
-    field after source and target that has no default: a place by its
-    label, an integer as it is.
+    field after source and target, a field with a default only where it
+    differs from it: a place by its label, an integer or a bool as it is.
     """
 
     source: FiniteQuotientGroup
@@ -68,24 +68,28 @@ class QuotientIso:
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
-        for f in _json_fields(type(self)):
+        for f in fields(self)[2:]:
             value = getattr(self, f.name)
-            doc[f.name] = value.label if f.type == "PrimePlace" else value
+            if f.default is MISSING or value != f.default:
+                doc[f.name] = value.label if f.type == "PrimePlace" else value
         return doc
 
     @classmethod
     def from_json(cls, doc: dict, source, target, places: dict) -> QuotientIso:
         """The twist a JSON form names, between the given quotients; places
-        are looked up by label in `places`."""
-        args = (
-            _place(places, doc.get(f.name)) if f.type == "PrimePlace" else json_int(doc, f.name)
-            for f in _json_fields(cls)
-        )
-        return cls(source, target, *args)
+        are looked up by label in `places`, and an absent field with a
+        default takes it."""
+        named = [f for f in fields(cls)[2:] if f.default is MISSING or f.name in doc]
+        return cls(source, target, **{f.name: _json_field(doc, f, places) for f in named})
 
 
-def _json_fields(cls) -> list:
-    return [f for f in fields(cls)[2:] if f.default is MISSING]
+def _json_field(doc: dict, f, places: dict):
+    value = doc.get(f.name)
+    if f.type == "PrimePlace":
+        return _place(places, value)
+    if f.type == "bool" and not isinstance(value, bool):
+        raise InputError(f"{f.name} must be true or false, not {value!r}")
+    return value if f.type == "bool" else json_int(doc, f.name)
 
 
 def _place(places: dict, label) -> PrimePlace:

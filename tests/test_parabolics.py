@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congwit.errors import InputError
+from congwit.kernels import GENERATED_MAX_N
 from congwit.matrices import (
     elementary,
     identity,
@@ -14,6 +15,7 @@ from congwit.matrices import (
     sl_order,
 )
 from congwit.parabolics import (
+    _signed_reversed_adjugate,
     fixed_lines,
     graph_automorphism,
     graph_automorphism_inverse,
@@ -161,25 +163,31 @@ def _composite_graph_automorphism_inverse(g):
     return mat_inv(transpose(mat_mul(mat_mul(mat_inv(w0), g), w0)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, GENERATED_MAX_N + 2))
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: f"mod{r.modulus}")
 def test_graph_automorphism_matches_composite_definition(ring, n, rng):
-    for _ in range(25):
+    # the generated kernels up to GENERATED_MAX_N, the generic path above;
+    # both directions also against the generic path, the tests' oracle
+    for _ in range(25 if n <= 5 else 5):
         g = random_sl(n, ring, rng)
+        e, mod = g.entries, ring.modulus
         assert graph_automorphism(g) == _composite_graph_automorphism(g)
         assert graph_automorphism_inverse(g) == _composite_graph_automorphism_inverse(g)
+        assert graph_automorphism(g).entries == _signed_reversed_adjugate(e, mod)
+        assert graph_automorphism_inverse(g).entries == _signed_reversed_adjugate(e, mod, inverse=True)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(
-    st.integers(2, 5),
+    st.integers(2, GENERATED_MAX_N + 1),
     st.sampled_from((3, 5, 7, 11, 13)),
     st.integers(1, 3),
     st.integers(0, 2**32 - 1),
 )
 def test_graph_automorphism_matches_the_dense_oracle(n, p, e, seed):
-    # the sliced, sign-gated kernel against w0 * (g^T)^(-1) * w0^(-1) built
-    # from dense products; n = 2 and 3 need the sign pass, n = 4 and 5 skip it
+    # the kernels against w0 * (g^T)^(-1) * w0^(-1) built from dense
+    # products; w0 has a sign -1 at n = 2, 3, 6 and 7, and n = 9 takes the
+    # generic path
     ring = residue_ring(p, e)
     g = random_sl(n, ring, random.Random(seed))
     assert graph_automorphism(g) == _composite_graph_automorphism(g)

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from congwit.errors import InputError
-from congwit.kernels import GENERATED_MAX_N
+from congwit.kernels import GENERATED_MAX_N, word_kernel
 from congwit.matrices import (
     SLMat,
     _bareiss,
@@ -42,7 +42,6 @@ from congwit.quotients import (
     _PRINCIPAL,
     _column_ops,
     _principal_sample,
-    _random_word,
     central_element,
     central_presence,
     closure,
@@ -705,8 +704,9 @@ def test_component_samplers_keep_the_randrange_distribution(n, e, cond, key):
 def _sampler_gen_sets():
     """(label, generator list, n, ring): the parabolic samplers of both
     method-B root subsets at level 1, the level-2 parabolic sampler, a set
-    widened by a dense matrix, its inverse and a signed permutation, and
-    level-2 parabolic samplers at n = 3, 5 and 6."""
+    widened by a dense matrix, its inverse and a signed permutation, one
+    widened by the identity, and level-2 parabolic samplers at n = 3, 5, 6
+    and 9."""
     out = []
     for theta in ({2, 3}, {1, 2}):
         q = FiniteQuotientGroup(
@@ -722,23 +722,33 @@ def _sampler_gen_sets():
     ring = q2.rings[0]
     dense = from_rows([[1, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]], ring)
     out.append(("with dense", gens2 + [dense, mat_inv(dense), longest_weyl(4, ring)], 4, ring))
-    for n, theta in ((3, {1}), (5, {1, 3}), (6, {2, 4, 5})):
+    out.append(("with identity", gens2[:3] + [identity(4, ring)] + gens2[3:], 4, ring))
+    for n, theta in ((3, {1}), (5, {1, 3}), (6, {2, 4, 5}), (9, {1, 2, 5, 7})):
         q = FiniteQuotientGroup(subgroup_spec(n, {V7: Parabolic(root_subset(n, theta))}), {V7: 2})
         gens = q.conditions[0].sampler_gens(q.components[0])
         out.append((f"n = {n}, theta {sorted(theta)} mod 49", gens, n, q.rings[0]))
     return out
 
 
-def test_random_word_still_certifies_its_word():
+def _word(r, gens, n, ring):
+    """The word kernel of gens' column operations, certified by from_rows as
+    in Parabolic.sample, and what is left of r."""
+    rows, r = word_kernel(n, tuple(_column_ops(g) for g in gens), ring.modulus, PARABOLIC_WORD_MAX)(r)
+    return from_rows(rows, ring), r
+
+
+def test_random_word_still_certifies_its_word(monkeypatch):
     # a generator of determinant 2 mod 25, which only _closed can build; 2
     # has order 20 mod 25, so no word of at most PARABOLIC_WORD_MAX factors
-    # has determinant 1, and the unpacked word is refused by from_rows
+    # has determinant 1, and Parabolic.sample's from_rows refuses the word
     ring = residue_ring(5, 2)
     bad = SLMat._closed(ring, ((2, 1, 0, 0), (0, 1, 0, 3), (0, 4, 1, 0), (0, 0, 0, 1)))
     assert _det_int(bad.entries) % 25 == 2
+    monkeypatch.setattr(Parabolic, "sampler_gens", lambda self, c: [bad])
+    q = FiniteQuotientGroup(subgroup_spec(4, {V5: Parabolic(root_subset(4, {2, 3}))}), {V5: 2})
     for seed in range(20):
         with pytest.raises(InputError, match="determinant is not 1 in the ring"):
-            _random_word(_stream(seed, 32), [_column_ops(bad)], 4, ring)
+            q.conditions[0].sample(q.components[0], _stream(seed, 32))
 
 
 def test_column_ops_list_the_moved_columns():
@@ -756,10 +766,12 @@ def test_random_word_matches_the_dense_product():
             # the general sum and a moved single-term column are both exercised
             assert any(len(terms) > 2 for op in ops for _, terms in op)
             assert any(k != c for op in ops for c, terms in op if len(terms) == 1 for k, _ in terms)
+        if label == "with identity":
+            assert ops[3] == ()
         for seed in range(200):
             r = _stream(seed, 32)
             theirs = _Digits(r)
-            assert _random_word(r, ops, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r), label
+            assert _word(r, gens, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r), label
     # the packing width at its bound: words of PARABOLIC_WORD_MAX factors
     # (a first digit of 11), modulus 2^31 - 1 (prime), and a dense factor with
     # every off-diagonal entry mod - 1, the diagonal mod - 2 and (0, 0)
@@ -771,22 +783,25 @@ def test_random_word_matches_the_dense_product():
     rows[0][0] = (rows[0][0] + (1 - det) * pow(cof, -1, mod)) % mod
     dense = from_rows(rows, ring)
     gens = [dense, mat_inv(dense)]
-    ops = [_column_ops(g) for g in gens]
     streams = [_stream(s, 32) for s in range(1000)]
     streams = [r for r in streams if r % PARABOLIC_WORD_MAX == PARABOLIC_WORD_MAX - 1]
     assert len(streams) == 84
     for r in streams:
         theirs = _Digits(r)
-        assert _random_word(r, ops, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r)
+        assert _word(r, gens, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r)
 
 
 def test_sampler_ops_are_derived_from_the_dense_generators():
-    q = method_b_pair().quotient2
-    for cond, c in zip(q.conditions, q.components):
+    # the word kernel is keyed by the table, so a second quotient with the
+    # same conditions builds its own table and shares the compiled kernel
+    q, again = method_b_pair().quotient2, method_b_pair().quotient2
+    for cond, c, c_again in zip(q.conditions, q.components, again.components):
         if isinstance(cond, Parabolic):
             gens = cond.sampler_gens(c)
             assert all(isinstance(g, SLMat) for g in gens)
-            assert cond.sampler_ops(c) == [_column_ops(g) for g in gens]
+            assert cond.sampler_ops(c) == tuple(_column_ops(g) for g in gens)
+            assert c.word is word_kernel(c.n, c.ops, c.ring.modulus, PARABOLIC_WORD_MAX)
+            assert cond.sampler_ops(c_again) is not c.ops and c_again.word is c.word
 
 
 def test_identity_is_built_once():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congwit import presets
+from congwit import presets, twists
 from congwit.cli import main
 from congwit.errors import InputError
 from congwit.matrices import SLMat, elementary, from_rows, identity, scalar_mul
-from congwit.parabolics import graph_automorphism, root_subset
+from congwit.parabolics import graph_automorphism, graph_automorphism_inverse, root_subset
 from congwit.presets import method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     CentralPrincipal,
@@ -21,6 +21,7 @@ from congwit.quotients import (
     tuple_mul,
 )
 from congwit.rings import rational_place, split_places, unit_of_order
+from congwit.serialize import bundle_from_json, bundle_to_json
 from congwit.twists import (
     CentralTransport,
     GraphAutomorphism,
@@ -304,6 +305,33 @@ def test_twist_fields_survive_json_and_double_inverse(bundle_fn):
     for copy in (rebuilt, iso.invert().invert()):
         assert type(copy) is type(iso)
         assert vars(copy) == vars(iso)
+
+
+def test_reversed_graph_is_read_from_a_document(monkeypatch, tmp_path, capsys):
+    # the field used to be dropped on load, and the reversed twist was
+    # verified as the forward one
+    doc = bundle_to_json(method_b_pair())
+    doc["iso"]["reversed_graph"] = True
+    bundle = bundle_from_json(doc)
+    iso = bundle.iso
+    assert iso.reversed_graph and bundle_to_json(bundle)["iso"] == doc["iso"]
+    places = {v.label: v for v in iso.source.places}
+    assert vars(GraphAutomorphism.from_json(iso.to_json(), iso.source, iso.target, places)) == vars(iso)
+    assert "reversed_graph" not in iso.invert().to_json()
+    calls = []
+    for real in (graph_automorphism, graph_automorphism_inverse):
+        name = real.__name__
+        monkeypatch.setattr(twists, name, lambda g, name=name, real=real: calls.append(name) or real(g))
+    x = bundle.quotient1.sample(0)
+    assert iso.apply(x)[2] == graph_automorphism_inverse(x[2]) and calls == ["graph_automorphism_inverse"]
+    assert verify_iso(iso, 100, 0).witnessed
+    path = tmp_path / "reversed.json"
+    for bad in ("yes", 1, None):
+        doc["iso"]["reversed_graph"] = bad
+        path.write_text(json.dumps(doc))
+        for argv in (["obstruct", str(path)], ["verify-iso", str(path), "--samples", "3"]):
+            assert main(argv) == 2, (bad, argv)
+            assert capsys.readouterr() == ("", f"error: reversed_graph must be true or false, not {bad!r}\n")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

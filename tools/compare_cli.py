@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 47 runs.  Thirty-six compare a change with its parent on
+The set is 48 runs.  Thirty-seven compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -29,6 +29,9 @@ ordinary inputs:
   - `verify-iso` (--samples 400 --seed 3) on the saved method-b document
     with conditions2 = conditions1, where the diagram symmetry at p7 is
     refuted with a membership-failure count that depends on the draws;
+  - `verify-iso` (--samples 300 --seed 3) on the saved method-b document
+    moved to n = 6, theta = {2, 4, 5} and theta* = {1, 2, 4}, where the
+    diagram symmetry's kernel folds in a sign of w0;
   - `verify-iso` on a missing file.
 Eleven edge runs follow: nine witness inputs that a constructor refuses, and
 `obstruct` on two documents derived from the saved ones that hold an
@@ -86,6 +89,21 @@ def _method_b_self_twist(cwd: Path):
     (cwd / "method-b-self.json").write_text(json.dumps(doc))
 
 
+def _method_b_at_6(cwd: Path):
+    """method-b at n = 6 with theta = {2, 4, 5} and theta* = {1, 2, 4}, where
+    w0 has a sign -1 and the diagram symmetry's kernel folds it in."""
+    doc = json.loads((cwd / "method-b.json").read_text())
+    bundle = doc["bundle"]
+    bundle["n"] = 6
+    for key in ("conditions1", "conditions2"):
+        for label in ("p5", "p7"):
+            bundle[key][label]["theta"] = [2, 4, 5]
+    bundle["conditions2"]["p7"]["theta"] = [1, 2, 4]
+    for label, sep in bundle["separating_element"].items():
+        sep["rows"] = [[int(i == j or (label, i, j) == ("p7", 5, 3)) for j in range(6)] for i in range(6)]
+    (cwd / "method-b-6.json").write_text(json.dumps(doc))
+
+
 def runs() -> list[tuple[str, list[str], object]]:
     """(name, argv, prepare) in run order; prepare(cwd), if any, writes the
     run's input into the side's working directory first."""
@@ -130,6 +148,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     out.append(("obstruct method-b-25.json", ["obstruct", "method-b-25.json"], _method_b_at_25))
     argv = ["verify-iso", "method-b-self.json", "--samples", "400", "--seed", "3"]
     out.append(("verify-iso method-b-self.json", argv, _method_b_self_twist))
+    argv = ["verify-iso", "method-b-6.json", "--samples", "300", "--seed", "3"]
+    out.append(("verify-iso method-b-6.json", argv, _method_b_at_6))
     out.append(("verify-iso missing file", ["verify-iso", "missing.json"], None))
     # edge runs
     for flags in (
