@@ -1,8 +1,8 @@
 """Straight-line matrix kernels, written as Python source for each n, or
-for each generator table for the parabolic word, and compiled at first
-use.  A kernel keeps every entry in a local, a{r}{c} or b{r}{c} with one
-digit per index, and unrolls every loop but the word's: up to Python 3.11
-each comprehension runs in a frame of its own."""
+for each generator table of a full or parabolic word, and compiled at
+first use.  A kernel keeps every entry in a local, a{r}{c} or b{r}{c} with
+one digit per index, and unrolls every loop but the word's: up to Python
+3.11 each comprehension runs in a frame of its own."""
 
 from __future__ import annotations
 
@@ -214,23 +214,26 @@ def emit_word(n, ops, mod, max_len):
     """word(r): the unreduced rows of a product of 1 to max_len generators,
     and what is left of r.  ops[g] lists generator g's column operations (c,
     ((k, a_k), ...)): column c becomes sum_k a_k * column k, a_k in [0, mod)
-    (see quotients._column_ops).  The draws are the length, from
-    range(max_len), then g per factor, from range(len(ops)), dispatched by
-    an if-tree.  Only integers enter the source, through int() and format
-    codes.  The word is kept as packed columns c0..c{n-1}, row r of one in
-    bits [r*w, (r+1)*w) for w = max_len * (n * mod).bit_length(); a factor
-    is one tuple assignment of the columns it moves, so one multiply-add of
-    whole integers per term acts on every row at once.  Fields never carry
-    or borrow: a factor multiplies the largest entry by less than n * mod,
-    so every entry stays below (n * mod)^max_len <= 2^w."""
+    (see quotients._column_ops) or None for t, the factor's multiplier.  The
+    draws are the length, from range(max_len), then per factor g from
+    range(len(ops)), or g + len(ops) * t from range(len(ops) * mod) if ops
+    hold a None; an if-tree dispatches g.  Only integers and t enter the
+    source.  The word is kept as packed columns c0..c{n-1}, row r of one in
+    bits [r*w, (r+1)*w) for w = max_len * (n * mod).bit_length(); a factor is
+    one tuple assignment of the columns it moves, so one multiply-add of
+    whole integers per term acts on every row at once.  Fields never carry or
+    borrow: a factor multiplies the largest entry by less than n * mod, as
+    t < mod, so every entry stays below (n * mod)^max_len <= 2^w."""
     w, count = max_len * (int(n) * int(mod)).bit_length(), len(ops)
+    drawn = any(a is None for op in ops for _, terms in op for _, a in terms)
 
     def tree(lo, hi, pad):  # the factor for lo <= g < hi
         if hi - lo > 1:
             mid = (lo + hi) // 2
             return [f"{pad}if g < {mid}:", *tree(lo, mid, pad + "    "),
                     f"{pad}else:", *tree(mid, hi, pad + "    ")]
-        sums = [" + ".join(f"c{int(k)}" if a == 1 else f"{int(a)} * c{int(k)}" for k, a in terms)
+        sums = [" + ".join(f"c{int(k)}" if a == 1 else f"{'t' if a is None else int(a)} * c{int(k)}"
+                           for k, a in terms)
                 for _, terms in ops[lo]]
         columns = ", ".join(f"c{int(c)}" for c, _ in ops[lo])
         return [f"{pad}{columns} = {', '.join(sums)}" if ops[lo] else f"{pad}pass"]
@@ -243,7 +246,8 @@ def emit_word(n, ops, mod, max_len):
         f"r, length = divmod(r, {int(max_len)})",
         f"{', '.join(cols)} = {', '.join(f'{1 << k * w:#x}' for k in range(n))}",
         "for _ in range(length + 1):",
-        f"    r, g = divmod(r, {count})",
+        f"    r, g = divmod(r, {count * int(mod) if drawn else count})",
+        *([f"    t, g = divmod(g, {count})"] if drawn else []),
         *tree(0, count, "    "),
         f"return {_rows(rows, True)}, r",
     ]

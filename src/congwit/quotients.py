@@ -51,10 +51,9 @@ from .parabolics import (
 )
 from .rings import PrimePlace, ResidueRing, residue_ring, unit_of_order
 
-# Cap on random-word length in the samplers.  Full components use up to 32
-# elementary factors; parabolic words are kept shorter because their
-# generator sets are large and coverage, not uniformity, is what the
-# verification needs.
+# Caps on word length in the samplers (see WordCondition): 32 elementary
+# factors for Full, fewer for Parabolic, whose generator sets are large,
+# since coverage, not uniformity, is what the verification needs.
 FULL_WORD_MAX = 32
 PARABOLIC_WORD_MAX = 12
 
@@ -96,12 +95,36 @@ class LocalCondition:
         return cls(*(json_int(doc, f.name) for f in fields(cls)))
 
 
+class WordCondition(LocalCondition):
+    """A condition sampled as a word of 1 to max_len generators of table(c)."""
+
+    def setup(self, c):
+        c.word = None
+
+    def sampler_ops(self, c) -> tuple:
+        """table(c) and c.word, its word kernel (see word_kernel), built at the
+        first sample and shared by every component with an equal table."""
+        if c.word is None:
+            c.ops = self.table(c)
+            c.word = word_kernel(c.n, c.ops, c.ring.modulus, self.max_len)
+        return c.ops
+
+    def sample(self, c, r) -> tuple[SLMat, int]:
+        if c.word is None:
+            self.sampler_ops(c)
+        rows, r = c.word(r)
+        return from_rows(rows, c.ring), r  # certifies the word
+
+
 @dataclass(frozen=True)
-class Full(LocalCondition):
-    """No constraint: the component ranges over SL_n(Z/p^e)."""
+class Full(WordCondition):
+    """No constraint: the component ranges over SL_n(Z/p^e), sampled as words
+    of factors 1 + t*E_ij.  Table entry i + n*j', j' being j with i skipped,
+    is drawn with t as one digit i + n*(j' + (n - 1)*t) (see emit_word)."""
 
     kind = "full"
     depth = 1
+    max_len = FULL_WORD_MAX
 
     def member(self, c, g) -> bool:
         return True
@@ -109,8 +132,9 @@ class Full(LocalCondition):
     def local_order(self, c) -> int:
         return sl_order(c.n, c.place.p, c.e)
 
-    def sample(self, c, r) -> tuple[SLMat, int]:
-        return _random_elementary_word(r, c.n, c.ring, FULL_WORD_MAX)
+    def table(self, c) -> tuple:
+        pairs = [(i, jp + (jp >= i)) for jp in range(c.n - 1) for i in range(c.n)]
+        return tuple(((j, ((i, None), (j, 1))),) for i, j in pairs)
 
     def draw_space(self, c) -> int:
         return FULL_WORD_MAX * (c.n * (c.n - 1) * c.ring.modulus) ** FULL_WORD_MAX
@@ -209,11 +233,12 @@ class CentralPrincipal(LocalCondition):
 
 
 @dataclass(frozen=True)
-class Parabolic(LocalCondition):
+class Parabolic(WordCondition):
     """g mod p lies in the standard parabolic P_theta."""
 
     kind = "parabolic"
     depth = 1
+    max_len = PARABOLIC_WORD_MAX
     theta: RootSubset
 
     def to_json(self) -> dict:
@@ -227,7 +252,7 @@ class Parabolic(LocalCondition):
         return cls(root_subset(n, theta))
 
     def setup(self, c):
-        c.word = None
+        super().setup(c)
         _principal_setup(c, 1)
 
     def member(self, c, g) -> bool:
@@ -241,21 +266,12 @@ class Parabolic(LocalCondition):
         gens = parabolic_generators(self.theta, c.ring)
         return gens + [mat_inv(g) for g in gens]
 
-    def sampler_ops(self, c) -> tuple:
-        """sampler_gens as column operations (see _column_ops), built per
-        component at the first sample, so that quotients never sampled never
-        build them, and c.word, the word kernel of the table (see
-        word_kernel), shared by every component with an equal one."""
-        if c.word is None:
-            c.ops = tuple(_column_ops(g) for g in self.sampler_gens(c))
-            c.word = word_kernel(c.n, c.ops, c.ring.modulus, PARABOLIC_WORD_MAX)
-        return c.ops
+    def table(self, c) -> tuple:
+        """sampler_gens as column operations (see _column_ops)."""
+        return tuple(_column_ops(g) for g in self.sampler_gens(c))
 
     def sample(self, c, r) -> tuple[SLMat, int]:
-        if c.word is None:
-            self.sampler_ops(c)
-        rows, r = c.word(r)
-        out = from_rows(rows, c.ring)  # certifies the word
+        out, r = WordCondition.sample(self, c, r)  # super() builds an object per call
         if c.e > 1:
             g, r = _PRINCIPAL[c.n](r, c.span, c.mod, 1, c.ring)
             out = mat_mul(out, g)
@@ -407,8 +423,7 @@ class FiniteQuotientGroup:
     def _budget(self) -> int:
         """Bytes of shake_128 output a sample reads: each condition's draw
         space in bits, summed over the components, plus 64 bits.  Computed
-        at the first sample, so that quotients never sampled never build
-        their parabolic sampler_ops or look up its word kernel."""
+        at the first sample: Parabolic.draw_space builds the word table."""
         spaces = (cond.draw_space(c) for cond, c in zip(self.conditions, self.components))
         bits = sum((space - 1).bit_length() for space in spaces)
         return (bits + 64 + 7) // 8
@@ -470,45 +485,6 @@ def _principal_generators(n, ring, depth):
         rows[i + 1][i + 1] = u_inv
         gens.append(from_rows(rows, ring))
     return gens
-
-
-def _random_elementary_word(r, n, ring, max_len):
-    """A product of 1 to max_len elementary factors 1 + t*E_ij, and what is
-    left of r.
-
-    The draws are the length, from range(max_len), then per factor i from
-    range(n), j from range(n - 1) (skipping i) and t from range(mod), read
-    as one digit i + n*(j + (n - 1)*t) of range(n*(n - 1)*mod).
-    Right-multiplying by 1 + t*E_ij adds t times column i to column j.
-    """
-    mod = ring.modulus
-    pairs = n * (n - 1)
-    space = pairs * mod
-    r, length = divmod(r, max_len)
-    if n == 2:
-        # rows (a, b), (c, d); j is the column i is not, so the digit is i + 2t
-        a, b, c, d = 1, 0, 0, 1
-        for _ in range(length + 1):
-            r, x = divmod(r, space)
-            t, i = divmod(x, 2)
-            if i:
-                a = (a + t * b) % mod
-                c = (c + t * d) % mod
-            else:
-                b = (b + t * a) % mod
-                d = (d + t * c) % mod
-        return from_rows(((a, b), (c, d)), ring), r
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for _ in range(length + 1):
-        r, x = divmod(r, space)
-        t, x = divmod(x, pairs)
-        if t:
-            j, i = divmod(x, n)
-            if j >= i:
-                j += 1
-            for row in rows:
-                row[j] = (row[j] + t * row[i]) % mod
-    return from_rows(rows, ring), r
 
 
 def _column_ops(g: SLMat) -> tuple:

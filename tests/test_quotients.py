@@ -508,6 +508,18 @@ def test_sample_stream_is_pinned():
     )
 
 
+def test_full_samples_beyond_the_presets_are_pinned():
+    # the preset quotients' Full places are all n = 2
+    digest = hashlib.sha256()
+    for n, p, e in ((3, 5, 1), (4, 7, 2), (6, 7, 1), (9, 7, 1)):
+        q = FiniteQuotientGroup(subgroup_spec(n, {}), {rational_place(p): e})
+        for i in range(300):
+            digest.update(repr(q.sample(child_seed(0, i))[0].entries).encode())
+    assert digest.hexdigest() == (
+        "5290b8c6b287fe071bf46373ac680bf7a24779dc928ccd8917c5c96262227a9e"
+    )
+
+
 def test_two_threads_sample_one_quotient_as_one_thread_does():
     # a fresh quotient, so that the threads also race to its first sample
     seeds = [child_seed(5, i) for i in range(300)]
@@ -534,10 +546,10 @@ def _sampler_cases():
     """(n, p, e, condition) beyond the preset shapes: Full, every
     Principal(d <= e), every CentralPrincipal(m > 1 dividing gcd(n, p - 1))
     and two Parabolic root subsets, over n in 2..6, p in {3, 5, 7} and
-    e in 1..4; n = 2 reaches the elementary word's own loop, and each n
-    its own generated principal and unpack kernels.  At n = 9, above
-    GENERATED_MAX_N, the generic kernels: Principal, CentralPrincipal of
-    order 3 and one Parabolic at p = 7.
+    e in 1..4; each n reaches its own generated principal kernel, and each
+    table its own word kernel.  At n = 9, above GENERATED_MAX_N, where the
+    principal kernel is the generic one: Full, Principal, CentralPrincipal
+    of order 3 and one Parabolic at p = 7.
 
     e = 4 is needed at depth 1: an error of p^(2 depth) in the (0, 0)
     cofactor moves the repaired entry only by a multiple of p^(3 depth)."""
@@ -553,6 +565,7 @@ def _sampler_cases():
                 yield n, p, e, Parabolic(root_subset(n, ()))
                 yield n, p, e, Parabolic(root_subset(n, range(2, n)))
     for e in (1, 2):
+        yield 9, 7, e, Full()
         for d in range(1, e + 1):
             yield 9, 7, e, Principal(d)
             yield 9, 7, e, CentralPrincipal(3, d)
@@ -574,7 +587,7 @@ def test_component_samplers_are_draw_identical_beyond_the_presets():
             assert (g,) == _ref_components(q, theirs), (n, p, e, cond, seed)
             assert rest == theirs.r, (n, p, e, cond, seed)
     assert {(n, "CentralPrincipal") for n in (2, 3, 4, 6, 9)} <= kinds
-    assert (9, "Parabolic") in kinds
+    assert {(9, "Full"), (9, "Parabolic")} <= kinds
 
 
 # every generated n, and the first n above the cap, which takes the generic path
@@ -789,6 +802,16 @@ def test_random_word_matches_the_dense_product():
     for r in streams:
         theirs = _Digits(r)
         assert _word(r, gens, n, ring) == (_ref_word(theirs, gens, n, ring), theirs.r)
+    # and the Full word's: FULL_WORD_MAX factors (a first digit of 31), each
+    # drawing its multiplier t from range(mod)
+    c = Component(n, rational_place(mod), ring)
+    Full().setup(c)
+    streams = [_stream(s, 160) for s in range(1000)]
+    streams = [r for r in streams if r % FULL_WORD_MAX == FULL_WORD_MAX - 1]
+    assert len(streams) == 41
+    for r in streams:
+        theirs = _Digits(r)
+        assert Full().sample(c, r) == (_ref_elementary_word(theirs, n, ring, FULL_WORD_MAX), theirs.r)
 
 
 def test_sampler_ops_are_derived_from_the_dense_generators():

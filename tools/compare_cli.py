@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 48 runs.  Thirty-seven compare a change with its parent on
+The set is 49 runs.  Thirty-eight compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -32,6 +32,10 @@ ordinary inputs:
   - `verify-iso` (--samples 300 --seed 3) on the saved method-b document
     moved to n = 6, theta = {2, 4, 5} and theta* = {1, 2, 4}, where the
     diagram symmetry's kernel folds in a sign of w0;
+  - `verify-iso` (--samples 400 --seed 3) on the saved method-b document
+    with p3 full in conditions1 and theta = {2, 3} at p3 in conditions2,
+    refuted with a membership-failure count that depends on the n = 4 full
+    word's draws;
   - `verify-iso` on a missing file.
 Eleven edge runs follow: nine witness inputs that a constructor refuses, and
 `obstruct` on two documents derived from the saved ones that hold an
@@ -104,6 +108,15 @@ def _method_b_at_6(cwd: Path):
     (cwd / "method-b-6.json").write_text(json.dumps(doc))
 
 
+def _method_b_full_at_3(cwd: Path):
+    """method-b with p3 dropped from conditions1, a full SL_4(F_3) component
+    sampled as an elementary word, and theta = {2, 3} at p3 in conditions2."""
+    doc = json.loads((cwd / "method-b.json").read_text())
+    del doc["bundle"]["conditions1"]["p3"]
+    doc["bundle"]["conditions2"]["p3"] = {"kind": "parabolic", "theta": [2, 3]}
+    (cwd / "method-b-full3.json").write_text(json.dumps(doc))
+
+
 def runs() -> list[tuple[str, list[str], object]]:
     """(name, argv, prepare) in run order; prepare(cwd), if any, writes the
     run's input into the side's working directory first."""
@@ -150,6 +163,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     out.append(("verify-iso method-b-self.json", argv, _method_b_self_twist))
     argv = ["verify-iso", "method-b-6.json", "--samples", "300", "--seed", "3"]
     out.append(("verify-iso method-b-6.json", argv, _method_b_at_6))
+    argv = ["verify-iso", "method-b-full3.json", "--samples", "400", "--seed", "3"]
+    out.append(("verify-iso method-b-full3.json", argv, _method_b_full_at_3))
     out.append(("verify-iso missing file", ["verify-iso", "missing.json"], None))
     # edge runs
     for flags in (
