@@ -317,10 +317,12 @@ def _parabolic_obstruction(bundle) -> tuple:
     parabolic_places = [
         place for place, cond in bundle.spec1.conditions if isinstance(cond, Parabolic)
     ]
+    # fixed_lines reads no prime: one pair of counts, listed at every place
+    counts = {"theta": fixed_lines(theta), "theta_image": fixed_lines(theta_image)}
     lines = {}
     orders = {}
     for place in parabolic_places:
-        lines[place.label] = {"theta": fixed_lines(theta), "theta_image": fixed_lines(theta_image)}
+        lines[place.label] = counts
         orders[place.label] = {
             "theta": parabolic_order(theta, place.p),
             "theta_image": parabolic_order(theta_image, place.p),
@@ -332,13 +334,9 @@ def _parabolic_obstruction(bundle) -> tuple:
     others = {place for place, _ in spec1.conditions + spec2.conditions} - {vq}
     agree_elsewhere = all(spec1.condition_at(v) == spec2.condition_at(v) for v in others)
     anchored = any(v != vq and cond == conds[0] for v, cond in spec1.conditions)
-    holds = (
-        not symmetric
-        and image_matches
-        and agree_elsewhere
-        and anchored
-        and all(v["theta"] != v["theta_image"] for v in lines.values())
-    )
+    # unequal counts with image_matches also rule out a symmetric theta
+    unequal = counts["theta"] != counts["theta_image"]
+    holds = image_matches and agree_elsewhere and anchored and unequal
     lead = (
         "The two parabolic conditions at the twisted place differ by the diagram "
         "symmetry, and the symmetry moves the chosen root subset.  The number of "

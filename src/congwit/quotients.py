@@ -76,12 +76,13 @@ class LocalCondition:
     needs at its place.  A quotient calls setup(component) once per
     component, then passes that component to member, local_order, sample,
     draw_space and generators; setup keeps there what they read, such as
-    the principal kernel's step and span (see _principal_setup).
-    sample(c, r) takes its draws as digits of the integer r (see
-    FiniteQuotientGroup.sample) and returns the member with what is left
-    of r; draw_space(c) is the product of the radices on its longest draw
-    sequence.  The JSON form is the kind plus the fields, read back by
-    CONDITION_OF_KIND[kind].from_json(doc, n).
+    the principal kernel's step and span (see _principal_setup).  Two bases
+    hold what kinds share: WordCondition for Full and Parabolic, and
+    PrincipalCondition for Principal and CentralPrincipal.  sample(c, r)
+    takes its draws as digits of the integer r (see FiniteQuotientGroup.sample)
+    and returns the member with what is left of r; draw_space(c) is the
+    product of the radices on its longest draw sequence.  The JSON form is
+    the kind plus the fields, read back by CONDITION_OF_KIND[kind].from_json(doc, n).
     """
 
     def setup(self, c: Component) -> None:
@@ -144,62 +145,18 @@ class Full(WordCondition):
         return [elementary(n, i, j, 1, c.ring) for i in range(n) for j in range(n) if i != j]
 
 
-@dataclass(frozen=True)
-class Principal(LocalCondition):
-    """g = 1 mod p^depth: the scalar kernel for n (see _SCALAR) finds g =
-    z * 1 mod p^depth, with z = 1.  A sample is 1 + p^depth * X, drawn,
-    repaired to determinant 1 and certified by the principal kernel for n
-    (see _PRINCIPAL); the identity when depth is e."""
-
-    kind = "principal"
-    depth: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise InputError("depth and order must be >= 1")
-
-    def setup(self, c):
-        _principal_setup(c, self.depth)
-
-    def member(self, c, g) -> bool:
-        return _SCALAR[c.n](g.entries, c.mod) == 1
-
-    def local_order(self, c) -> int:
-        return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth))
-
-    def sample(self, c, r) -> tuple[SLMat, int]:
-        if self.depth == c.e:
-            return c.identity, r
-        return _PRINCIPAL[c.n](r, c.span, c.mod, 1, c.ring)
-
-    def draw_space(self, c) -> int:
-        return c.span ** (c.n * c.n)
-
-    def generators(self, c) -> list[SLMat]:
-        return _principal_generators(c.n, c.ring, self.depth)
-
-
-@dataclass(frozen=True)
-class CentralPrincipal(LocalCondition):
+class PrincipalCondition(LocalCondition):
     """g = z * 1 mod p^depth with z^order = 1: the principal kernel times the
     canonical central subgroup of that order, which must exist at the place.
-    The scalar kernel for n (see _SCALAR) finds z; a sample draws k from
-    range(order), then is a Principal(depth) sample times unit^k, scaled in
-    the principal kernel (see _PRINCIPAL)."""
-
-    kind = "central_principal"
-    order: int
-    depth: int
+    setup keeps the subgroup's unit and its powers, c.scalars.  The scalar
+    kernel for n (see _SCALAR) finds z.  A sample draws k from range(order),
+    then is 1 + p^depth * X, drawn, repaired to determinant 1, scaled by
+    unit^k and certified by the principal kernel for n (see _PRINCIPAL); the
+    identity object when depth is e and k is 0."""
 
     def __post_init__(self):
         if self.depth < 1 or self.order < 1:
             raise InputError("depth and order must be >= 1")
-
-    @classmethod
-    def from_json(cls, doc, n) -> LocalCondition:
-        # order 1 is the plain principal condition
-        cond = super().from_json(doc, n)
-        return Principal(cond.depth) if cond.order == 1 else cond
 
     def setup(self, c):
         m, p = self.order, c.place.p
@@ -221,15 +178,44 @@ class CentralPrincipal(LocalCondition):
         return c.place.p ** ((c.n * c.n - 1) * (c.e - self.depth)) * self.order
 
     def sample(self, c, r) -> tuple[SLMat, int]:
-        r, k = divmod(r, self.order)
+        # order 1 draws nothing, and a divmod of the wide r by 1 is not free
+        r, k = divmod(r, self.order) if self.order > 1 else (r, 0)
+        if c.span == 1 and k == 0:
+            return c.identity, r
         return _PRINCIPAL[c.n](r, c.span, c.mod, c.scalars[k], c.ring)
 
     def draw_space(self, c) -> int:
         return self.order * c.span ** (c.n * c.n)
 
     def generators(self, c) -> list[SLMat]:
-        scalar = scalar_mul(c.unit, c.identity)
-        return _principal_generators(c.n, c.ring, self.depth) + [scalar]
+        gens = _principal_generators(c.n, c.ring, self.depth)
+        if self.order > 1:
+            gens.append(scalar_mul(c.unit, c.identity))
+        return gens
+
+
+@dataclass(frozen=True)
+class Principal(PrincipalCondition):
+    """g = 1 mod p^depth: the PrincipalCondition of order 1."""
+
+    kind = "principal"
+    order = 1
+    depth: int
+
+
+@dataclass(frozen=True)
+class CentralPrincipal(PrincipalCondition):
+    """g = z * 1 mod p^depth with z^order = 1 (see PrincipalCondition)."""
+
+    kind = "central_principal"
+    order: int
+    depth: int
+
+    @classmethod
+    def from_json(cls, doc, n) -> LocalCondition:
+        # order 1 is the plain principal condition
+        cond = super().from_json(doc, n)
+        return Principal(cond.depth) if cond.order == 1 else cond
 
 
 @dataclass(frozen=True)

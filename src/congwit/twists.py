@@ -118,18 +118,19 @@ class CentralTransport(QuotientIso):
                 )
         # Resolved once for _image: the two component indices, the exponent
         # k of the central part read mod p^depth at from_place (the first k
-        # wins), and the scalars that move z^k from one place to the other.
-        # The central components' setup holds each place's unit z and p^depth.
+        # wins), and the scalars that move z^k from one place to the other:
+        # z^(m-k) at from_place, z^k at to_place.  The central components'
+        # setup holds each place's powers of its unit z and p^depth.
         self._i = self.source.place_index(self.from_place)
         self._j = self.target.place_index(self.to_place)
         c_i = self.source.components[self._i]
         c_j = self.target.components[self._j]
         self._depth_mod = c_i.mod
         self._exponent_of = {}
-        for k in range(m):
-            self._exponent_of.setdefault(pow(c_i.unit, k, c_i.mod), k)
-        self._scalar_i = [pow(c_i.unit, m - k, c_i.ring.modulus) if k else 1 for k in range(m)]
-        self._scalar_j = [pow(c_j.unit, k, c_j.ring.modulus) for k in range(m)]
+        for k, z in enumerate(c_i.scalars):
+            self._exponent_of.setdefault(z % c_i.mod, k)
+        self._scalar_i = [c_i.scalars[-k] for k in range(m)]
+        self._scalar_j = c_j.scalars
 
     def _image(self, g):
         i, j = self._i, self._j

@@ -977,3 +977,21 @@ def test_identity_pass_is_by_object(monkeypatch):
     # and a non-identity matrix at the trivial place is refused
     off = elementary(4, 0, 1, 1, q.rings[0])
     assert not q.member((off, x[1])) and tested == [copy, off]
+
+
+@pytest.mark.parametrize("m, p", [(2, 5), (4, 13)])
+def test_central_principal_at_full_depth_samples_the_identity_by_object(m, p):
+    # at depth = e the kernel draws nothing: k = 0 is the shared identity
+    # object, which the identity pass skips, and k != 0 the scalar unit^k
+    v = rational_place(p)
+    q = FiniteQuotientGroup(subgroup_spec(4, {v: CentralPrincipal(m, 1)}), {v: 1})
+    cond, c = q.conditions[0], q.components[0]
+    for r in range(3 * m):
+        g, rest = cond.sample(c, r)
+        k = r % m
+        assert rest == r // m
+        if k == 0:
+            assert g is c.identity
+        else:
+            assert g is not c.identity and g == scalar_mul(c.scalars[k], c.identity)
+        assert q.member((g,))

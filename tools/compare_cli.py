@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 49 runs.  Thirty-eight compare a change with its parent on
+The set is 50 runs.  Thirty-nine compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -36,6 +36,9 @@ ordinary inputs:
     with p3 full in conditions1 and theta = {2, 3} at p3 in conditions2,
     refuted with a membership-failure count that depends on the n = 4 full
     word's draws;
+  - `verify-iso` (--samples 400 --seed 3) on the saved method-a document
+    at level 1 with a full place p3, sampled rather than enumerated, where
+    the central-principal component sits at depth = e;
   - `verify-iso` on a missing file.
 Eleven edge runs follow: nine witness inputs that a constructor refuses, and
 `obstruct` on two documents derived from the saved ones that hold an
@@ -117,6 +120,21 @@ def _method_b_full_at_3(cwd: Path):
     (cwd / "method-b-full3.json").write_text(json.dumps(doc))
 
 
+def _method_a_at_level_1(cwd: Path):
+    """method-a at level 1 with a full place p3: too large for the exhaustive
+    tier, so the central-principal component at depth = e is sampled."""
+    doc = json.loads((cwd / "method-a.json").read_text())
+    bundle = doc["bundle"]
+    bundle["places"].insert(0, {"label": "p3", "p": 3, "kind": "rational", "root": None})
+    bundle["level"] = {"p3": 1, "p5": 1, "p7": 1}
+    bundle["separating_element"] = {}
+    for label, p in (("p3", 3), ("p5", 5), ("p7", 7)):
+        diag = p - 1 if label == "p5" else 1  # -I mod 5, the identity elsewhere
+        rows = [[diag * (i == j) for j in range(4)] for i in range(4)]
+        bundle["separating_element"][label] = {"modulus": p, "rows": rows}
+    (cwd / "method-a-1.json").write_text(json.dumps(doc))
+
+
 def runs() -> list[tuple[str, list[str], object]]:
     """(name, argv, prepare) in run order; prepare(cwd), if any, writes the
     run's input into the side's working directory first."""
@@ -165,6 +183,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     out.append(("verify-iso method-b-6.json", argv, _method_b_at_6))
     argv = ["verify-iso", "method-b-full3.json", "--samples", "400", "--seed", "3"]
     out.append(("verify-iso method-b-full3.json", argv, _method_b_full_at_3))
+    argv = ["verify-iso", "method-a-1.json", "--samples", "400", "--seed", "3"]
+    out.append(("verify-iso method-a-1.json", argv, _method_a_at_level_1))
     out.append(("verify-iso missing file", ["verify-iso", "missing.json"], None))
     # edge runs
     for flags in (
