@@ -5,7 +5,7 @@ SLMat(...) and from_rows certify their rows, so nothing outside SL_n enters
 through the public surface; mat_mul, mat_inv and the diagram symmetry are
 closed on certified operands, and scalar_mul checks c^n = det(c * x) = 1.
 The principal sampler's kernel (see quotients) certifies its own entries.
-Also here: the scalar central elements and group orders of SL_n(Z/p^e).
+Also here: elementary, torus and central elements, and orders of SL_n(Z/p^e).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .kernels import Kernels, emit_adj, emit_det, emit_mul, emit_reduce, emit_scale
-from .rings import ResidueRing, factorize, is_prime, unit_of_order
+from .rings import ResidueRing, is_prime, unit_of_order
 
 
 def _det_int(rows) -> int:
@@ -200,6 +200,14 @@ def central_scalar(n: int, ring: ResidueRing, m: int) -> SLMat:
     return scalar_mul(z, identity(n, ring))
 
 
+def torus(n: int, ring: ResidueRing, u: int) -> list[SLMat]:
+    """For i = 0..n-2, the diagonal matrix with u at i and u^(-1) at i + 1:
+    the determinant-1 diagonal matrices with entries in <u> are their products."""
+    u_inv = pow(u, -1, ring.modulus)
+    diagonals = [[1] * i + [u, u_inv] + [1] * (n - 2 - i) for i in range(n - 1)]
+    return [from_rows([[d[r] * (r == c) for c in range(n)] for r in range(n)], ring) for d in diagonals]
+
+
 # ---------------------------------------------------------------------------
 # group orders
 
@@ -212,26 +220,3 @@ def sl_order(n: int, p: int, e: int) -> int:
     for i in range(2, n + 1):
         order *= p**i - 1
     return order
-
-
-def sl_order_mod(n: int, m: int) -> int:
-    """|SL_n(Z/m)| for composite m, via the prime-power decomposition."""
-    order = 1
-    for p, e in factorize(m).items():
-        order *= sl_order(n, p, e)
-    return order
-
-
-def enumerate_sl2_order(m: int) -> int:
-    """Brute-force count of 2x2 matrices mod m with determinant 1.
-
-    Independent oracle for sl_order_mod(2, m); only usable for small m.
-    """
-    count = 0
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    if (a * d - b * c) % m == 1:
-                        count += 1
-    return count

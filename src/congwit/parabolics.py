@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .kernels import Kernels, _weyl_signs, emit_graph, emit_graph_inverse
-from .matrices import _ADJ, SLMat
+from .matrices import _ADJ, SLMat, elementary, torus
 from .rings import ResidueRing, smallest_primitive_root
 
 
@@ -117,23 +117,16 @@ def parabolic_order(theta: RootSubset, p: int) -> int:
 def parabolic_generators(theta: RootSubset, ring: ResidueRing) -> list[SLMat]:
     """A generating set of P_theta, lifted entrywise into the given ring.
 
-    Root elements: every upper elementary, plus the lower elementaries
-    inside the diagonal blocks.  Torus part: for each adjacent pair of
-    positions, the diagonal matrix with the canonical generator of the unit
-    group at one slot and its inverse at the next; together these exhaust
-    the determinant-1 diagonal, which a single balancing element cannot do
-    once there are three or more blocks.
+    Root elements, in row-major order: every upper elementary, plus the
+    lower elementaries inside the diagonal blocks.  Then the torus for the
+    canonical generator of the unit group (see matrices.torus), which
+    exhausts the determinant-1 diagonal, as a single balancing element
+    cannot once there are three or more blocks.
     """
-    n, mod = theta.n, ring.modulus
-    u = smallest_primitive_root(ring.p, ring.e) % mod
-
-    def gen(changed):  # the identity with the given entries changed
-        rows = tuple(tuple(changed.get((r, c), int(r == c)) for c in range(n)) for r in range(n))
-        return SLMat(ring, rows)
-
+    n = theta.n
     roots = [(i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in theta.below_block]
-    torus = [{(i, i): u, (i + 1, i + 1): pow(u, -1, mod)} for i in range(n - 1)]
-    return [gen({ij: 1}) for ij in roots] + [gen(changed) for changed in torus]
+    u = smallest_primitive_root(ring.p, ring.e)
+    return [elementary(n, i, j, 1, ring) for i, j in roots] + torus(n, ring, u)
 
 
 # ---------------------------------------------------------------------------

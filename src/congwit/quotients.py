@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError, json_int, json_int_list
@@ -41,6 +42,7 @@ from .matrices import (
     mat_mul,
     scalar_mul,
     sl_order,
+    torus,
 )
 from .parabolics import (
     RootSubset,
@@ -84,9 +86,6 @@ class LocalCondition:
     product of the radices on its longest draw sequence.  The JSON form is
     the kind plus the fields, read back by CONDITION_OF_KIND[kind].from_json(doc, n).
     """
-
-    def setup(self, c: Component) -> None:
-        pass
 
     def to_json(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
@@ -148,11 +147,11 @@ class Full(WordCondition):
 class PrincipalCondition(LocalCondition):
     """g = z * 1 mod p^depth with z^order = 1: the principal kernel times the
     canonical central subgroup of that order, which must exist at the place.
-    setup keeps the subgroup's unit and its powers, c.scalars.  The scalar
-    kernel for n (see _SCALAR) finds z.  A sample draws k from range(order),
-    then is 1 + p^depth * X, drawn, repaired to determinant 1, scaled by
-    unit^k and certified by the principal kernel for n (see _PRINCIPAL); the
-    identity object when depth is e and k is 0."""
+    setup keeps the subgroup as c.scalars, the powers of its canonical unit.
+    The scalar kernel for n (see _SCALAR) finds z.  A sample draws k from
+    range(order), then is 1 + p^depth * X, drawn, repaired to determinant 1,
+    scaled by c.scalars[k] and certified by the principal kernel for n (see
+    _PRINCIPAL); the identity object when depth is e and k is 0."""
 
     def __post_init__(self):
         if self.depth < 1 or self.order < 1:
@@ -165,8 +164,8 @@ class PrincipalCondition(LocalCondition):
                 f"central order {m} does not divide gcd(n, p-1) at {c.place.label}; "
                 "central elements of that order do not exist there"
             )
-        c.unit = unit_of_order(m, p, c.e)
-        c.scalars = [pow(c.unit, k, c.ring.modulus) for k in range(m)]
+        unit = unit_of_order(m, p, c.e)
+        c.scalars = [pow(unit, k, c.ring.modulus) for k in range(m)]
         _principal_setup(c, self.depth)
 
     def member(self, c, g) -> bool:
@@ -190,7 +189,7 @@ class PrincipalCondition(LocalCondition):
     def generators(self, c) -> list[SLMat]:
         gens = _principal_generators(c.n, c.ring, self.depth)
         if self.order > 1:
-            gens.append(scalar_mul(c.unit, c.identity))
+            gens.append(scalar_mul(c.scalars[1], c.identity))
         return gens
 
 
@@ -268,10 +267,8 @@ class Parabolic(WordCondition):
         return words * c.span ** (c.n * c.n)
 
     def generators(self, c) -> list[SLMat]:
-        gens = parabolic_generators(self.theta, c.ring)
-        if c.e > 1:
-            gens = gens + _principal_generators(c.n, c.ring, 1)
-        return gens
+        # the principal kernel has no generators at level 1
+        return parabolic_generators(self.theta, c.ring) + _principal_generators(c.n, c.ring, 1)
 
 
 CONDITION_OF_KIND = {cls.kind: cls for cls in (Full, Principal, CentralPrincipal, Parabolic)}
@@ -348,7 +345,6 @@ class FiniteQuotientGroup:
         for cond, c in zip(self.conditions, self.components):
             cond.setup(c)
         self._gens: list[tuple[SLMat, ...]] | None = None
-        self._order: int | None = None
         self._identity = tuple(c.identity for c in self.components)
 
     # -- basics ---------------------------------------------------------
@@ -393,15 +389,10 @@ class FiniteQuotientGroup:
 
     # -- order -----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         """Exact order from the local counting formulas."""
-        if self._order is None:
-            total = 1
-            for cond, c in zip(self.conditions, self.components):
-                total *= cond.local_order(c)
-            self._order = total
-        return self._order
+        return math.prod(cond.local_order(c) for cond, c in zip(self.conditions, self.components))
 
     # -- sampling ---------------------------------------------------------
 
@@ -454,23 +445,15 @@ class FiniteQuotientGroup:
 def _principal_generators(n, ring, depth):
     """Generators of the level-depth principal kernel inside SL_n of the ring Z/p^e.
 
-    Off-diagonal one-parameter pieces 1 + p^depth * E_ij together with the
-    adjacent diagonal pieces diag(u, u^(-1)) for u = 1 + p^depth; closure
+    Off-diagonal one-parameter pieces 1 + p^depth * E_ij in row-major order,
+    then the torus for u = 1 + p^depth (see matrices.torus); closure
     enumeration against the order formula backs this up in the small cases.
     """
     if ring.e == depth:
         return []
-    mod = ring.modulus
     step = ring.p**depth
     gens = [elementary(n, i, j, step, ring) for i in range(n) for j in range(n) if i != j]
-    u = 1 + step
-    u_inv = pow(u, -1, mod)
-    for i in range(n - 1):
-        rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-        rows[i][i] = u
-        rows[i + 1][i + 1] = u_inv
-        gens.append(from_rows(rows, ring))
-    return gens
+    return gens + torus(n, ring, 1 + step)
 
 
 def _column_ops(g: SLMat) -> tuple:
@@ -534,16 +517,11 @@ def central_element(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> tuple[
 
     Materializing it requires m to divide gcd(n, p - 1); asymmetric
     membership of this element between two quotients is the centre
-    obstruction.  A CentralPrincipal component of order m already holds
-    the unit.
+    obstruction.
     """
     idx = q.place_index(place)
     out = list(q.identity())
-    cond, c = q.conditions[idx], q.components[idx]
-    if isinstance(cond, CentralPrincipal) and cond.order == m:
-        out[idx] = scalar_mul(c.unit, c.identity)
-    else:
-        out[idx] = central_scalar(q.n, q.rings[idx], m)
+    out[idx] = central_scalar(q.n, q.rings[idx], m)
     return tuple(out)
 
 

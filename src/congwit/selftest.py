@@ -13,11 +13,11 @@ from __future__ import annotations
 import sys
 import time
 
-from .matrices import _det_int, enumerate_sl2_order, mat_mul, sl_order_mod
+from .matrices import _det_int, mat_mul
 from .parabolics import _weyl_signs, fixed_lines, graph_automorphism, root_subset
 from .presets import PRESETS, builder
-from .quotients import FiniteQuotientGroup, subgroup_spec
-from .rings import rational_place
+from .quotients import FiniteQuotientGroup, enumerate_quotient, subgroup_spec
+from .rings import factorize, rational_place
 from .twists import PlaceSwap, verify_iso
 
 FAULT_W0_SIGN = "w0-sign"
@@ -33,12 +33,15 @@ class CheckFailure(Exception):
 
 
 def check_sl2_enumeration_orders():
+    """|SL_2(Z/m)| by closure over Full's generators and by Full's order formula."""
     for m, expected in ((2, 6), (3, 24), (4, 48), (5, 120), (6, 144), (7, 336)):
-        counted = enumerate_sl2_order(m)
-        if counted != expected or sl_order_mod(2, m) != expected:
+        level = {rational_place(p): e for p, e in factorize(m).items()}
+        q = FiniteQuotientGroup(subgroup_spec(2, {}), level)
+        counted = len(enumerate_quotient(q))
+        if counted != expected or q.order != expected:
             raise CheckFailure(
                 "sl2-enumeration-orders",
-                f"mod {m}: enumerated {counted}, formula {sl_order_mod(2, m)}, expected {expected}",
+                f"mod {m}: enumerated {counted}, formula {q.order}, expected {expected}",
             )
 
 

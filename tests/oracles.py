@@ -3,8 +3,9 @@
 None of these is used by the package itself.  They build elements and
 counts by independent routes (quadratic integers and their residue maps,
 CRT and Hensel lifting, the longest Weyl element and its conjugator,
-transposes and reductions, integral SL_2 words, tuple inverses, the
-principal predicates as comprehensions) that the tests compare with the
+transposes and reductions, SL_2(Z/m) counted entry by entry and reached by
+integral words, tuple inverses, the principal predicates as
+comprehensions) that the tests compare with the
 package's own results, and the pair loop of the verifier recomputed in
 full.
 """
@@ -231,6 +232,19 @@ def central_principal_member(g: SLMat, mod: int, order: int) -> bool:
 
 def tuple_inv(x):
     return tuple(mat_inv(a) for a in x)
+
+
+def enumerate_sl2_order(m: int) -> int:
+    """Brute-force count of 2x2 matrices mod m with determinant 1, the
+    order of SL_2(Z/m); only usable for small m."""
+    count = 0
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                for d in range(m):
+                    if (a * d - b * c) % m == 1:
+                        count += 1
+    return count
 
 
 def sl2_word_image_order(m: int, limit: int = 10**5) -> int:

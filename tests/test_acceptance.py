@@ -5,6 +5,7 @@ executed once through the CLI entry point and shared across criteria; the
 determinism criterion re-runs every command and compares raw bytes.
 """
 
+import io
 import json
 import re
 import time
@@ -13,7 +14,6 @@ from contextlib import contextmanager
 import pytest
 
 from congwit.cli import main
-from congwit.matrices import enumerate_sl2_order, sl_order_mod
 from congwit.parabolics import (
     graph_automorphism,
     parabolic_generators,
@@ -21,11 +21,12 @@ from congwit.parabolics import (
     root_subset,
 )
 from congwit.presets import method_a_pair
-from congwit.rings import factorize, residue_ring, splitting_type
+from congwit.quotients import FiniteQuotientGroup, Full, subgroup_spec
+from congwit.rings import factorize, rational_place, residue_ring, splitting_type
 from congwit.selftest import run_selftest
 from congwit.twists import PlaceSwap, verify_iso
 
-from oracles import crt_join, crt_split, hensel_lift_sqrt
+from oracles import crt_join, crt_split, enumerate_sl2_order, hensel_lift_sqrt
 
 WITNESS_COMMANDS = {
     "method-a": [
@@ -77,7 +78,8 @@ def test_criterion_1_oracle_suite():
         start = time.monotonic()
         for m, expected in ((5, 120), (7, 336), (4, 48), (6, 144), (3, 24), (2, 6)):
             assert enumerate_sl2_order(m) == expected
-            assert sl_order_mod(2, m) == expected
+            level = {rational_place(p): e for p, e in factorize(m).items()}
+            assert FiniteQuotientGroup(subgroup_spec(2, {}), level).order == expected
         for modulus in range(2, 1001):
             moduli = [p**e for p, e in sorted(factorize(modulus).items())]
             seen = set()
@@ -209,6 +211,22 @@ def test_criterion_6_negative_controls(tmp_path, capsys):
         assert "FAIL graph-automorphism-determinant" in log2.read_text()
         elapsed = time.monotonic() - start
         assert elapsed < 30, f"negative controls took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize(
+    "name,broken",
+    [
+        ("generators", lambda generators: lambda self, c: generators(self, c)[:-1]),
+        ("local_order", lambda local_order: lambda self, c: local_order(self, c) + 1),
+    ],
+    ids=["last-generator-dropped", "order-plus-one"],
+)
+def test_selftest_order_check_reads_the_verdict_path(name, broken, monkeypatch):
+    # the check's closure and formula are Full's own, which every verdict reads
+    monkeypatch.setattr(Full, name, broken(getattr(Full, name)))
+    out = io.StringIO()
+    assert run_selftest(50, 0, None, out=out) == 1
+    assert out.getvalue().startswith("FAIL sl2-enumeration-orders: ")
 
 
 def test_criterion_7_byte_identical_reruns(runs, tmp_path):

@@ -14,20 +14,19 @@ from congwit.matrices import (
     _minor,
     central_scalar,
     elementary,
-    enumerate_sl2_order,
     from_rows,
     identity,
     mat_inv,
     mat_mul,
     scalar_mul,
     sl_order,
-    sl_order_mod,
 )
 from congwit.parabolics import graph_automorphism, graph_automorphism_inverse
-from congwit.rings import residue_ring, unit_of_order
+from congwit.quotients import FiniteQuotientGroup, subgroup_spec
+from congwit.rings import rational_place, residue_ring, unit_of_order
 
 from conftest import KERNEL_RINGS, random_sl
-from oracles import minus_identity, reduce_mat
+from oracles import enumerate_sl2_order, minus_identity, reduce_mat
 from projective import ProjPoint, act, lines_of_projective_space
 
 R5 = residue_ring(5, 1)
@@ -222,7 +221,8 @@ def test_sl_order_formula_vs_enumeration():
     assert sl_order(4, 5, 1) == 29_016_000_000
     for m in (2, 3, 5, 7):
         assert sl_order(2, m, 1) == m * (m * m - 1) == enumerate_sl2_order(m)
-    assert sl_order_mod(2, 6) == 144 == enumerate_sl2_order(6)
+    sl2_mod_6 = FiniteQuotientGroup(subgroup_spec(2, {}), {rational_place(2): 1, rational_place(3): 1})
+    assert sl2_mod_6.order == 144 == enumerate_sl2_order(6)
 
 
 def test_minus_identity():

@@ -27,7 +27,7 @@ from congwit.matrices import (
     scalar_mul,
     sl_order,
 )
-from congwit.parabolics import parabolic_order, root_subset
+from congwit.parabolics import parabolic_generators, parabolic_order, root_subset
 from congwit.presets import PRESETS, builder, method_a_pair, method_b_pair, method_c_pair, s16_pair
 from congwit.quotients import (
     FULL_WORD_MAX,
@@ -517,6 +517,31 @@ def test_full_samples_beyond_the_presets_are_pinned():
             digest.update(repr(q.sample(child_seed(0, i))[0].entries).encode())
     assert digest.hexdigest() == (
         "5290b8c6b287fe071bf46373ac680bf7a24779dc928ccd8917c5c96262227a9e"
+    )
+
+
+def test_generator_sets_are_pinned():
+    # the order of the roots, the torus and the scalar fixes the parabolic
+    # word tables, so it is pinned entry by entry, not only as a generated group
+    digest = hashlib.sha256()
+    for n in (2, 3, 4, 6, 9):
+        theta = root_subset(n, [i for i in range(1, n) if i % 3 != 1])
+        for cond, e in (
+            (Full(), 1),
+            (Full(), 2),
+            (Principal(1), 2),
+            (Principal(1), 3),
+            (CentralPrincipal(math.gcd(n, 6), 1), 2),
+            (Parabolic(theta), 1),
+            (Parabolic(theta), 2),
+        ):
+            q = FiniteQuotientGroup(subgroup_spec(n, {V7: cond}), {V7: e})
+            digest.update(repr([g.entries for (g,) in q.generators()]).encode())
+        for e in (1, 2):
+            gens = parabolic_generators(theta, residue_ring(7, e))
+            digest.update(repr([g.entries for g in gens]).encode())
+    assert digest.hexdigest() == (
+        "56c2618616717b8811e324a7368c3b8a3ddf4f7d99ef42e0e96ec5f5c674bc91"
     )
 
 

@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 50 runs.  Thirty-nine compare a change with its parent on
+The set is 51 runs.  Forty compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -21,7 +21,9 @@ ordinary inputs:
   - method-b at the large primes p = 101, q = 103, whose certificate
     counts fixed lines over F_101 and F_103;
   - `search-primes` three times;
-  - `selftest` with each --inject-fault mode;
+  - `selftest` at --samples 50, which passes every check and exits 0, and
+    with each --inject-fault mode, which stop at the second and the fourth
+    check;
   - `verify-iso` and `obstruct` on the four saved documents;
   - `verify-iso` (--samples 300 --seed 3) and `obstruct` on the saved
     method-b document re-levelled to 5^2 at p5, the runs in which a
@@ -168,6 +170,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         ["--d", "5", "--count", "4", "--exclude", "11", "--full-center", "4"],
     ):
         out.append(("search-primes " + " ".join(flags), ["search-primes", *flags], None))
+    out.append(("selftest", ["selftest", "--samples", "50"], None))
     for fault in ("w0-sign", "place-swap-a"):
         out.append((f"selftest {fault}", ["selftest", "--samples", "50", "--inject-fault", fault], None))
     for preset in PRESETS:
