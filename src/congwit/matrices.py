@@ -5,7 +5,7 @@ SLMat(...) and from_rows certify their rows, so nothing outside SL_n enters
 through the public surface; mat_mul, mat_inv and the diagram symmetry are
 closed on certified operands, and scalar_mul checks c^n = det(c * x) = 1.
 The principal sampler's kernel (see quotients) certifies its own entries.
-Also here: elementary, torus and central elements, and orders of SL_n(Z/p^e).
+Also here: elementary and torus elements, and orders of SL_n(Z/p^e).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .kernels import Kernels, emit_adj, emit_det, emit_mul, emit_reduce, emit_scale
-from .rings import ResidueRing, is_prime, unit_of_order
+from .rings import ResidueRing, is_prime
 
 
 def _det_int(rows) -> int:
@@ -110,10 +110,6 @@ class SLMat:
     def n(self) -> int:
         return len(self.entries)
 
-    def __str__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
-        return f"[{body}] mod {self.ring.modulus}"
-
 
 def _reduce_rows(rows, ring: ResidueRing) -> SLMat:
     """from_rows for any n without a kernel: SLMat checks the reduced rows."""
@@ -184,20 +180,6 @@ def elementary(n: int, i: int, j: int, t: int, ring: ResidueRing) -> SLMat:
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     rows[i][j] = t % mod
     return SLMat(ring, tuple(tuple(r) for r in rows))
-
-
-def central_scalar(n: int, ring: ResidueRing, m: int) -> SLMat:
-    """The canonical central element of order m: zeta * identity.
-
-    zeta is the canonical unit of order m in (Z/p^e)^x, so m must divide
-    gcd(n, p - 1); that divisibility is exactly the condition for SL_n over
-    the residue ring to contain full m-torsion of its centre.
-    """
-    p, e = ring.p, ring.e
-    if m < 1 or n % m != 0 or (p - 1) % m != 0:
-        raise InputError(f"order {m} does not divide gcd({n}, {p - 1})")
-    z = unit_of_order(m, p, e)
-    return scalar_mul(z, identity(n, ring))
 
 
 def torus(n: int, ring: ResidueRing, u: int) -> list[SLMat]:

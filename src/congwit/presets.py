@@ -177,7 +177,7 @@ def method_b_pair(p: int = 5, q: int = 7) -> WitnessBundle:
     level = {vp: 1, vq: 1, v3: 1}
     q1, q2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
     iso = GraphAutomorphism(q1, q2, vq)
-    sep = list(q1.identity())
+    sep = list(q1.identity)
     idx_q = q1.place_index(vq)
     # inside the lower 3x3 block of (1,3), below the diagonal of (3,1)
     sep[idx_q] = elementary(n, 3, 1, 1, q1.rings[idx_q])
@@ -204,7 +204,7 @@ def method_c_pair(d: int = 2, p: int = 7, q: int = 17) -> WitnessBundle:
     level = {p1: 1, p2: 1, q1_place: 1, q2_place: 1}
     quo1, quo2 = FiniteQuotientGroup(spec1, level), FiniteQuotientGroup(spec2, level)
     iso = PlaceSwap(quo1, quo2, p1, p2)
-    sep = list(quo1.identity())
+    sep = list(quo1.identity)
     idx_p2 = quo1.place_index(p2)
     sep[idx_p2] = elementary(n, 0, 1, 1, quo1.rings[idx_p2])
     places = (p1, p2, q1_place, q2_place)

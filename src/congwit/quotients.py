@@ -34,7 +34,6 @@ from .kernels import Kernels, emit_principal, emit_scalar, word_kernel
 from .matrices import (
     SLMat,
     _det_int,
-    central_scalar,
     elementary,
     from_rows,
     identity,
@@ -344,8 +343,7 @@ class FiniteQuotientGroup:
         self.components = tuple(Component(spec.n, p, ring) for p, ring in zip(self.places, self.rings))
         for cond, c in zip(self.conditions, self.components):
             cond.setup(c)
-        self._gens: list[tuple[SLMat, ...]] | None = None
-        self._identity = tuple(c.identity for c in self.components)
+        self.identity = tuple(c.identity for c in self.components)
 
     # -- basics ---------------------------------------------------------
 
@@ -358,9 +356,6 @@ class FiniteQuotientGroup:
             return self.places.index(place)
         except ValueError:
             raise InputError(f"place {place.label} is not in the level") from None
-
-    def identity(self) -> tuple[SLMat, ...]:
-        return self._identity
 
     # -- membership ------------------------------------------------------
 
@@ -427,19 +422,17 @@ class FiniteQuotientGroup:
 
     # -- generators --------------------------------------------------------
 
+    @functools.cached_property
     def generators(self) -> list[tuple[SLMat, ...]]:
         """Tuples that generate the quotient: per place, local generators
-        padded with the identity elsewhere."""
-        if self._gens is None:
-            gens = []
-            ident = self.identity()
-            for idx, (cond, c) in enumerate(zip(self.conditions, self.components)):
-                for local in cond.generators(c):
-                    g = list(ident)
-                    g[idx] = local
-                    gens.append(tuple(g))
-            self._gens = gens
-        return self._gens
+        padded with the identity elsewhere; computed once, like the order."""
+        gens = []
+        for idx, (cond, c) in enumerate(zip(self.conditions, self.components)):
+            for local in cond.generators(c):
+                g = list(self.identity)
+                g[idx] = local
+                gens.append(tuple(g))
+        return gens
 
 
 def _principal_generators(n, ring, depth):
@@ -515,13 +508,17 @@ _SCALAR = Kernels(emit_scalar, _scalar_of)
 def central_element(q: FiniteQuotientGroup, place: PrimePlace, m: int) -> tuple[SLMat, ...]:
     """The canonical order-m central scalar at one place, identity elsewhere.
 
-    Materializing it requires m to divide gcd(n, p - 1); asymmetric
-    membership of this element between two quotients is the centre
-    obstruction.
+    The scalar is the place's canonical unit of order m, which exists only
+    when m divides gcd(n, p - 1): unit_of_order refuses m < 1 and m not
+    dividing p - 1, and scalar_mul refuses m not dividing n.  The presets
+    and documents reach it with an m that a central condition's setup has
+    checked at the place's ring.  Asymmetric membership of this element
+    between two quotients is the centre obstruction.
     """
     idx = q.place_index(place)
-    out = list(q.identity())
-    out[idx] = central_scalar(q.n, q.rings[idx], m)
+    c = q.components[idx]
+    out = list(q.identity)
+    out[idx] = scalar_mul(unit_of_order(m, c.place.p, c.e), c.identity)
     return tuple(out)
 
 
@@ -560,4 +557,4 @@ def closure(generators, ident, limit: int):
 
 def enumerate_quotient(q: FiniteQuotientGroup, limit: int = 10**5):
     """All elements of a small quotient by closure over its generators."""
-    return closure(q.generators(), q.identity(), limit)
+    return closure(q.generators, q.identity, limit)

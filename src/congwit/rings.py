@@ -15,6 +15,7 @@ module is safe to share across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +25,9 @@ from .errors import InputError
 # from any practical size limits; presets use p^e <= 17^2.
 MAX_MODULUS = 2**31
 
-# Hard cap on candidates scanned by find_split_primes; hitting it means the
-# search constraints are inconsistent (the searches used here always
-# terminate long before).
+# Hard cap on the primes find_split_primes scans, 2 included; hitting it
+# means the search constraints are inconsistent (the searches used here
+# always terminate long before).
 PRIME_SCAN_CAP = 10**6
 
 
@@ -44,15 +45,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def primes():
-    """Yield the primes in ascending order."""
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -201,8 +193,10 @@ def conj_place(v: PrimePlace, places=()) -> PrimePlace:
 def find_split_primes(d, count, exclude=(), congruence=None):
     """The `count` smallest odd primes split in Z[sqrt(d)], in order.
 
-    Primes in `exclude` and primes dividing d are skipped.  An optional
-    congruence (m, a) additionally requires p = a mod m; with d = 1 the
+    An odd prime p splits exactly when d is a nonzero square mod p, which
+    Euler's criterion d^((p-1)/2) = 1 mod p tests; the power is 0 mod the
+    primes dividing d, so they are skipped, as are the primes in `exclude`.
+    An optional congruence (m, a) additionally requires p = a mod m; with d = 1 the
     quadratic condition is vacuous (every odd prime counts), which is the
     rational-ring mode used to search for primes where the full group of
     n-th roots of unity lives in F_p (congruence (n, 1)).
@@ -218,21 +212,17 @@ def find_split_primes(d, count, exclude=(), congruence=None):
         if cm > 1 and math.gcd(ca, cm) != 1:
             raise InputError(f"congruence class {ca} mod {cm} contains at most one prime")
     found: list[int] = []
-    scanned = 0
-    for p in primes():
-        scanned += 1
-        if scanned > PRIME_SCAN_CAP:
-            raise InputError("prime search exceeded its candidate cap; constraints look inconsistent")
-        if p == 2 or p in exclude or d % p == 0:
+    odd_primes = (p for p in itertools.count(3, 2) if is_prime(p))
+    # the cap counts the prime 2 as scanned, though it is never a candidate
+    for p in itertools.islice(odd_primes, PRIME_SCAN_CAP - 1):
+        if p in exclude or pow(d, (p - 1) // 2, p) != 1:
             continue
         if congruence is not None and p % congruence[0] != congruence[1] % congruence[0]:
-            continue
-        if splitting_type(p, d)[0] != "split":
             continue
         found.append(p)
         if len(found) == count:
             return found
-    raise AssertionError("unreachable")
+    raise InputError("prime search exceeded its candidate cap; constraints look inconsistent")
 
 
 def _guarded_modulus(p: int, e: int) -> int:
@@ -300,13 +290,16 @@ def smallest_primitive_root(p: int, e: int) -> int:
 
 
 def unit_of_order(m: int, p: int, e: int) -> int:
-    """The canonical unit of multiplicative order m in (Z/p^e)^x.
+    """The canonical unit of multiplicative order m in (Z/p^e)^x, which
+    exists exactly when m >= 1 divides p - 1.
 
     Defined as g^(phi/m) for g the smallest primitive root mod p^e; any
     fixed choice would do, but witnesses must be byte-stable.
     """
     if m == 1:
         return 1
+    if m < 1:
+        raise InputError(f"no element of order {m}: an order is at least 1")
     if (p - 1) % m != 0:
         raise InputError(f"no element of order {m} in (Z/{p}^{e})^x: {m} does not divide {p - 1}")
     g = smallest_primitive_root(p, e)

@@ -262,7 +262,7 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
         raise InputError("sample_count must be >= 1")
     src, tgt = iso.source, iso.target
     inverse = iso.invert()
-    gens = src.generators()
+    gens = src.generators
     membership = 0
     # the source's own generators are its members, so no apply re-test
     for gen in gens:
@@ -279,7 +279,7 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
                 f"generators of the source close on {size} elements, not its order {src.order}"
             )
         elements = list(closed)
-        steps = gens or [src.identity()]
+        steps = gens or [src.identity]
         samples_used, pairs = len(elements), len(elements) * len(steps)
 
         def pair(i):

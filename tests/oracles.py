@@ -159,10 +159,10 @@ def roots_of_unity_order(n: int, p: int, e: int) -> int:
 def minus_identity(n: int, ring: ResidueRing) -> SLMat:
     """The scalar matrix -1; rejected for odd n where its determinant is -1.
 
-    Central elements of other orders come from central_scalar.
+    Central elements of other orders come from quotients.central_element.
     """
     if n % 2 != 0:
-        raise InputError(f"-identity has determinant -1 for n={n}; use central_scalar for odd n")
+        raise InputError(f"-identity has determinant -1 for n={n}; use central_element for odd n")
     mod = ring.modulus
     return scalar_mul(mod - 1, identity(n, ring))
 

@@ -12,7 +12,6 @@ from congwit.matrices import (
     _bareiss,
     _det_int,
     _minor,
-    central_scalar,
     elementary,
     from_rows,
     identity,
@@ -22,7 +21,7 @@ from congwit.matrices import (
     sl_order,
 )
 from congwit.parabolics import graph_automorphism, graph_automorphism_inverse
-from congwit.quotients import FiniteQuotientGroup, subgroup_spec
+from congwit.quotients import FiniteQuotientGroup, central_element, subgroup_spec
 from congwit.rings import rational_place, residue_ring, unit_of_order
 
 from conftest import KERNEL_RINGS, random_sl
@@ -233,6 +232,12 @@ def test_minus_identity():
 
 
 def test_central_scalar_examples():
+    def central_scalar(n, ring, m):
+        # the central element of a one-place quotient over the ring
+        v = rational_place(ring.p)
+        (z,) = central_element(FiniteQuotientGroup(subgroup_spec(n, {}), {v: ring.e}), v, m)
+        return z
+
     assert central_scalar(4, R5, 4) == scalar_mul(2, identity(4, R5))
     assert central_scalar(4, R7, 2) == scalar_mul(6, identity(4, R7))
     with pytest.raises(InputError):

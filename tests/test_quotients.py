@@ -88,7 +88,7 @@ def test_method_a_level_one_quotient_is_order_two():
     assert q.order == 2
     elements = enumerate_quotient(q)
     assert len(elements) == 2
-    ident = q.identity()
+    ident = q.identity
     nontrivial = tuple([minus_identity(4, q.rings[0]), identity(4, q.rings[1])])
     assert elements == {ident, nontrivial}
 
@@ -130,7 +130,7 @@ def test_member_examples():
     spec1, spec2 = method_a_specs()
     q1 = FiniteQuotientGroup(spec1, {V5: 1, V7: 1})
     q2 = FiniteQuotientGroup(spec2, {V5: 1, V7: 1})
-    assert q1.member(q1.identity())
+    assert q1.member(q1.identity)
     g = (minus_identity(4, q1.rings[0]), identity(4, q1.rings[1]))
     assert q1.member(g)
     assert not q2.member(g)
@@ -142,7 +142,7 @@ def test_member_method_b_example():
         4, {V5: Parabolic(theta), V7: Parabolic(theta), V3: Principal(1)}
     )
     q = FiniteQuotientGroup(spec, {V5: 1, V7: 1, V3: 1})
-    g = list(q.identity())
+    g = list(q.identity)
     g[q.place_index(V5)] = elementary(4, 1, 0, 1, q.rings[q.place_index(V5)])
     assert not q.member(tuple(g))
 
@@ -150,9 +150,9 @@ def test_member_method_b_example():
 def test_member_rejects_mismatched_shapes_gracefully():
     spec1, _ = method_a_specs()
     q = FiniteQuotientGroup(spec1, {V5: 1, V7: 1})
-    assert not q.member((q.identity()[0],))
+    assert not q.member((q.identity[0],))
     wrong_ring = identity(4, FiniteQuotientGroup(spec1, {V5: 2, V7: 1}).rings[0])
-    assert not q.member((wrong_ring, q.identity()[1]))
+    assert not q.member((wrong_ring, q.identity[1]))
 
 
 @pytest.mark.parametrize(
@@ -313,6 +313,40 @@ def test_central_element_spec_materialization():
         central_element(q, V7, 4)  # 4 does not divide gcd(4, 6)
 
 
+def test_central_orders_are_refused_exactly_where_no_central_torsion_exists():
+    # m < 1 or m not dividing gcd(n, p - 1): central_element refuses m, and
+    # so does the set-up of a CentralPrincipal(m, 1) quotient, with the one
+    # message a spec reaches; the elements that exist are pinned entry by entry
+    digest = hashlib.sha256()
+    for n in (2, 3, 4, 6):
+        for p in (5, 7, 13):
+            v = rational_place(p)
+            for e in (1, 2):
+                q = FiniteQuotientGroup(subgroup_spec(n, {}), {v: e})
+                for m in (-2, 0, 1, 2, 3, 4, 6):
+                    refused = m < 1 or math.gcd(n, p - 1) % m != 0
+                    if refused:
+                        with pytest.raises(InputError):
+                            central_element(q, v, m)
+                    else:
+                        digest.update(repr((n, p, e, m, central_element(q, v, m)[0].entries)).encode())
+                    if m < 1:
+                        continue
+                    spec = subgroup_spec(n, {v: CentralPrincipal(m, 1)})
+                    if not refused:
+                        FiniteQuotientGroup(spec, {v: e})
+                        continue
+                    with pytest.raises(InputError) as info:
+                        FiniteQuotientGroup(spec, {v: e})
+                    assert str(info.value) == (
+                        f"central order {m} does not divide gcd(n, p-1) at p{p}; "
+                        "central elements of that order do not exist there"
+                    )
+    assert digest.hexdigest() == (
+        "8e373298b9dc9c290a5c702cc2c7b1f7c620272d6897f78cc3a8f83edc7ea186"
+    )
+
+
 @pytest.mark.parametrize("m,expected", [(3, 24), (4, 48), (5, 120), (6, 144), (7, 336)])
 def test_sl2_integral_words_surject_onto_quotients(m, expected):
     assert sl2_word_image_order(m) == expected
@@ -327,14 +361,14 @@ def test_generators_are_members():
         FiniteQuotientGroup(spec1, {V5: 2, V7: 2}),
         FiniteQuotientGroup(spec_b, {V5: 1, V3: 2}),
     ] + [builder(name)().iso.source for name in sorted(PRESETS)]:
-        assert q.generators()
-        for g in q.generators():
+        assert q.generators
+        for g in q.generators:
             assert q.member(g)
 
 
 def test_closure_limit_returns_none():
     q = FiniteQuotientGroup(subgroup_spec(2, {V7: Full()}), {V7: 1})
-    assert closure(q.generators(), q.identity(), 10) is None
+    assert closure(q.generators, q.identity, 10) is None
 
 
 @pytest.mark.parametrize(
@@ -536,7 +570,7 @@ def test_generator_sets_are_pinned():
             (Parabolic(theta), 2),
         ):
             q = FiniteQuotientGroup(subgroup_spec(n, {V7: cond}), {V7: e})
-            digest.update(repr([g.entries for (g,) in q.generators()]).encode())
+            digest.update(repr([g.entries for (g,) in q.generators]).encode())
         for e in (1, 2):
             gens = parabolic_generators(theta, residue_ring(7, e))
             digest.update(repr([g.entries for g in gens]).encode())
@@ -854,9 +888,9 @@ def test_sampler_ops_are_derived_from_the_dense_generators():
 
 def test_identity_is_built_once():
     q = FiniteQuotientGroup(subgroup_spec(2, {V5: Principal(1)}), {V5: 1, V7: 1})
-    assert q.identity() is q.identity()
+    assert q.identity is q.identity
     (g, _) = q.sample(3)
-    assert g is q.identity()[0]
+    assert g is q.identity[0]
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +950,7 @@ def test_member_matches_per_entry_predicate(n, p, m, depth, extra):
         elements += [q.sample(seed)[0] for seed in range(20)]
         # the type, ring and shape guard comes before the predicate
         elements += [identity(n, FiniteQuotientGroup(subgroup_spec(n, {}), {place: depth + extra + 1}).rings[0])]
-        elements += [identity(3, q.rings[0]), q.identity()[0].entries]
+        elements += [identity(3, q.rings[0]), q.identity[0].entries]
         for g in elements:
             ours, theirs = q.member((g,)), _ref_member(q, (g,))
             assert ours == theirs, (cond, g)

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from congwit import rings
 from congwit.errors import InputError
 from congwit.rings import (
     PrimePlace,
     ResidueRing,
     conj_place,
     find_split_primes,
+    is_prime,
     rational_place,
     residue_ring,
     smallest_primitive_root,
@@ -67,6 +69,37 @@ def test_find_split_primes():
     assert find_split_primes(2, 1, exclude={7}) == [17]
     assert find_split_primes(2, 3) == [7, 17, 23]
     assert find_split_primes(1, 2, congruence=(4, 1)) == [5, 13]
+
+
+def _ref_split_primes(d, count, exclude=(), congruence=None):
+    """find_split_primes by splitting_type over every odd number from 3."""
+    found, p = [], 3
+    while len(found) < count:
+        if is_prime(p) and p not in exclude and splitting_type(p, d)[0] == "split":
+            if congruence is None or p % congruence[0] == congruence[1] % congruence[0]:
+                found.append(p)
+        p += 2
+    return found
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15, 21])
+def test_find_split_primes_matches_the_splitting_type_reference(d):
+    for congruence in (None, (3, 1), (4, 1), (6, 1)):
+        for count in range(1, 9):
+            expected = _ref_split_primes(d, count, (), congruence)
+            assert find_split_primes(d, count, congruence=congruence) == expected
+            # the ramified 3 and 5, a composite and every other prime found
+            exclude = {3, 5, 9, *expected[::2]}
+            got = find_split_primes(d, count, exclude=exclude, congruence=congruence)
+            assert got == _ref_split_primes(d, count, exclude, congruence)
+
+
+def test_find_split_primes_cap_counts_the_prime_two(monkeypatch):
+    # three primes scanned: 2, which is never a candidate, then 3 and 5
+    monkeypatch.setattr(rings, "PRIME_SCAN_CAP", 3)
+    assert find_split_primes(1, 2) == [3, 5]
+    with pytest.raises(InputError, match="candidate cap"):
+        find_split_primes(1, 3)
 
 
 def test_find_split_primes_rejects():

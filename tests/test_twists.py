@@ -53,7 +53,7 @@ def test_central_transport_level_one_example():
     image = iso.apply(g)
     assert image == (identity(4, q2.rings[0]), minus_identity(4, q2.rings[1]))
     assert q2.member(image)
-    assert iso.apply(q1.identity()) == q2.identity()
+    assert iso.apply(q1.identity) == q2.identity
 
 
 def test_central_transport_level_two_example():
@@ -397,8 +397,8 @@ def test_presets_witnessed(bundle_fn):
 @pytest.mark.parametrize("bundle_fn", [method_a_pair, method_b_pair, method_c_pair, s16_pair])
 def test_apply_preserves_identity(bundle_fn):
     bundle = bundle_fn()
-    assert bundle.iso.apply(bundle.quotient1.identity()) == bundle.quotient2.identity()
-    assert bundle.iso.invert().apply(bundle.quotient2.identity()) == bundle.quotient1.identity()
+    assert bundle.iso.apply(bundle.quotient1.identity) == bundle.quotient2.identity
+    assert bundle.iso.invert().apply(bundle.quotient2.identity) == bundle.quotient1.identity
 
 
 def _relevelled(bundle, e):
@@ -470,7 +470,7 @@ def _short_closure_iso(monkeypatch):
     v3 = rational_place(3)
     full = FiniteQuotientGroup(subgroup_spec(2, {}), {v3: 1})
     # E_01 alone closes on its 3 powers, not on the 24 elements of SL_2(F_3)
-    monkeypatch.setattr(full, "generators", lambda: FiniteQuotientGroup.generators(full)[:1])
+    monkeypatch.setattr(full, "generators", full.generators[:1])
     iso = _Inclusion(full, full)
     monkeypatch.setattr(iso, "apply", lambda g: pytest.fail("a pair was checked"))
     return iso
@@ -500,7 +500,7 @@ def test_order_one_quotient_checks_the_identity_edge():
     p1, p2 = split_places(7, 2)
     spec = subgroup_spec(2, {p1: Principal(1), p2: Principal(1)}, d=2)
     q1, q2 = (FiniteQuotientGroup(spec, {p1: 1, p2: 1}) for _ in range(2))
-    assert q1.order == 1 and q1.generators() == []
+    assert q1.order == 1 and q1.generators == []
     report = verify_iso(PlaceSwap(q1, q2, p1, p2), 10_000, 0)
     assert report.witnessed and report.exhaustive and report.samples_used == 1
 

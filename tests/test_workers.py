@@ -117,7 +117,7 @@ def order_48_quotients():
         {v3: Full(), v5: Principal(1), v7: CentralPrincipal(2, 1)},
     )
     q1, q2 = (FiniteQuotientGroup(subgroup_spec(2, spec), level) for spec in specs)
-    assert q1.order == q2.order == 48 and len(q1.generators()) == 3
+    assert q1.order == q2.order == 48 and len(q1.generators) == 3
     return q1, q2, v5, v7
 
 

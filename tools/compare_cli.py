@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 51 runs.  Forty compare a change with its parent on
+The set is 53 runs.  Forty-one compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -20,7 +20,9 @@ ordinary inputs:
     ones at n = 9;
   - method-b at the large primes p = 101, q = 103, whose certificate
     counts fixed lines over F_101 and F_103;
-  - `search-primes` three times;
+  - `search-primes` four times, once at d = 15 with 7 excluded, which
+    skips the ramified primes 3 and 5 and is larger than 11, the first
+    prime it finds;
   - `selftest` at --samples 50, which passes every check and exits 0, and
     with each --inject-fault mode, which stop at the second and the fourth
     check;
@@ -42,9 +44,11 @@ ordinary inputs:
     at level 1 with a full place p3, sampled rather than enumerated, where
     the central-principal component sits at depth = e;
   - `verify-iso` on a missing file.
-Eleven edge runs follow: nine witness inputs that a constructor refuses, and
+Twelve edge runs follow: nine witness inputs that a constructor refuses,
 `obstruct` on two documents derived from the saved ones that hold an
-explicit `full` condition.  The per-check timings of `selftest` are masked;
+explicit `full` condition, and `obstruct` on the saved method-a document
+at central order 4, which the set-up of its central condition at p7
+refuses.  The per-check timings of `selftest` are masked;
 nothing else is.
 """
 
@@ -137,6 +141,17 @@ def _method_a_at_level_1(cwd: Path):
     (cwd / "method-a-1.json").write_text(json.dumps(doc))
 
 
+def _method_a_order_4(cwd: Path):
+    """method-a with order 4 in both central conditions and in the twist:
+    4 divides gcd(4, 5 - 1) at p5 but not gcd(4, 7 - 1) at p7."""
+    doc = json.loads((cwd / "method-a.json").read_text())
+    bundle = doc["bundle"]
+    for key, label in (("conditions1", "p5"), ("conditions2", "p7")):
+        bundle[key][label]["order"] = 4
+    bundle["iso"]["scalar_order"] = 4
+    (cwd / "method-a-4.json").write_text(json.dumps(doc))
+
+
 def runs() -> list[tuple[str, list[str], object]]:
     """(name, argv, prepare) in run order; prepare(cwd), if any, writes the
     run's input into the side's working directory first."""
@@ -168,6 +183,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         ["--d", "2", "--count", "3"],
         ["--full-center", "4", "--count", "2"],
         ["--d", "5", "--count", "4", "--exclude", "11", "--full-center", "4"],
+        ["--d", "15", "--count", "4", "--exclude", "7"],
     ):
         out.append(("search-primes " + " ".join(flags), ["search-primes", *flags], None))
     out.append(("selftest", ["selftest", "--samples", "50"], None))
@@ -204,6 +220,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         out.append(("witness " + " ".join(flags), ["witness", *flags, "--samples", "50"], None))
     out.append(("obstruct full-p17a.json", ["obstruct", "full-p17a.json"], _full_at_p17a))
     out.append(("obstruct full-p11.json", ["obstruct", "full-p11.json"], _full_without_level))
+    out.append(("obstruct method-a-4.json", ["obstruct", "method-a-4.json"], _method_a_order_4))
     return out
 
 
