@@ -204,17 +204,18 @@ def emit_graph_inverse(n):
 
 
 @functools.cache
-def word_kernel(n, ops, mod, max_len):
+def word_kernel(n, ops, mod, max_len, closed):
     """The word kernel that emit_word writes, compiled once per process for
-    each (n, ops, modulus, max_len)."""
-    return compiled("word", *emit_word(n, ops, mod, max_len))
+    each (n, ops, modulus, max_len), with `closed` in its globals."""
+    return compiled("word", *emit_word(n, ops, mod, max_len), closed=closed)
 
 
 def emit_word(n, ops, mod, max_len):
-    """word(r): the unreduced rows of a product of 1 to max_len generators,
-    and what is left of r.  ops[g] lists generator g's column operations (c,
-    ((k, a_k), ...)): column c becomes sum_k a_k * column k, a_k in [0, mod)
-    (see quotients._column_ops) or None for t, the factor's multiplier.  The
+    """word(r, ring): closed(ring, the reduced rows of a product of 1 to
+    max_len generators), and what is left of r; ring's modulus is mod.
+    ops[g] lists generator g's column operations (c, ((k, a_k), ...)):
+    column c becomes sum_k a_k * column k, a_k in [0, mod) (see
+    quotients._column_ops) or None for t, the factor's multiplier.  The
     draws are the length, from range(max_len), then per factor g from
     range(len(ops)), or g + len(ops) * t from range(len(ops) * mod) if ops
     hold a None; an if-tree dispatches g.  Only integers and t enter the
@@ -223,7 +224,9 @@ def emit_word(n, ops, mod, max_len):
     one tuple assignment of the columns it moves, so one multiply-add of
     whole integers per term acts on every row at once.  Fields never carry or
     borrow: a factor multiplies the largest entry by less than n * mod, as
-    t < mod, so every entry stays below (n * mod)^max_len <= 2^w."""
+    t < mod, so every entry stays below (n * mod)^max_len <= 2^w.  Each entry
+    is reduced once, at the end.  The caller vouches for the determinant:
+    a product of generators of determinant 1 has determinant 1."""
     w, count = max_len * (int(n) * int(mod)).bit_length(), len(ops)
     drawn = any(a is None for op in ops for _, terms in op for _, a in terms)
 
@@ -240,14 +243,14 @@ def emit_word(n, ops, mod, max_len):
 
     mask, cols = (1 << w) - 1, [f"c{k}" for k in range(n)]
     # the last row lies in the top bits, with nothing above it to mask off
-    rows = [[(f"{c} >> {r * w}" if r else c) + f" & {mask:#x}" * (r < n - 1) for c in cols]
+    rows = [[f"({c}{f' >> {r * w}' * (r > 0)}{f' & {mask:#x}' * (r < n - 1)}) % {int(mod)}" for c in cols]
             for r in range(n)]
-    return "r", [
+    return "r, ring", [
         f"r, length = divmod(r, {int(max_len)})",
         f"{', '.join(cols)} = {', '.join(f'{1 << k * w:#x}' for k in range(n))}",
         "for _ in range(length + 1):",
         f"    r, g = divmod(r, {count * int(mod) if drawn else count})",
         *([f"    t, g = divmod(g, {count})"] if drawn else []),
         *tree(0, count, "    "),
-        f"return {_rows(rows, True)}, r",
+        f"return closed(ring, {_rows(rows, True)}), r",
     ]

@@ -4,7 +4,9 @@ SLMat values are immutable, canonically reduced and of determinant 1.
 SLMat(...) and from_rows certify their rows, so nothing outside SL_n enters
 through the public surface; mat_mul, mat_inv and the diagram symmetry are
 closed on certified operands, and scalar_mul checks c^n = det(c * x) = 1.
-The principal sampler's kernel (see quotients) certifies its own entries.
+The principal sampler's kernel (see quotients) certifies its own entries;
+a sampled word is a product of generators that its table certified once
+(see quotients.WordCondition), so the word kernel builds it unchecked.
 Also here: elementary and torus elements, and orders of SL_n(Z/p^e).
 """
 
@@ -74,41 +76,55 @@ def _adj_rows(e, mod):
 class SLMat:
     """A square matrix over a residue ring with determinant 1.
 
-    SLMat(...) runs the square-shape, canonical-reduction and determinant
-    checks on every matrix built from rows, untrusted input included; the
-    determinant is the generated kernel for n up to GENERATED_MAX_N (see
-    the kernels module).  from_rows reduces its rows itself and runs the
-    shape and determinant checks in one generated kernel, and so does the
-    principal sampler's kernel (see quotients), before each builds through
-    _closed; only mat_mul, mat_inv, scalar_mul and the diagram symmetry
-    use _closed unchecked.
+    SLMat(...) certifies every matrix built from rows, untrusted input
+    included: the entries must be a tuple of n tuples of n ints, each in
+    [0, modulus), with determinant 1; the determinant is the generated
+    kernel for n up to GENERATED_MAX_N (see the kernels module).
+    from_rows reduces its rows itself and runs the shape and determinant
+    checks in one generated kernel, and so do the principal sampler's
+    kernel and the word kernels' tables (see quotients), before each
+    builds through _closed; mat_mul, mat_inv, scalar_mul, the diagram
+    symmetry and a word of certified generators use _closed unchecked.
+    The two slots and a weak reference are all an object holds; pickling
+    and copying rebuild it through SLMat(...).
     """
 
+    __slots__ = ("ring", "entries", "__weakref__")
     ring: ResidueRing
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        entries = self.entries
-        mod = self.ring.modulus
-        n = len(entries)
-        if n < 1 or any(len(r) != n for r in entries):
+        entries, mod = self.entries, self.ring.modulus
+        # exact types: a list would leave the matrix unhashable, and a float
+        # or a bool would be stored as it came
+        rows_are_tuples = type(entries) is tuple and {*map(type, entries)} == {tuple}
+        if not rows_are_tuples or {*map(len, entries)} != {len(entries)}:
             raise InputError("entries must form a square matrix")
         flat = sum(entries, ())  # rows are tuples, so this flattens in C
-        if min(flat) < 0 or max(flat) >= mod:
+        if {*map(type, flat)} != {int} or min(flat) < 0 or max(flat) >= mod:
             raise InputError("entries must be canonically reduced")
-        if _DET[n](entries) % mod != 1:
+        if _DET[len(entries)](entries) % mod != 1:
             raise InputError("determinant is not 1 in the ring")
+
+    def __reduce__(self):
+        return SLMat, (self.ring, self.entries)
 
     @classmethod
     def _closed(cls, ring: ResidueRing, entries) -> "SLMat":
-        """Reduced entries already known to have determinant 1; not checked."""
+        """Reduced entries already known to have determinant 1; not checked.
+        The slots are set through their own descriptors, which the frozen
+        __setattr__ does not guard."""
         m = object.__new__(cls)
-        m.__dict__.update(ring=ring, entries=entries)  # the frozen fields, set once
+        _set_ring(m, ring)
+        _set_entries(m, entries)
         return m
 
     @property
     def n(self) -> int:
         return len(self.entries)
+
+
+_set_ring, _set_entries = SLMat.ring.__set__, SLMat.entries.__set__
 
 
 def _reduce_rows(rows, ring: ResidueRing) -> SLMat:

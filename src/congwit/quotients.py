@@ -95,24 +95,29 @@ class LocalCondition:
 
 
 class WordCondition(LocalCondition):
-    """A condition sampled as a word of 1 to max_len generators of table(c)."""
+    """A condition sampled as a word of 1 to max_len generators of table(c),
+    given as rows in which None stands for t, the factor's multiplier.  The
+    table is certified once per component, at its first sample (see
+    _certified); a word of certified generators has determinant 1, so the
+    word kernel builds it unchecked."""
 
     def setup(self, c):
         c.word = None
 
     def sampler_ops(self, c) -> tuple:
-        """table(c) and c.word, its word kernel (see word_kernel), built at the
-        first sample and shared by every component with an equal table."""
+        """table(c) as column operations (see _column_ops), each entry
+        certified first, and c.word, its word kernel (see word_kernel),
+        shared by every component with an equal table; built at the first
+        sample."""
         if c.word is None:
-            c.ops = self.table(c)
-            c.word = word_kernel(c.n, c.ops, c.ring.modulus, self.max_len)
+            c.ops = tuple(_column_ops(_certified(rows, c.ring)) for rows in self.table(c))
+            c.word = word_kernel(c.n, c.ops, c.ring.modulus, self.max_len, SLMat._closed)
         return c.ops
 
     def sample(self, c, r) -> tuple[SLMat, int]:
         if c.word is None:
             self.sampler_ops(c)
-        rows, r = c.word(r)
-        return from_rows(rows, c.ring), r  # certifies the word
+        return c.word(r, c.ring)
 
 
 @dataclass(frozen=True)
@@ -131,9 +136,11 @@ class Full(WordCondition):
     def local_order(self, c) -> int:
         return sl_order(c.n, c.place.p, c.e)
 
-    def table(self, c) -> tuple:
-        pairs = [(i, jp + (jp >= i)) for jp in range(c.n - 1) for i in range(c.n)]
-        return tuple(((j, ((i, None), (j, 1))),) for i, j in pairs)
+    def table(self, c) -> list:
+        n = c.n
+        pairs = [(i, jp + (jp >= i)) for jp in range(n - 1) for i in range(n)]
+        return [tuple(tuple(None if (r, k) == ij else int(r == k) for k in range(n)) for r in range(n))
+                for ij in pairs]
 
     def draw_space(self, c) -> int:
         return FULL_WORD_MAX * (c.n * (c.n - 1) * c.ring.modulus) ** FULL_WORD_MAX
@@ -250,9 +257,8 @@ class Parabolic(WordCondition):
         gens = parabolic_generators(self.theta, c.ring)
         return gens + [mat_inv(g) for g in gens]
 
-    def table(self, c) -> tuple:
-        """sampler_gens as column operations (see _column_ops)."""
-        return tuple(_column_ops(g) for g in self.sampler_gens(c))
+    def table(self, c) -> list:
+        return [g.entries for g in self.sampler_gens(c)]
 
     def sample(self, c, r) -> tuple[SLMat, int]:
         out, r = WordCondition.sample(self, c, r)  # super() builds an object per call
@@ -449,22 +455,38 @@ def _principal_generators(n, ring, depth):
     return gens + torus(n, ring, 1 + step)
 
 
-def _column_ops(g: SLMat) -> tuple:
-    """Right multiplication by g as operations on columns.
+def _certified(rows, ring: ResidueRing) -> tuple:
+    """A word table entry's rows, certified by from_rows and so reduced.
+    Where None stands for t, the rows are certified at t = 0 and at t = 1,
+    which proves every t when t lies in one column: the determinant is then
+    affine in t.  Refused with SLMat's messages, or when t spans two columns."""
+    if not any(None in row for row in rows):
+        return from_rows(rows, ring).entries
+    if len({k for row in rows for k, a in enumerate(row) if a is None}) > 1:
+        raise InputError("a word table entry must hold its multiplier in one column")
+    # both are certified; the rows at t = 0 give the reduced coefficients
+    at_0, _ = [from_rows([[t if a is None else a for a in row] for row in rows], ring) for t in (0, 1)]
+    return tuple(tuple(None if a is None else b for a, b in zip(row, out))
+                 for row, out in zip(rows, at_0.entries))
+
+
+def _column_ops(rows) -> tuple:
+    """Right multiplication by the matrix of these rows as operations on
+    columns.
 
     Column c of x * g is sum_k g[k][c] * (column k of x).  One operation
     (c, ((k, g[k][c]), ...)) is kept for every column of g that differs from
-    the identity's, listing only the nonzero coefficients; the columns that
-    match the identity's are left alone.  An elementary 1 + t*E_ij is the one
-    operation (j, ((i, t), (j, 1))), a diagonal generator scales each moved
-    column by its entry, and a dense g keeps every column it moves.
+    the identity's, listing only the nonzero coefficients, None included;
+    the columns that match the identity's are left alone.  An elementary
+    1 + t*E_ij is the one operation (j, ((i, t), (j, 1))) when i < j, a
+    diagonal generator scales each moved column by its entry, and a dense g
+    keeps every column it moves.
     """
-    n = g.n
+    n = len(rows)
     ops = []
-    for c in range(n):
-        col = [g.entries[k][c] for k in range(n)]
-        if col != [int(k == c) for k in range(n)]:
-            ops.append((c, tuple((k, a) for k, a in enumerate(col) if a)))
+    for c, col in enumerate(zip(*rows)):
+        if col[c] != 1 or col.count(0) != n - 1:  # not the identity's column c
+            ops.append((c, tuple((k, a) for k, a in enumerate(col) if a != 0)))
     return tuple(ops)
 
 

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -155,6 +159,42 @@ def test_det_certification():
     assert scalar_mul(4, identity(2, R5)) == from_rows([[4, 0], [0, 4]], R5)
     with pytest.raises(InputError, match="matching ring"):
         mat_mul(identity(2, R5), identity(2, R7))
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1, 0], [0, 1]], "square"),
+        ([(1, 0), (0, 1)], "square"),  # a list would leave the matrix unhashable
+        (((1, 0), [0, 1]), "square"),
+        (((1, "a"), (0, 1)), "canonically reduced"),
+        (((1, 0.0), (0, 1)), "canonically reduced"),
+        (((True, 0), (0, 1)), "canonically reduced"),
+    ],
+)
+def test_slmat_refuses_entries_of_other_types(entries, message):
+    with pytest.raises(InputError, match=message):
+        SLMat(R5, entries)
+
+
+def test_slmat_layout():
+    certified = SLMat(R25, ((1, 7), (0, 1)))
+    closed = mat_mul(elementary(2, 0, 1, 3, R25), elementary(2, 0, 1, 4, R25))
+    assert closed == certified and hash(closed) == hash(certified) and closed is not certified
+    assert not hasattr(closed, "__dict__")
+    # pickling and copying rebuild through SLMat(...), which certifies
+    for copied in (pickle.loads(pickle.dumps(closed)), copy.deepcopy(closed), copy.copy(closed)):
+        assert type(copied) is SLMat and copied == closed and hash(copied) == hash(closed)
+    with pytest.raises(InputError, match="determinant is not 1 in the ring"):
+        pickle.loads(pickle.dumps(SLMat._closed(R5, ((2, 0), (0, 1)))))
+    for name in ("ring", "entries", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(closed, name, None)
+    # the identity cache holds its objects weakly
+    ident = identity(3, R7)
+    assert weakref.ref(ident)() is ident
+    # per-layer tracing patches the certification where the class defines it
+    assert "__post_init__" in SLMat.__dict__
 
 
 def test_written_out_from_rows_keeps_both_checks():

@@ -803,37 +803,75 @@ def _sampler_gen_sets():
 
 
 def _word(r, gens, n, ring):
-    """The word kernel of gens' column operations, certified by from_rows as
-    in Parabolic.sample, and what is left of r."""
-    rows, r = word_kernel(n, tuple(_column_ops(g) for g in gens), ring.modulus, PARABOLIC_WORD_MAX)(r)
-    return from_rows(rows, ring), r
+    """The word kernel of gens' column operations, as Parabolic.sample runs
+    it, and what is left of r; the word is built unchecked, so this checks
+    that it is canonically reduced and of determinant 1."""
+    ops = tuple(_column_ops(g.entries) for g in gens)
+    word, r = word_kernel(n, ops, ring.modulus, PARABOLIC_WORD_MAX, SLMat._closed)(r, ring)
+    assert type(word) is SLMat and word.ring is ring
+    assert SLMat(ring, word.entries) == word
+    return word, r
 
 
 def test_random_word_still_certifies_its_word(monkeypatch):
-    # a generator of determinant 2 mod 25, which only _closed can build; 2
-    # has order 20 mod 25, so no word of at most PARABOLIC_WORD_MAX factors
-    # has determinant 1, and Parabolic.sample's from_rows refuses the word
+    # a generator of determinant 2 mod 25, which only _closed can build; the
+    # table's certification refuses it before any word is drawn, so no
+    # digit of r is read and the kernel is never built
     ring = residue_ring(5, 2)
     bad = SLMat._closed(ring, ((2, 1, 0, 0), (0, 1, 0, 3), (0, 4, 1, 0), (0, 0, 0, 1)))
     assert _det_int(bad.entries) % 25 == 2
     monkeypatch.setattr(Parabolic, "sampler_gens", lambda self, c: [bad])
     q = FiniteQuotientGroup(subgroup_spec(4, {V5: Parabolic(root_subset(4, {2, 3}))}), {V5: 2})
+    cond, c = q.conditions[0], q.components[0]
+    with pytest.raises(InputError, match="determinant is not 1 in the ring"):
+        cond.sampler_ops(c)
+    assert c.word is None
     for seed in range(20):
         with pytest.raises(InputError, match="determinant is not 1 in the ring"):
-            q.conditions[0].sample(q.components[0], _stream(seed, 32))
+            cond.sample(c, _stream(seed, 32))
+        assert c.word is None
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # t on the diagonal: det = t, which is 0 at t = 0
+        (((None, 0, 0), (0, 1, 0), (0, 0, 1)), "determinant is not 1 in the ring"),
+        # t in one column with det = 1 - t: 1 at t = 0, refused at t = 1
+        (((1, 1, 0), (None, 1, 0), (0, 0, 1)), "determinant is not 1 in the ring"),
+        # t in two columns: det = 1 - t^2 is 1 at t = 0, and affine in t no more
+        (((1, None, 0), (None, 1, 0), (0, 0, 1)), "multiplier in one column"),
+        # an unreduced coefficient would break the word kernel's packing bound
+        (((1, None, 0), (0, 1, -1), (0, 0, 1)), None),
+    ],
+)
+def test_full_table_entries_are_certified_at_the_first_sample(monkeypatch, entry, message):
+    q = FiniteQuotientGroup(subgroup_spec(3, {}), {V7: 1})
+    cond, c = q.conditions[0], q.components[0]
+    table = Full().table(c)
+    monkeypatch.setattr(Full, "table", lambda self, c: [*table, entry])
+    if message is None:
+        # certified, and read back reduced
+        assert cond.sampler_ops(c)[-1] == ((1, ((0, None), (1, 1))), (2, ((1, 6), (2, 1))))
+        return
+    with pytest.raises(InputError, match=message):
+        q.sample(0)
+    assert c.word is None
 
 
 def test_column_ops_list_the_moved_columns():
     ring = residue_ring(5, 1)
-    assert _column_ops(identity(4, ring)) == ()
-    assert _column_ops(elementary(4, 0, 2, 3, ring)) == ((2, ((0, 3), (2, 1))),)
+    assert _column_ops(identity(4, ring).entries) == ()
+    assert _column_ops(elementary(4, 0, 2, 3, ring).entries) == ((2, ((0, 3), (2, 1))),)
     torus = from_rows([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], ring)
-    assert _column_ops(torus) == ((0, ((0, 2),)), (1, ((1, 3),)))
+    assert _column_ops(torus.entries) == ((0, ((0, 2),)), (1, ((1, 3),)))
+    # a Full table entry's t is a coefficient like any other
+    assert _column_ops(((1, 0), (None, 1))) == ((0, ((0, 1), (1, None))),)
 
 
 def test_random_word_matches_the_dense_product():
     for label, gens, n, ring in _sampler_gen_sets():
-        ops = [_column_ops(g) for g in gens]
+        ops = [_column_ops(g.entries) for g in gens]
         if label == "with dense":
             # the general sum and a moved single-term column are both exercised
             assert any(len(terms) > 2 for op in ops for _, terms in op)
@@ -881,8 +919,14 @@ def test_sampler_ops_are_derived_from_the_dense_generators():
         if isinstance(cond, Parabolic):
             gens = cond.sampler_gens(c)
             assert all(isinstance(g, SLMat) for g in gens)
-            assert cond.sampler_ops(c) == tuple(_column_ops(g) for g in gens)
-            assert c.word is word_kernel(c.n, c.ops, c.ring.modulus, PARABOLIC_WORD_MAX)
+            assert cond.sampler_ops(c) == tuple(_column_ops(g.entries) for g in gens)
+            assert c.word is word_kernel(c.n, c.ops, c.ring.modulus, PARABOLIC_WORD_MAX, SLMat._closed)
+            # the kernel's word is the dense product of the drawn generators
+            for seed in range(50):
+                theirs = _Digits(_stream(seed, 32))
+                word, rest = cond.sample(c, theirs.r)
+                assert (word, rest) == (_ref_word(theirs, gens, c.n, c.ring), theirs.r)
+                assert SLMat(c.ring, word.entries) == word
             assert cond.sampler_ops(c_again) is not c.ops and c_again.word is c.word
 
 

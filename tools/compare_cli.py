@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 53 runs.  Forty-one compare a change with its parent on
+The set is 54 runs.  Forty-two compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -43,6 +43,8 @@ ordinary inputs:
   - `verify-iso` (--samples 400 --seed 3) on the saved method-a document
     at level 1 with a full place p3, sampled rather than enumerated, where
     the central-principal component sits at depth = e;
+  - `verify-iso` (--samples 400 --seed 3) on the saved method-c document
+    moved to n = 9, whose full places sample words above GENERATED_MAX_N;
   - `verify-iso` on a missing file.
 Twelve edge runs follow: nine witness inputs that a constructor refuses,
 `obstruct` on two documents derived from the saved ones that hold an
@@ -141,6 +143,17 @@ def _method_a_at_level_1(cwd: Path):
     (cwd / "method-a-1.json").write_text(json.dumps(doc))
 
 
+def _method_c_at_9(cwd: Path):
+    """method-c moved to n = 9: each spec leaves two places full, so its
+    source quotient samples full words above GENERATED_MAX_N."""
+    doc = json.loads((cwd / "method-c.json").read_text())
+    bundle = doc["bundle"]
+    bundle["n"] = 9
+    for label, sep in bundle["separating_element"].items():
+        sep["rows"] = [[int(i == j or (label, i, j) == ("p7b", 0, 1)) for j in range(9)] for i in range(9)]
+    (cwd / "method-c-9.json").write_text(json.dumps(doc))
+
+
 def _method_a_order_4(cwd: Path):
     """method-a with order 4 in both central conditions and in the twist:
     4 divides gcd(4, 5 - 1) at p5 but not gcd(4, 7 - 1) at p7."""
@@ -204,6 +217,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     out.append(("verify-iso method-b-full3.json", argv, _method_b_full_at_3))
     argv = ["verify-iso", "method-a-1.json", "--samples", "400", "--seed", "3"]
     out.append(("verify-iso method-a-1.json", argv, _method_a_at_level_1))
+    argv = ["verify-iso", "method-c-9.json", "--samples", "400", "--seed", "3"]
+    out.append(("verify-iso method-c-9.json", argv, _method_c_at_9))
     out.append(("verify-iso missing file", ["verify-iso", "missing.json"], None))
     # edge runs
     for flags in (
