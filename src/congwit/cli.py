@@ -26,13 +26,7 @@ from .errors import InputError
 from .presets import PRESETS, builder
 from .rings import find_split_primes
 from .selftest import FAULTS, run_selftest
-from .serialize import (
-    SCHEMA_VERSION,
-    bundle_from_json,
-    bundle_to_json,
-    dumps_canonical,
-    obstruction_to_json,
-)
+from .serialize import SCHEMA_VERSION, bundle_from_json, bundle_to_json, dumps_canonical
 from .twists import verify_iso
 
 DEFAULT_SAMPLES = 10000
@@ -83,9 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vi = sub.add_parser("verify-iso", help="re-verify the twist of a saved bundle")
     vi.add_argument("bundle", help="path to a witness JSON document")
-    vi.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    vi.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    vi.add_argument("--output", default=None)
+    common(vi)
 
     ob = sub.add_parser("obstruct", help="recompute the certificates of a saved bundle")
     ob.add_argument("bundle")
@@ -98,54 +90,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, output: str | None):
-    text = dumps_canonical(doc)
-    if output is None:
+def _emit(args, kind: str, **body):
+    """Write the document of one command: its kind, its configuration (every
+    parsed argument but --output) and the body, to --output or stdout."""
+    config = {key: value for key, value in vars(args).items() if key != "output"}
+    text = dumps_canonical({"schema_version": SCHEMA_VERSION, "kind": kind, "config": config, **body})
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def _cmd_witness(args) -> int:
     build = builder(args.method)
-    params = {name: getattr(args, name) for name in inspect.signature(build).parameters}
-    bundle = build(**params)
-    config = {"command": "witness", "method": args.method, **params}
-    config["samples"] = args.samples
-    config["seed"] = args.seed
+    bundle = build(**{name: getattr(args, name) for name in inspect.signature(build).parameters})
     report = verify_iso(bundle.iso, args.samples, args.seed)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "witness_run",
-        "config": config,
-        "bundle": bundle_to_json(bundle),
-        "iso_report": asdict(report),
-        "obstruction_holds": bundle.obstruction.holds,
-    }
-    _emit(doc, args.output)
+    _emit(
+        args,
+        "witness_run",
+        bundle=bundle_to_json(bundle),
+        iso_report=asdict(report),
+        obstruction_holds=bundle.obstruction.holds,
+    )
     return 0 if report.witnessed and bundle.obstruction.holds else 1
 
 
 def _cmd_search_primes(args) -> int:
     if args.d is None and args.full_center is None:
         raise InputError("give --d and/or --full-center")
-    d = args.d if args.d is not None else 1
-    congruence = (args.full_center, 1) if args.full_center is not None else None
-    primes = find_split_primes(d, args.count, set(args.exclude), congruence)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "prime_search",
-        "config": {
-            "command": "search-primes",
-            "d": d,
-            "count": args.count,
-            "exclude": sorted(args.exclude),
-            "full_center": args.full_center,
-        },
-        "primes": primes,
-    }
-    _emit(doc, args.output)
+    if args.d is None:
+        args.d = 1
+    args.exclude = sorted(args.exclude)
+    primes = find_split_primes(args.d, args.count, set(args.exclude), args.full_center)
+    _emit(args, "prime_search", primes=primes)
     return 0
 
 
@@ -162,32 +140,14 @@ def _load_json(path: str) -> dict:
 def _cmd_verify_iso(args) -> int:
     bundle = bundle_from_json(_load_json(args.bundle))
     report = verify_iso(bundle.iso, args.samples, args.seed)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "iso_verification",
-        "config": {
-            "command": "verify-iso",
-            "bundle": args.bundle,
-            "samples": args.samples,
-            "seed": args.seed,
-        },
-        "method": bundle.method,
-        "iso_report": asdict(report),
-    }
-    _emit(doc, args.output)
+    _emit(args, "iso_verification", method=bundle.method, iso_report=asdict(report))
     return 0 if report.witnessed else 1
 
 
 def _cmd_obstruct(args) -> int:
     bundle = bundle_from_json(_load_json(args.bundle))
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "obstruction_recompute",
-        "config": {"command": "obstruct", "bundle": args.bundle},
-        "method": bundle.method,
-        "obstruction": obstruction_to_json(bundle.obstruction),
-    }
-    _emit(doc, args.output)
+    # its fields as they are: asdict would deep-copy every leaf of data, a tenth of this command
+    _emit(args, "obstruction_recompute", method=bundle.method, obstruction=dict(vars(bundle.obstruction)))
     return 0 if bundle.obstruction.holds else 1
 
 

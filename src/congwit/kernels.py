@@ -106,15 +106,21 @@ def emit_mul(n):
     return "xe, ye, mod", [f"{_rows(a)} = xe", f"{_rows(b)} = ye", f"return {_rows(out, True)}"]
 
 
-def emit_adj(n):
+def emit_adj(n, signs=None):
     """adj(e, mod): the rows of the adjugate, reduced; the inverse when det = 1.
     adj[i][j] = (-1)^(i+j) det(e without row j and column i) expands along
     first rows if j is in the upper half, else along last rows, so each
-    half's cofactors share the minors of the other half's rows."""
+    half's cofactors share the minors of the other half's rows.  Given
+    row `signs` s, out[i][j] = s_i * s_j * adj[n-1-j][n-1-i] instead, each
+    sign folded into its cofactor's expansion."""
     m, every = Minors(), tuple(range(n))
     drop = [every[:k] + every[k + 1 :] for k in every]
-    out = [[f"({m.expand(drop[j], drop[i], 2 * j >= n, (-1) ** (i + j))}) % mod" for j in every]
-           for i in every]
+
+    def cofactor(i, j, sign=1):  # sign * adj[i][j], reduced
+        return f"({m.expand(drop[j], drop[i], 2 * j >= n, sign * (-1) ** (i + j))}) % mod"
+
+    out = [[cofactor(i, j) if signs is None else cofactor(n - 1 - j, n - 1 - i, signs[i] * signs[j])
+            for j in every] for i in every]
     return "e, mod", [f"{_rows(_names(n))} = e", *m.lines, f"return {_rows(out, True)}"]
 
 
@@ -185,22 +191,15 @@ def _weyl_signs(n):
     return (-1 if (n * (n - 1) // 2) % 2 == 1 else 1,) + (1,) * (n - 1)
 
 
-def emit_graph(n, signs=None):
+def emit_graph(n):
     """graph(e, mod): the rows of the diagram symmetry (see parabolics),
-    out[i][j] = s_i * s_j * adj(e)[n-1-j][n-1-i] reduced, for w0's row
-    signs s or the given `signs`.  Each sign is folded into its cofactor's
-    expansion, and the cofactors share minors as in emit_adj."""
-    m, every, s = Minors(), tuple(range(n)), signs or _weyl_signs(n)
-    drop = [every[:k] + every[k + 1 :] for k in every]
-    # row n-1-i is dropped: expand along last rows when it is in the lower half, as emit_adj does
-    out = [[f"({m.expand(drop[-1 - i], drop[-1 - j], 2 * i < n - 1, s[i] * s[j] * (-1) ** (i + j))}) % mod"
-            for j in every] for i in every]
-    return "e, mod", [f"{_rows(_names(n))} = e", *m.lines, f"return {_rows(out, True)}"]
+    emit_adj with w0's row signs."""
+    return emit_adj(n, _weyl_signs(n))
 
 
 def emit_graph_inverse(n):
     """graph_inverse(e, mod): emit_graph with w0's row signs reversed."""
-    return emit_graph(n, _weyl_signs(n)[::-1])
+    return emit_adj(n, _weyl_signs(n)[::-1])
 
 
 @functools.cache

@@ -49,7 +49,7 @@ class ObstructionReport:
     kind: str
     data: dict
     holds: bool
-    narrative: tuple[str, ...]
+    narrative: list[str]
 
 
 @dataclass
@@ -251,7 +251,7 @@ def obstruction_report(bundle: WitnessBundle) -> ObstructionReport:
     data["separating_element_in"] = separation
     holds = holds and separation["quotient1"] and not separation["quotient2"]
     holds = holds and not _globally_conjugate(bundle.spec1, bundle.spec2)
-    return ObstructionReport(kind, data, bool(holds), (lead,) + _NARRATIVE_SHARED)
+    return ObstructionReport(kind, data, bool(holds), [lead, *_NARRATIVE_SHARED])
 
 
 def _globally_conjugate(spec1: SubgroupSpec, spec2: SubgroupSpec) -> bool:

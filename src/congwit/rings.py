@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -190,34 +189,29 @@ def conj_place(v: PrimePlace, places=()) -> PrimePlace:
     return next((w for w in places if (w.p, w.root) == key), PrimePlace(*key))
 
 
-def find_split_primes(d, count, exclude=(), congruence=None):
+def find_split_primes(d, count, exclude=(), full_center=None):
     """The `count` smallest odd primes split in Z[sqrt(d)], in order.
 
     An odd prime p splits exactly when d is a nonzero square mod p, which
     Euler's criterion d^((p-1)/2) = 1 mod p tests; the power is 0 mod the
     primes dividing d, so they are skipped, as are the primes in `exclude`.
-    An optional congruence (m, a) additionally requires p = a mod m; with d = 1 the
-    quadratic condition is vacuous (every odd prime counts), which is the
-    rational-ring mode used to search for primes where the full group of
-    n-th roots of unity lives in F_p (congruence (n, 1)).
+    An optional `full_center` m additionally requires p = 1 mod m, so the
+    full group of m-th roots of unity lives in F_p; with d = 1 the
+    quadratic condition is vacuous (every odd prime counts).
     """
     if count < 1:
         raise InputError("count must be >= 1")
     if d < 1 or not is_squarefree(d):
         raise InputError(f"d={d} must be squarefree and positive")
-    if congruence is not None:
-        cm, ca = congruence
-        if cm < 1:
-            raise InputError("congruence modulus must be positive")
-        if cm > 1 and math.gcd(ca, cm) != 1:
-            raise InputError(f"congruence class {ca} mod {cm} contains at most one prime")
+    if full_center is not None and full_center < 1:
+        raise InputError("congruence modulus must be positive")
     found: list[int] = []
     odd_primes = (p for p in itertools.count(3, 2) if is_prime(p))
     # the cap counts the prime 2 as scanned, though it is never a candidate
     for p in itertools.islice(odd_primes, PRIME_SCAN_CAP - 1):
         if p in exclude or pow(d, (p - 1) // 2, p) != 1:
             continue
-        if congruence is not None and p % congruence[0] != congruence[1] % congruence[0]:
+        if full_center is not None and p % full_center != 1 % full_center:
             continue
         found.append(p)
         if len(found) == count:

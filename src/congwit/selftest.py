@@ -13,6 +13,7 @@ from __future__ import annotations
 import sys
 import time
 
+from .errors import InputError
 from .matrices import _det_int, mat_mul
 from .parabolics import _weyl_signs, fixed_lines, graph_automorphism, root_subset
 from .presets import PRESETS, builder
@@ -26,10 +27,7 @@ FAULTS = (FAULT_W0_SIGN, FAULT_PLACE_SWAP_A)
 
 
 class CheckFailure(Exception):
-    def __init__(self, name: str, detail: str):
-        super().__init__(f"{name}: {detail}")
-        self.name = name
-        self.detail = detail
+    """A failed check; its message is the detail, the runner adds the name."""
 
 
 def check_sl2_enumeration_orders():
@@ -39,10 +37,7 @@ def check_sl2_enumeration_orders():
         q = FiniteQuotientGroup(subgroup_spec(2, {}), level)
         counted = len(enumerate_quotient(q))
         if counted != expected or q.order != expected:
-            raise CheckFailure(
-                "sl2-enumeration-orders",
-                f"mod {m}: enumerated {counted}, formula {q.order}, expected {expected}",
-            )
+            raise CheckFailure(f"mod {m}: enumerated {counted}, formula {q.order}, expected {expected}")
 
 
 def check_graph_automorphism_determinant(corrupt_sign: bool = False):
@@ -53,19 +48,14 @@ def check_graph_automorphism_determinant(corrupt_sign: bool = False):
         s = (1,) * n if corrupt_sign else _weyl_signs(n)
         det = _det_int([[s[i] if j == n - 1 - i else 0 for j in range(n)] for i in range(n)])
         if det != 1:
-            raise CheckFailure(
-                "graph-automorphism-determinant",
-                f"reversal conjugator for n={n} has determinant {det}, not 1",
-            )
+            raise CheckFailure(f"reversal conjugator for n={n} has determinant {det}, not 1")
     words = FiniteQuotientGroup(subgroup_spec(4, {}), {rational_place(5): 1})
     for i in range(50):
         (x,), (y,) = words.sample(2 * i), words.sample(2 * i + 1)
         if graph_automorphism(mat_mul(x, y)) != mat_mul(
             graph_automorphism(x), graph_automorphism(y)
         ):
-            raise CheckFailure(
-                "graph-automorphism-determinant", "symmetry is not multiplicative"
-            )
+            raise CheckFailure("symmetry is not multiplicative")
 
 
 def check_fixed_line_baselines():
@@ -79,29 +69,27 @@ def check_fixed_line_baselines():
     for theta, p, expected in cases:
         got = fixed_lines(theta)
         if got != expected:
-            raise CheckFailure(
-                "fixed-line-baselines",
-                f"blocks {theta.block_sizes()} mod {p}: counted {got}, expected {expected}",
-            )
+            raise CheckFailure(f"blocks {theta.block_sizes()} mod {p}: counted {got}, expected {expected}")
 
 
-def _check_bundle(name, bundle, samples, seed):
+def _check_bundle(bundle, samples, seed):
     report = verify_iso(bundle.iso, samples, seed)
     if not report.witnessed:
         raise CheckFailure(
-            name,
             f"verdict {report.verdict}: membership={report.membership_failures} "
             f"homomorphism={report.homomorphism_failures} inverse={report.inverse_failures} "
             f"order_match={report.order_match}",
         )
     if not bundle.obstruction.holds:
-        raise CheckFailure(name, "obstruction certificate does not hold")
+        raise CheckFailure("obstruction certificate does not hold")
 
 
 def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None = None, out=None) -> int:
     out = out or sys.stdout
+    if samples < 1:  # refused before any check prints
+        raise InputError("sample_count must be >= 1")
     if inject_fault is not None and inject_fault not in FAULTS:
-        raise CheckFailure("selftest", f"unknown fault {inject_fault!r}")
+        raise InputError(f"unknown fault {inject_fault!r}")
 
     def preset(name):
         def check():
@@ -112,11 +100,10 @@ def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None =
                 )
                 report = verify_iso(broken, samples, seed)
                 raise CheckFailure(
-                    "preset-method-a",
                     f"injected place swap on the central pair: verdict {report.verdict}, "
                     f"membership failures {report.membership_failures}",
                 )
-            _check_bundle(f"preset-{name}", bundle, samples, seed)
+            _check_bundle(bundle, samples, seed)
 
         return check
 
@@ -133,7 +120,7 @@ def run_selftest(samples: int = 10000, seed: int = 0, inject_fault: str | None =
         try:
             fn()
         except CheckFailure as failure:
-            print(f"FAIL {failure.name}: {failure.detail}", file=out)
+            print(f"FAIL {name}: {failure}", file=out)
             return 1
         print(f"ok {name} ({time.monotonic() - start:.2f}s)", file=out)
     return 0

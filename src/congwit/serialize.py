@@ -13,7 +13,7 @@ import json
 
 from .errors import InputError, json_int, json_int_list
 from .matrices import SLMat, from_rows
-from .presets import TWIST_OF_METHOD, ObstructionReport, WitnessBundle, _bundle
+from .presets import TWIST_OF_METHOD, WitnessBundle, _bundle
 from .quotients import CONDITION_OF_KIND, FiniteQuotientGroup, SubgroupSpec, subgroup_spec
 from .rings import MAX_MODULUS, PrimePlace, is_prime, is_squarefree
 from .twists import _place
@@ -84,10 +84,6 @@ def _conditions_to_json(spec: SubgroupSpec) -> dict:
     return {place.label: cond.to_json() for place, cond in spec.conditions}
 
 
-def obstruction_to_json(o: ObstructionReport) -> dict:
-    return {"kind": o.kind, "data": o.data, "holds": o.holds, "narrative": list(o.narrative)}
-
-
 def _base_ring_to_json(d: int | None) -> dict:
     return {"kind": "rational_integers"} if d is None else {"kind": "quadratic_integers", "d": d}
 
@@ -114,7 +110,7 @@ def bundle_to_json(bundle: WitnessBundle) -> dict:
         },
         "iso": bundle.iso.to_json(),
         "separating_element": sep,
-        "obstruction": obstruction_to_json(bundle.obstruction),
+        "obstruction": dict(vars(bundle.obstruction)),  # its fields; asdict would deep-copy data
     }
 
 

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import congwit
-from congwit import cli, presets
+from congwit import cli, presets, selftest
 from congwit.cli import build_parser, main
+from congwit.errors import InputError
 from congwit.presets import method_b_pair, s16_pair
 from congwit.serialize import bundle_to_json
 from congwit.twists import QuotientIso
@@ -190,6 +191,65 @@ def test_selftest_fault_injection_names_the_check(capsys):
     assert code == 1
     assert "FAIL preset-method-a" in out
     assert "membership failures" in out
+
+
+def test_selftest_refuses_no_samples_before_any_check(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--samples", "0")
+    assert (code, out, err) == (2, "", "error: sample_count must be >= 1\n")
+
+
+def test_selftest_refuses_an_unknown_fault():
+    with pytest.raises(InputError, match="unknown fault 'no-such-fault'"):
+        selftest.run_selftest(5, 0, "no-such-fault")
+
+
+def test_selftest_names_a_failing_baseline_check(monkeypatch, capsys):
+    monkeypatch.setattr(selftest, "fixed_lines", lambda theta: 9)
+    code, out, _ = run_cli(capsys, "selftest", "--samples", "20")
+    assert code == 1
+    assert out.splitlines()[-1] == "FAIL fixed-line-baselines: blocks (1, 3) mod 5: counted 9, expected 1"
+
+
+@pytest.mark.parametrize("target", list(presets.PRESETS))
+def test_selftest_names_a_preset_whose_certificate_fails(target, monkeypatch, capsys):
+    def builder(name):
+        def build():
+            bundle = presets.builder(name)()
+            if name == target:
+                bundle.obstruction.holds = False
+            return bundle
+
+        return build
+
+    monkeypatch.setattr(selftest, "builder", builder)
+    code, out, _ = run_cli(capsys, "selftest", "--samples", "20")
+    assert code == 1
+    assert out.splitlines()[-1] == f"FAIL preset-{target}: obstruction certificate does not hold"
+    assert len(out.splitlines()) == 4 + list(presets.PRESETS).index(target)
+
+
+def test_document_config_is_every_parsed_argument_but_output(tmp_path, capsys):
+    saved = tmp_path / "saved.json"
+    runs = [["witness", name, "--samples", "5"] for name in presets.PRESETS]
+    runs[0] += ["--seed", "4", "--output", str(saved)]
+    runs.append(["verify-iso", str(saved), "--samples", "7"])
+    runs.append(["obstruct", str(saved), "--output", str(tmp_path / "o.json")])
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        args = build_parser().parse_args(argv)
+        doc = json.loads(Path(args.output).read_text() if args.output else out)
+        assert doc["config"] == {key: value for key, value in vars(args).items() if key != "output"}, argv
+
+
+def test_prime_search_config_records_the_ring_and_sorted_exclusions(capsys):
+    exclude = ["--exclude", "13", "--exclude", "5", "--exclude", "13"]
+    code, out, _ = run_cli(capsys, "search-primes", "--full-center", "4", "--count", "2", *exclude)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["primes"] == [17, 29]
+    config = {"command": "search-primes", "d": 1, "count": 2, "exclude": [5, 13, 13], "full_center": 4}
+    assert doc["config"] == config
 
 
 # sha256 of `witness <preset> --samples 50 --seed 0 --output FILE`; any change

@@ -68,15 +68,15 @@ def test_find_split_primes():
     assert find_split_primes(2, 2) == [7, 17]
     assert find_split_primes(2, 1, exclude={7}) == [17]
     assert find_split_primes(2, 3) == [7, 17, 23]
-    assert find_split_primes(1, 2, congruence=(4, 1)) == [5, 13]
+    assert find_split_primes(1, 2, full_center=4) == [5, 13]
 
 
-def _ref_split_primes(d, count, exclude=(), congruence=None):
+def _ref_split_primes(d, count, exclude=(), full_center=None):
     """find_split_primes by splitting_type over every odd number from 3."""
     found, p = [], 3
     while len(found) < count:
         if is_prime(p) and p not in exclude and splitting_type(p, d)[0] == "split":
-            if congruence is None or p % congruence[0] == congruence[1] % congruence[0]:
+            if full_center is None or p % full_center == 1 % full_center:
                 found.append(p)
         p += 2
     return found
@@ -84,14 +84,14 @@ def _ref_split_primes(d, count, exclude=(), congruence=None):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7, 10, 15, 21])
 def test_find_split_primes_matches_the_splitting_type_reference(d):
-    for congruence in (None, (3, 1), (4, 1), (6, 1)):
+    for full_center in (None, 3, 4, 6):
         for count in range(1, 9):
-            expected = _ref_split_primes(d, count, (), congruence)
-            assert find_split_primes(d, count, congruence=congruence) == expected
+            expected = _ref_split_primes(d, count, (), full_center)
+            assert find_split_primes(d, count, full_center=full_center) == expected
             # the ramified 3 and 5, a composite and every other prime found
             exclude = {3, 5, 9, *expected[::2]}
-            got = find_split_primes(d, count, exclude=exclude, congruence=congruence)
-            assert got == _ref_split_primes(d, count, exclude, congruence)
+            got = find_split_primes(d, count, exclude=exclude, full_center=full_center)
+            assert got == _ref_split_primes(d, count, exclude, full_center)
 
 
 def test_find_split_primes_cap_counts_the_prime_two(monkeypatch):
@@ -105,8 +105,6 @@ def test_find_split_primes_cap_counts_the_prime_two(monkeypatch):
 def test_find_split_primes_rejects():
     with pytest.raises(InputError):
         find_split_primes(2, 0)
-    with pytest.raises(InputError):
-        find_split_primes(2, 1, congruence=(4, 2))
 
 
 def test_hensel_examples():

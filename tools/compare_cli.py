@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 54 runs.  Forty-two compare a change with its parent on
+The set is 56 runs.  Forty-four compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -20,13 +20,16 @@ ordinary inputs:
     ones at n = 9;
   - method-b at the large primes p = 101, q = 103, whose certificate
     counts fixed lines over F_101 and F_103;
-  - `search-primes` four times, once at d = 15 with 7 excluded, which
+  - `search-primes` five times, once at d = 15 with 7 excluded, which
     skips the ramified primes 3 and 5 and is larger than 11, the first
-    prime it finds;
+    prime it finds, and once with two exclusions out of order, which the
+    document's config records sorted;
   - `selftest` at --samples 50, which passes every check and exits 0, and
     with each --inject-fault mode, which stop at the second and the fourth
     check;
-  - `verify-iso` and `obstruct` on the four saved documents;
+  - `verify-iso` and `obstruct` on the four saved documents, and
+    `obstruct` on the saved method-a document with --output, which the
+    document's config leaves out;
   - `verify-iso` (--samples 300 --seed 3) and `obstruct` on the saved
     method-b document re-levelled to 5^2 at p5, the runs in which a
     parabolic condition sits above level 1;
@@ -197,6 +200,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         ["--full-center", "4", "--count", "2"],
         ["--d", "5", "--count", "4", "--exclude", "11", "--full-center", "4"],
         ["--d", "15", "--count", "4", "--exclude", "7"],
+        ["--d", "2", "--count", "3", "--exclude", "23", "--exclude", "7"],
     ):
         out.append(("search-primes " + " ".join(flags), ["search-primes", *flags], None))
     out.append(("selftest", ["selftest", "--samples", "50"], None))
@@ -206,6 +210,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         doc = f"{preset}.json"
         out.append((f"verify-iso {doc}", ["verify-iso", doc, "--samples", "50"], None))
         out.append((f"obstruct {doc}", ["obstruct", doc], None))
+    out.append(("obstruct method-a.json --output", ["obstruct", "method-a.json", "--output", "o.json"], None))
     argv = ["verify-iso", "method-b-25.json", "--samples", "300", "--seed", "3"]
     out.append(("verify-iso method-b-25.json", argv, _method_b_at_25))
     out.append(("obstruct method-b-25.json", ["obstruct", "method-b-25.json"], _method_b_at_25))
