@@ -163,6 +163,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:  # before any preset is built or bundle read
+            raise InputError("sample_count must be >= 1")
         return COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

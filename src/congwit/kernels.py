@@ -126,7 +126,7 @@ def emit_adj(n, signs=None):
 
 def emit_reduce(n):
     """reduce(rows, ring): closed(ring, the rows reduced into the ring),
-    refused with SLMat's messages unless square and of determinant 1."""
+    refused unless square, of ints (see integers) and of determinant 1."""
     a, (minors, det, _) = _names(n), _determinant(n)
     flat = [x for row in a for x in row]
     return "rows, ring", [
@@ -135,6 +135,8 @@ def emit_reduce(n):
         f"    {_rows(a)} = rows",
         "except ValueError:",
         '    raise InputError("entries must form a square matrix") from None',
+        f"if not {' is '.join(f'type({x})' for x in flat)} is int:",
+        f"    integers(({', '.join(flat)},))",
         f"{', '.join(flat)} = {', '.join(x + ' % mod' for x in flat)}",
         *minors,
         f"if ({det}) % mod != 1:",

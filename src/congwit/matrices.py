@@ -127,9 +127,16 @@ class SLMat:
 _set_ring, _set_entries = SLMat.ring.__set__, SLMat.entries.__set__
 
 
+def _integers(entries):
+    """Refuse any entry that is not an int; a bool is one, and reduces to one."""
+    if not all(isinstance(x, int) for x in entries):
+        raise InputError("entries must be integers")
+
+
 def _reduce_rows(rows, ring: ResidueRing) -> SLMat:
     """from_rows for any n without a kernel: SLMat checks the reduced rows."""
     mod = ring.modulus
+    _integers([x for r in rows for x in r])
     return SLMat(ring, tuple([tuple([x % mod for x in r]) for r in rows]))
 
 
@@ -137,16 +144,17 @@ def _reduce_rows(rows, ring: ResidueRing) -> SLMat:
 _DET = Kernels(emit_det, _bareiss)
 _MUL = Kernels(emit_mul, _mul_rows)
 _ADJ = Kernels(emit_adj, _adj_rows)
-_REDUCE = Kernels(emit_reduce, _reduce_rows, closed=SLMat._closed)
+_REDUCE = Kernels(emit_reduce, _reduce_rows, closed=SLMat._closed, integers=_integers)
 _SCALE = Kernels(emit_scale, _scale_rows)
 
 
 def from_rows(rows, ring: ResidueRing) -> SLMat:
     """Build an SLMat from integer rows, reducing entries into the ring.
 
-    The reduction puts every entry in [0, modulus), so of SLMat's checks
-    only the shape and the determinant are left to run; the kernel for the
-    number of rows (see _REDUCE) runs them, with SLMat's messages.
+    An entry that is not an int is refused before any reduction.  The
+    reduction puts every entry in [0, modulus), so of SLMat's checks only
+    the shape and the determinant are left; the kernel for the number of
+    rows (see _REDUCE) runs them, with SLMat's messages.
     """
     return _REDUCE[len(rows)](rows, ring)
 

@@ -254,8 +254,8 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
 
     Pair i is a pure function of i, so the pairs are split into one
     contiguous index range per worker and the counts summed: the report is
-    the same for any split.  With cpus = usable_cpus() there are
-    w = max(1, min(len(cpus), pairs // PAIRS_PER_WORKER)) workers; see
+    the same for any split.  There are w = max(1, min(len(usable_cpus()),
+    pairs // PAIRS_PER_WORKER)) workers, one loop for any w; see
     _check_pairs_forked.
     """
     if sample_count < 1:
@@ -292,13 +292,8 @@ def verify_iso(iso: QuotientIso, sample_count: int = 10000, master_seed: int = 0
             x = src.sample(child_seed(master_seed, 2 * i))
             return x, src.sample(child_seed(master_seed, 2 * i + 1))
 
-    cpus = usable_cpus()
-    workers = max(1, min(len(cpus), pairs // PAIRS_PER_WORKER))
-    if workers == 1:
-        counts = _check_pairs(iso, inverse, pair, 0, pairs)
-    else:
-        counts = _check_pairs_forked(iso, inverse, pair, pairs, cpus[:workers])
-    pair_membership, homomorphism, inverse_failures = counts
+    workers = max(1, min(len(usable_cpus()), pairs // PAIRS_PER_WORKER))
+    pair_membership, homomorphism, inverse_failures = _check_pairs_forked(iso, inverse, pair, pairs, workers)
     membership += pair_membership
 
     order_match = src.order == tgt.order
@@ -372,39 +367,32 @@ PAIRS_PER_WORKER = 50
 
 
 def usable_cpus() -> list[int]:
-    """The CPUs this process may run on, ascending.  Empty, so one worker,
-    where the platform cannot fork or pin a process, or where other threads
-    run: a forked child would hold copies of their locks but not the threads."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return []
-    if threading.active_count() > 1:
+    """The CPUs this process may run on, ascending, which verify_iso counts.
+    Empty, so one worker, where the platform cannot fork or report them, or
+    where other threads run: a forked child would hold copies of their locks
+    but not the threads."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return []
     return sorted(os.sched_getaffinity(0))
 
 
-def _check_pairs_forked(iso, inverse, pair, pairs, cpus):
-    """_check_pairs over [0, pairs) cut into len(cpus) chunks.
+def _check_pairs_forked(iso, inverse, pair, pairs, workers):
+    """_check_pairs over [0, pairs) cut into w = `workers` chunks.
 
-    Chunk k is [pairs*k//w, pairs*(k+1)//w) and runs pinned to cpus[k]:
-    chunk 0 in this process, the others in forked children that send their
-    counts back through a pipe.  An error in a chunk is re-raised here, the
-    lowest chunk's first, as the one-process loop would meet it; a child that
-    sends nothing is an error, never zero failures.  Every child is reaped
-    before return, and killed first when the call fails.
+    Chunk k is [pairs*k//w, pairs*(k+1)//w): chunk 0 runs in this process,
+    the others in forked children that send their counts back through a
+    pipe, so one worker forks nothing.  An error in a chunk is re-raised
+    here, the lowest chunk's first, as the one-process loop would meet it; a
+    child that sends nothing is an error, never zero failures.  Every child
+    is reaped before return, and killed first when the call fails.
     """
-    w = len(cpus)
-    cut = [pairs * k // w for k in range(w + 1)]
+    cut = [pairs * k // workers for k in range(workers + 1)]
     children = []  # (pid, read end, first pair, stop) of children not yet reaped
     try:
-        for k in range(1, w):
-            pid, read_end = _fork_chunk(iso, inverse, pair, cut[k], cut[k + 1], cpus[k])
+        for k in range(1, workers):
+            pid, read_end = _fork_chunk(iso, inverse, pair, cut[k], cut[k + 1])
             children.append((pid, read_end, cut[k], cut[k + 1]))
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpus[0]})
-        try:
-            totals = _check_pairs(iso, inverse, pair, cut[0], cut[1])
-        finally:
-            os.sched_setaffinity(0, mask)
+        totals = _check_pairs(iso, inverse, pair, cut[0], cut[1])
         while children:
             pid, read_end, start, stop = children[0]
             data = b"".join(iter(lambda: os.read(read_end, 1 << 16), b""))
@@ -431,10 +419,10 @@ def _check_pairs_forked(iso, inverse, pair, pairs, cpus):
     return totals
 
 
-def _fork_chunk(iso, inverse, pair, start, stop, cpu):
-    """Fork a child that checks pairs [start, stop) pinned to `cpu` and
-    pickles (True, counts), or (False, the exception that stopped it), into
-    a pipe; returns (pid, read end).
+def _fork_chunk(iso, inverse, pair, start, stop):
+    """Fork a child, run wherever the OS places it, that checks pairs
+    [start, stop) and pickles (True, counts), or (False, the exception that
+    stopped it), into a pipe; returns (pid, read end).
 
     The child leaves by os._exit, so no atexit handler runs and no stdio
     buffer inherited from this process is flushed a second time.
@@ -452,7 +440,6 @@ def _fork_chunk(iso, inverse, pair, start, stop, cpu):
     try:
         os.close(read_end)
         try:
-            os.sched_setaffinity(0, {cpu})
             result = (True, _check_pairs(iso, inverse, pair, start, stop))
         except BaseException as exc:
             result = (False, exc)

@@ -198,6 +198,27 @@ def test_selftest_refuses_no_samples_before_any_check(capsys):
     assert (code, out, err) == (2, "", "error: sample_count must be >= 1\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "method-a", "--samples", "0"],
+        ["witness", "method-b", "--samples", "-3", "--p", "9"],
+        ["verify-iso", "missing.json", "--samples", "0"],
+        ["verify-iso", "method-a.json", "--samples", "-3"],
+    ],
+)
+def test_samples_below_one_are_refused_before_any_build(argv, monkeypatch, capsys):
+    def called(*args, **kwargs):
+        raise AssertionError("built or loaded before the sample count was checked")
+
+    monkeypatch.setattr(presets, "method_a_pair", called)
+    monkeypatch.setattr(presets, "method_b_pair", called)
+    monkeypatch.setattr(cli, "bundle_from_json", called)
+    monkeypatch.setattr(cli, "_load_json", called)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: sample_count must be >= 1\n")
+
+
 def test_selftest_refuses_an_unknown_fault():
     with pytest.raises(InputError, match="unknown fault 'no-such-fault'"):
         selftest.run_selftest(5, 0, "no-such-fault")

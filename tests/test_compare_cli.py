@@ -12,7 +12,7 @@ def test_compare_cli_finds_no_difference_against_its_own_checkout():
         [sys.executable, str(tool), str(ROOT)], capture_output=True, text=True, timeout=300
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout
-    assert proc.stdout == "56 runs, 0 differ\n"
+    assert proc.stdout == "58 runs, 0 differ\n"
 
 
 def test_compare_cli_needs_a_checkout():

@@ -227,6 +227,21 @@ def test_written_out_from_rows_keeps_both_checks():
         assert from_rows(rows, R5) == SLMat(R5, reduced)
 
 
+@pytest.mark.parametrize("n", [2, 4, GENERATED_MAX_N, GENERATED_MAX_N + 1])
+@pytest.mark.parametrize("bad", [1.0, "a", None], ids=repr)
+def test_from_rows_refuses_every_entry_that_is_not_an_int(n, bad):
+    # the generated kernels and the generic path above them, before any
+    # reduction: "%d" % 5 would reduce a str to one
+    for i, j in ((0, 0), (n - 1, n - 2)):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        rows[i][j] = bad
+        with pytest.raises(InputError, match="^entries must be integers$"):
+            from_rows(rows, R5)
+    rows = [[r == c for c in range(n)] for r in range(n)]  # bools reduce to ints
+    assert from_rows(rows, R5) == identity(n, R5)
+    assert {type(x) for row in from_rows(rows, R5).entries for x in row} == {int}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(
     st.integers(2, 5),

@@ -1,5 +1,5 @@
-"""verify_iso's pairs, sampled or Cayley-graph edges, split over forked,
-pinned workers.
+"""verify_iso's pairs, sampled or Cayley-graph edges, split over forked
+workers that the OS places.
 
 Each test patches twists.usable_cpus to one real allowed CPU repeated k
 times, so that k workers run on any host with fork and CPU affinity.
@@ -90,6 +90,30 @@ def test_reports_do_not_depend_on_the_worker_count(bundle_fn, workers):
         forks = workers(k)
         reports.append(verify_iso(iso, PAIRS, SEED))
         assert len(forks) == k - 1
+    assert reports[0].witnessed and reports[0].samples_used == PAIRS
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_no_worker_count_pins_a_cpu(workers, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a worker set a CPU affinity")
+
+    pipes = []
+    pipe = os.pipe
+
+    def counting_pipe():
+        pipes.append(1)
+        return pipe()
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    monkeypatch.setattr(os, "pipe", counting_pipe)
+    iso = method_a_pair().iso
+    reports = []
+    for k in (1, 2, 3):
+        forks = workers(k)
+        del pipes[:]
+        reports.append(verify_iso(iso, PAIRS, SEED))
+        assert len(forks) == len(pipes) == k - 1
     assert reports[0].witnessed and reports[0].samples_used == PAIRS
     assert reports[1] == reports[0] and reports[2] == reports[0]
 

@@ -10,7 +10,7 @@ traceback on either side counts as differing, even where the two sides
 agree.  Every run that differs is printed with its differences; the exit
 code is 1 if any run differs, else 0.
 
-The set is 56 runs.  Forty-four compare a change with its parent on
+The set is 58 runs.  Forty-four compare a change with its parent on
 ordinary inputs:
   - `witness` on each preset at --samples 50 --seed 0 (each saved with
     --output) and at --samples 400 --seed 3;
@@ -49,12 +49,13 @@ ordinary inputs:
   - `verify-iso` (--samples 400 --seed 3) on the saved method-c document
     moved to n = 9, whose full places sample words above GENERATED_MAX_N;
   - `verify-iso` on a missing file.
-Twelve edge runs follow: nine witness inputs that a constructor refuses,
-`obstruct` on two documents derived from the saved ones that hold an
-explicit `full` condition, and `obstruct` on the saved method-a document
-at central order 4, which the set-up of its central condition at p7
-refuses.  The per-check timings of `selftest` are masked;
-nothing else is.
+Fourteen edge runs follow: nine witness inputs that a constructor refuses,
+a sample count below 1 for `witness method-a` and for `verify-iso` on the
+saved method-a document, `obstruct` on two documents derived from the
+saved ones that hold an explicit `full` condition, and `obstruct` on the
+saved method-a document at central order 4, which the set-up of its
+central condition at p7 refuses.  The per-check timings of `selftest` are
+masked; nothing else is.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def runs() -> list[tuple[str, list[str], object]]:
         ["method-c", "--q", "15"],
     ):
         out.append(("witness " + " ".join(flags), ["witness", *flags, "--samples", "50"], None))
+    out.append(("witness method-a --samples 0", ["witness", "method-a", "--samples", "0"], None))
+    argv = ["verify-iso", "method-a.json", "--samples", "-3"]
+    out.append(("verify-iso method-a.json --samples -3", argv, None))
     out.append(("obstruct full-p17a.json", ["obstruct", "full-p17a.json"], _full_at_p17a))
     out.append(("obstruct full-p11.json", ["obstruct", "full-p11.json"], _full_without_level))
     out.append(("obstruct method-a-4.json", ["obstruct", "method-a-4.json"], _method_a_order_4))
